@@ -1,7 +1,7 @@
 """Character-level CNN text classifiers on a small numpy autodiff core.
 
 Two families are provided: a very deep standard-convolution network with a
-k-max-pooled three-layer classifier, and a squeezed variant that swaps the
+k-max-pooled three-layer classifier, and a compact variant that swaps the
 blocks for depthwise-separable convolutions and the classifier for global
 average pooling. The package also ships exact parameter/storage accounting,
 a training loop, and a latency benchmark harness.

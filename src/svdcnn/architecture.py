@@ -25,12 +25,21 @@ import numpy as np
 from .autograd import DEFAULT_DTYPE, ShapeError, Tensor
 from .data import DEFAULT_VOCAB_SIZE
 from .functional import DegenerateStatisticsError, maxpool_halve
-from .layers import AvgPoolLinearHead, ConvBlock, EmbeddingTable, KmaxLinearHead, TemporalConvLayer
+from .layers import (
+    KERNEL_SIZE,
+    AvgPoolLinearHead,
+    BatchNorm,
+    ConvBlock,
+    EmbeddingTable,
+    KmaxLinearHead,
+    Module,
+    TdscLayer,
+    TemporalConvLayer,
+)
 
 FAMILIES = ("vdcnn", "svdcnn")
 LEVEL_CHANNELS = (64, 128, 256, 512)
 FIRST_CONV_CHANNELS = 64
-KERNEL_SIZE = 3
 BYTES_PER_PARAM = 4
 
 # Initial scale of the stem's normalization. Blocks start as identity maps,
@@ -102,8 +111,12 @@ class ArchitectureSpec:
         return LEVEL_CHANNELS[-1] * self.pooled_len
 
 
-class Model:
-    """A built network: embedding, trunk of blocks with pools, classifier."""
+class Model(Module):
+    """A built network: embedding, trunk of blocks with pools, classifier.
+
+    Parameters and buffers are named by the module walk; the blocks of
+    ``levels`` are named ``level{i}.block{b}``.
+    """
 
     def __init__(self, spec: ArchitectureSpec, seed: int = 0, dtype=DEFAULT_DTYPE):
         rng = np.random.default_rng(seed)
@@ -129,20 +142,26 @@ class Model:
 
     def train(self) -> "Model":
         self.mode = "train"
-        self._set_bn_mode("train")
+        for module in self.modules():
+            if isinstance(module, BatchNorm):
+                module.mode = "train"
         return self
 
     def eval(self) -> "Model":
         self.mode = "eval"
-        self._set_bn_mode("eval")
+        for module in self.modules():
+            if isinstance(module, BatchNorm):
+                module.mode = "eval"
         return self
 
-    def _set_bn_mode(self, mode: str) -> None:
-        self.first_conv.bn.mode = mode
-        for blocks in self.levels:
-            for block in blocks:
-                block.layer1.bn.mode = mode
-                block.layer2.bn.mode = mode
+    def _members(self):
+        for name, value in vars(self).items():
+            if name == "levels":
+                for i, blocks in enumerate(value):
+                    for b, block in enumerate(blocks):
+                        yield f"level{i}.block{b}", block
+            else:
+                yield name, value
 
     def forward(self, indices, trace: list | None = None) -> Tensor:
         """Logits for a batch of index sequences ``[B, seq_len]``.
@@ -172,27 +191,7 @@ class Model:
 
     def conv_depth(self) -> int:
         """Network depth: the first convolution plus one per block layer."""
-        depth = self.first_conv.depth_units
-        for blocks in self.levels:
-            for block in blocks:
-                depth += block.depth_units
-        return depth
-
-    def named_params(self) -> list[tuple[str, Tensor, str]]:
-        out = [(f"embedding.{n}", t, c) for n, t, c in self.embedding.named_params()]
-        out += [(f"first_conv.{n}", t, c) for n, t, c in self.first_conv.named_params()]
-        for i, blocks in enumerate(self.levels):
-            for b, block in enumerate(blocks):
-                out += [(f"level{i}.block{b}.{n}", t, c) for n, t, c in block.named_params()]
-        out += [(f"head.{n}", t, c) for n, t, c in self.head.named_params()]
-        return out
-
-    def named_buffers(self) -> list[tuple[str, np.ndarray]]:
-        out = [(f"first_conv.{n}", b) for n, b in self.first_conv.named_buffers()]
-        for i, blocks in enumerate(self.levels):
-            for b, block in enumerate(blocks):
-                out += [(f"level{i}.block{b}.{n}", arr) for n, arr in block.named_buffers()]
-        return out
+        return sum(m.depth_units for m in self.modules() if isinstance(m, (TemporalConvLayer, TdscLayer)))
 
     def parameters(self) -> list[Tensor]:
         return [t for _n, t, _c in self.named_params()]

@@ -6,6 +6,7 @@ run at full precision.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -82,7 +83,18 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
 
-_TAPE_STACK: list["Tape"] = []
+class _TapeStack(threading.local):
+    """Open tapes of the current thread, innermost last.
+
+    Per thread, so a forward on one thread never records onto a tape that
+    another thread holds open.
+    """
+
+    def __init__(self):
+        self.tapes: list["Tape"] = []
+
+
+_TAPE_STACK = _TapeStack()
 
 
 class Tape:
@@ -98,11 +110,11 @@ class Tape:
         self.consumed = False
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _TAPE_STACK.pop()
+        _TAPE_STACK.tapes.pop()
         return False
 
     def append(self, name: str, out: Tensor, pull: Callable[[np.ndarray], None]) -> None:
@@ -117,7 +129,8 @@ class Tape:
 
 
 def active_tape() -> Optional[Tape]:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    tapes = _TAPE_STACK.tapes
+    return tapes[-1] if tapes else None
 
 
 def backward(loss: Tensor, tape: Tape) -> None:

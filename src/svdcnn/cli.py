@@ -12,6 +12,7 @@ from . import architecture as arch
 from . import bench as bench_mod
 from .architecture import ArchitectureSpec, Model, closed_form_params, count_params
 from .data import Vocabulary, load_csv, quantize, split_dataset, synth_dataset
+from .functional import _log_softmax
 from .training import (
     TrainConfig,
     TrainingDivergedError,
@@ -168,25 +169,18 @@ def cmd_train(args) -> int:
                 "train_loss": stats.train_loss,
                 "val_accuracy": stats.val_accuracy,
             }) + "\n")
-    best = max(history, key=lambda h: (h.val_accuracy, -h.epoch))
-    save_checkpoint(model, args.out, epoch=best.epoch)
+    save_checkpoint(model, args.out, epoch=model.checkpoint_epoch)
     final_acc = evaluate(model, val_set)
-    print(f"best epoch {best.epoch}; checkpoint val accuracy {final_acc:.4f}")
+    print(f"best epoch {model.checkpoint_epoch}; checkpoint val accuracy {final_acc:.4f}")
     print(f"wrote {args.out} and {history_path}")
     return 0
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
 
 
 def cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
     indices = quantize(args.text, Vocabulary(), model.spec.seq_len)
     logits = model.forward(indices[None]).data[0]
-    probs = _softmax(logits.astype(np.float64))
+    probs = np.exp(_log_softmax(logits.astype(np.float64)))
     print(f"class: {int(logits.argmax())}")
     print("probabilities: " + " ".join(f"{p:.6f}" for p in probs))
     return 0

@@ -1,8 +1,9 @@
 """Primitive numeric operations with taped gradients.
 
-Temporal operations take channel-major feature maps, either a single
-instance ``[C, L]`` or a batch ``[B, C, L]``; stride is always 1 and
-padding is zero-fill. Dense operations take ``[N]`` or ``[B, N]``.
+Every operation is batched. Temporal operations take channel-major feature
+maps ``[B, C, L]``; stride is always 1 and padding is zero-fill. Dense
+operations take rows ``[B, N]``, and the embedding takes index rows
+``[B, s]``. A single instance is a batch of one (``x[None]``).
 """
 
 from __future__ import annotations
@@ -19,14 +20,11 @@ class DegenerateStatisticsError(ValueError):
     """Batch statistics requested over too few values."""
 
 
-def _batched(t: Tensor, ndim: int, what: str) -> tuple[np.ndarray, bool]:
-    """Return ``t.data`` with a leading batch axis, noting if one was added."""
-    a = t.data
-    if a.ndim == ndim - 1:
-        return a[None], True
-    if a.ndim == ndim:
-        return a, False
-    raise ShapeError(f"{what} must be {ndim - 1}-d or batched {ndim}-d, got shape {t.shape}")
+def _checked(t: Tensor, layout: str, op: str) -> np.ndarray:
+    """``t.data`` after checking that its rank matches ``layout``, e.g. "[B, C, L]"."""
+    if t.data.ndim != layout.count(",") + 1:
+        raise ShapeError(f"{op} input must be {layout}, got shape {t.shape}")
+    return t.data
 
 
 def _record(name, out, inputs, pull) -> None:
@@ -42,11 +40,11 @@ def _pad_time(a: np.ndarray, padding: int) -> np.ndarray:
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: int = 0) -> Tensor:
-    """Temporal convolution: ``x [C_in, L]``, ``weight [C_out, C_in, K]``.
+    """Temporal convolution: ``x [B, C_in, L]``, ``weight [C_out, C_in, K]``.
 
-    Output length is ``L + 2*padding - K + 1``. The kernel size must be odd.
+    Output is ``[B, C_out, L + 2*padding - K + 1]``. The kernel size must be odd.
     """
-    xa, squeezed = _batched(x, 3, "conv1d input")
+    xa = _checked(x, "[B, C, L]", "conv1d")
     w = weight.data
     if w.ndim != 3:
         raise ShapeError(f"conv1d weight must be [C_out, C_in, K], got shape {weight.shape}")
@@ -74,30 +72,28 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
     od = np.ascontiguousarray(od)
 
     requires = x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
-    out = Tensor(od[0] if squeezed else od, requires_grad=requires)
+    out = Tensor(od, requires_grad=requires)
 
     def pull(g):
-        gb = g[None] if squeezed else g
-        g2 = gb.transpose(0, 2, 1).reshape(batch * t_out, out_ch)
+        g2 = g.transpose(0, 2, 1).reshape(batch * t_out, out_ch)
         if weight.requires_grad:
             weight.accumulate_grad((g2.T @ cols).reshape(out_ch, in_ch, k))
         if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(gb.sum(axis=(0, 2)))
+            bias.accumulate_grad(g.sum(axis=(0, 2)))
         if x.requires_grad:
             gcols = (g2 @ w2).reshape(batch, t_out, in_ch, k).transpose(0, 2, 1, 3)
             gxp = np.zeros_like(xp)
             for kk in range(k):
                 gxp[:, :, kk:kk + t_out] += gcols[:, :, :, kk]
-            gx = gxp[:, :, padding:padding + length]
-            x.accumulate_grad(gx[0] if squeezed else gx)
+            x.accumulate_grad(gxp[:, :, padding:padding + length])
 
     _record("conv1d", out, [x, weight] + ([bias] if bias is not None else []), pull)
     return out
 
 
 def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
-    """Per-channel temporal convolution: ``weight [C, K]`` filters channel c alone."""
-    xa, squeezed = _batched(x, 3, "depthwise_conv1d input")
+    """Per-channel temporal convolution of ``x [B, C, L]``: ``weight [C, K]`` filters channel c alone."""
+    xa = _checked(x, "[B, C, L]", "depthwise_conv1d")
     w = weight.data
     if w.ndim != 2:
         raise ShapeError(f"depthwise weight must be [C, K], got shape {weight.shape}")
@@ -115,26 +111,24 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
     win = sliding_window_view(xp, k, axis=2)  # [B, C, T, K]
     od = np.ascontiguousarray(np.einsum("bctk,ck->bct", win, w))
 
-    out = Tensor(od[0] if squeezed else od, requires_grad=x.requires_grad or weight.requires_grad)
+    out = Tensor(od, requires_grad=x.requires_grad or weight.requires_grad)
 
     def pull(g):
-        gb = g[None] if squeezed else g
         if weight.requires_grad:
-            weight.accumulate_grad(np.einsum("bct,bctk->ck", gb, win))
+            weight.accumulate_grad(np.einsum("bct,bctk->ck", g, win))
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for kk in range(k):
-                gxp[:, :, kk:kk + t_out] += gb * w[:, kk][None, :, None]
-            gx = gxp[:, :, padding:padding + length]
-            x.accumulate_grad(gx[0] if squeezed else gx)
+                gxp[:, :, kk:kk + t_out] += g * w[:, kk][None, :, None]
+            x.accumulate_grad(gxp[:, :, padding:padding + length])
 
     _record("depthwise_conv1d", out, [x, weight], pull)
     return out
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Dense map ``weight @ x + bias`` with ``weight [M, N]``."""
-    xa, squeezed = _batched(x, 2, "affine input")
+    """Dense map of rows ``x [B, N]`` to ``x @ weight.T + bias`` with ``weight [M, N]``."""
+    xa = _checked(x, "[B, N]", "affine")
     w = weight.data
     if w.ndim != 2:
         raise ShapeError(f"affine weight must be [M, N], got shape {weight.shape}")
@@ -143,20 +137,15 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if bias.data.shape != (w.shape[0],):
         raise ShapeError(f"bias shape {bias.shape} does not match {w.shape[0]} outputs")
     od = xa @ w.T + bias.data
-    out = Tensor(
-        od[0] if squeezed else od,
-        requires_grad=x.requires_grad or weight.requires_grad or bias.requires_grad,
-    )
+    out = Tensor(od, requires_grad=x.requires_grad or weight.requires_grad or bias.requires_grad)
 
     def pull(g):
-        gb = g[None] if squeezed else g
         if weight.requires_grad:
-            weight.accumulate_grad(gb.T @ xa)
+            weight.accumulate_grad(g.T @ xa)
         if bias.requires_grad:
-            bias.accumulate_grad(gb.sum(axis=0))
+            bias.accumulate_grad(g.sum(axis=0))
         if x.requires_grad:
-            gx = gb @ w
-            x.accumulate_grad(gx[0] if squeezed else gx)
+            x.accumulate_grad(g @ w)
 
     _record("affine", out, [x, weight, bias], pull)
     return out
@@ -220,36 +209,38 @@ def tensor_sum(x: Tensor) -> Tensor:
 
 
 def maxpool_halve(x: Tensor) -> Tensor:
-    """Max pooling with kernel 3, stride 2, zero padding 1: L -> ceil(L/2)."""
-    xa, squeezed = _batched(x, 3, "maxpool input")
-    batch, channels, length = xa.shape
+    """Max pooling of ``x [B, C, L]`` with kernel 3, stride 2, zero padding 1: L -> ceil(L/2).
+
+    Ties within a window send the whole gradient to the earliest position.
+    """
+    xa = _checked(x, "[B, C, L]", "maxpool_halve")
+    length = xa.shape[2]
     if length < 2:
         raise ShapeError(f"temporal length must be at least 2 to halve, got {length}")
     xp = _pad_time(xa, 1)
     win = sliding_window_view(xp, 3, axis=2)[:, :, ::2, :]  # [B, C, T, 3]
     arg = win.argmax(axis=3)
     od = np.ascontiguousarray(np.take_along_axis(win, arg[..., None], axis=3)[..., 0])
-    out = Tensor(od[0] if squeezed else od, requires_grad=x.requires_grad)
+    out = Tensor(od, requires_grad=x.requires_grad)
 
     def pull(g):
         if not x.requires_grad:
             return
-        gb = g[None] if squeezed else g
         gxp = np.zeros_like(xp)
         bi, ci, ti = np.indices(arg.shape, sparse=True)
-        np.add.at(gxp, (bi, ci, 2 * ti + arg), gb)
-        x.accumulate_grad(gxp[:, :, 1:1 + length][0] if squeezed else gxp[:, :, 1:1 + length])
+        np.add.at(gxp, (bi, ci, 2 * ti + arg), g)
+        x.accumulate_grad(gxp[:, :, 1:1 + length])
 
     _record("maxpool_halve", out, [x], pull)
     return out
 
 
 def kmax_pool(x: Tensor, k: int) -> Tensor:
-    """Keep the k largest values per channel, in original temporal order.
+    """Keep the k largest values per channel of ``x [B, C, L]``, in original temporal order.
 
     Ties are broken in favour of the earlier position.
     """
-    xa, squeezed = _batched(x, 3, "kmax_pool input")
+    xa = _checked(x, "[B, C, L]", "kmax_pool")
     length = xa.shape[2]
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -258,23 +249,22 @@ def kmax_pool(x: Tensor, k: int) -> Tensor:
     top = np.argsort(-xa, axis=2, kind="stable")[:, :, :k]
     idx = np.sort(top, axis=2)
     od = np.ascontiguousarray(np.take_along_axis(xa, idx, axis=2))
-    out = Tensor(od[0] if squeezed else od, requires_grad=x.requires_grad)
+    out = Tensor(od, requires_grad=x.requires_grad)
 
     def pull(g):
         if not x.requires_grad:
             return
-        gb = g[None] if squeezed else g
         gx = np.zeros_like(xa)
-        np.put_along_axis(gx, idx, gb, axis=2)
-        x.accumulate_grad(gx[0] if squeezed else gx)
+        np.put_along_axis(gx, idx, g, axis=2)
+        x.accumulate_grad(gx)
 
     _record("kmax_pool", out, [x], pull)
     return out
 
 
 def adaptive_avg_pool(x: Tensor, out_len: int) -> Tensor:
-    """Mean over contiguous equal bins per channel; L must divide evenly."""
-    xa, squeezed = _batched(x, 3, "adaptive_avg_pool input")
+    """Mean over contiguous equal bins per channel of ``x [B, C, L]``; L must divide evenly."""
+    xa = _checked(x, "[B, C, L]", "adaptive_avg_pool")
     batch, channels, length = xa.shape
     if out_len < 1:
         raise ValueError(f"output length must be positive, got {out_len}")
@@ -282,14 +272,13 @@ def adaptive_avg_pool(x: Tensor, out_len: int) -> Tensor:
         raise ValueError(f"temporal length {length} is not divisible by output length {out_len}")
     binsize = length // out_len
     od = xa.reshape(batch, channels, out_len, binsize).mean(axis=3)
-    out = Tensor(od[0] if squeezed else od, requires_grad=x.requires_grad)
+    out = Tensor(od, requires_grad=x.requires_grad)
 
     def pull(g):
         if not x.requires_grad:
             return
-        gb = g[None] if squeezed else g
-        gx = np.broadcast_to((gb / binsize)[..., None], (batch, channels, out_len, binsize))
-        x.accumulate_grad(gx.reshape(batch, channels, length)[0] if squeezed else gx.reshape(batch, channels, length))
+        gx = np.broadcast_to((g / binsize)[..., None], (batch, channels, out_len, binsize))
+        x.accumulate_grad(gx.reshape(batch, channels, length))
 
     _record("adaptive_avg_pool", out, [x], pull)
     return out
@@ -297,58 +286,81 @@ def adaptive_avg_pool(x: Tensor, out_len: int) -> Tensor:
 
 def flatten_features(x: Tensor) -> Tensor:
     """Collapse ``[B, C, L]`` feature maps to ``[B, C*L]`` rows."""
-    xa, squeezed = _batched(x, 3, "flatten input")
+    xa = _checked(x, "[B, C, L]", "flatten_features")
     batch, channels, length = xa.shape
-    od = xa.reshape(batch, channels * length)
-    out = Tensor(od[0] if squeezed else od, requires_grad=x.requires_grad)
+    out = Tensor(xa.reshape(batch, channels * length), requires_grad=x.requires_grad)
 
     def pull(g):
         if x.requires_grad:
-            gb = g[None] if squeezed else g
-            gx = gb.reshape(batch, channels, length)
-            x.accumulate_grad(gx[0] if squeezed else gx)
+            x.accumulate_grad(g.reshape(batch, channels, length))
 
     _record("flatten", out, [x], pull)
     return out
 
 
 def embedding(indices, table: Tensor) -> Tensor:
-    """Look up rows of ``table [V, E]`` and return channel-major maps ``[E, s]``."""
+    """Look up rows of ``table [V, E]`` for index rows ``[B, s]``; returns channel-major maps ``[B, E, s]``."""
     idx = np.asarray(indices)
-    squeezed = idx.ndim == 1
-    if squeezed:
-        idx = idx[None]
     if idx.ndim != 2:
-        raise ShapeError(f"indices must be [s] or [B, s], got shape {idx.shape}")
+        raise ShapeError(f"embedding indices must be [B, s], got shape {idx.shape}")
     vocab, dim = table.data.shape
     bad = (idx < 0) | (idx >= vocab)
     if bad.any():
         b0, p0 = np.argwhere(bad)[0]
         raise IndexError(f"character index {idx[b0, p0]} at position {p0} is outside [0, {vocab})")
-    od = np.ascontiguousarray(table.data[idx].transpose(0, 2, 1))  # [B, E, s]
-    out = Tensor(od[0] if squeezed else od, requires_grad=table.requires_grad)
+    od = np.ascontiguousarray(table.data[idx].transpose(0, 2, 1))
+    out = Tensor(od, requires_grad=table.requires_grad)
 
     def pull(g):
         if not table.requires_grad:
             return
-        gb = g[None] if squeezed else g
         acc = np.zeros_like(table.data)
-        np.add.at(acc, idx.reshape(-1), gb.transpose(0, 2, 1).reshape(-1, dim))
+        np.add.at(acc, idx.reshape(-1), g.transpose(0, 2, 1).reshape(-1, dim))
         table.accumulate_grad(acc)
 
     _record("embedding", out, [table], pull)
     return out
 
 
+def _batch_norm(op: str, x: Tensor, gamma: Tensor, beta: Tensor, mean, var, eps: float, batch_stats: bool) -> Tensor:
+    """Per-channel ``gamma * (x - mean) / sqrt(var + eps) + beta`` with its backward.
+
+    With ``batch_stats`` the statistics were computed from ``x`` itself, so
+    the gradient also flows through them.
+    """
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mean[None, :, None]) * inv[None, :, None]
+    od = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
+    out = Tensor(od, requires_grad=x.requires_grad or gamma.requires_grad or beta.requires_grad)
+
+    def pull(g):
+        if gamma.requires_grad:
+            gamma.accumulate_grad((g * xhat).sum(axis=(0, 2)))
+        if beta.requires_grad:
+            beta.accumulate_grad(g.sum(axis=(0, 2)))
+        if x.requires_grad:
+            dxhat = g * gamma.data[None, :, None]
+            if batch_stats:
+                m1 = dxhat.mean(axis=(0, 2), keepdims=True)
+                m2 = (dxhat * xhat).mean(axis=(0, 2), keepdims=True)
+                gx = (dxhat - m1 - xhat * m2) * inv[None, :, None]
+            else:
+                gx = dxhat * inv[None, :, None]
+            x.accumulate_grad(gx)
+
+    _record(op, out, [x, gamma, beta], pull)
+    return out
+
+
 def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
-    """Normalize per channel with statistics over the batch and time axes.
+    """Normalize ``x [B, C, L]`` per channel with statistics over the batch and time axes.
 
     Returns ``(out, batch_mean, batch_var, count)`` where the variance is the
     biased estimate used for normalization and ``count`` is the number of
     values per channel.
     """
-    xa, squeezed = _batched(x, 3, "batch_norm input")
-    batch, channels, length = xa.shape
+    xa = _checked(x, "[B, C, L]", "batch_norm_train")
+    batch, _channels, length = xa.shape
     count = batch * length
     if count < 2:
         raise DegenerateStatisticsError(
@@ -356,28 +368,7 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
         )
     mean = xa.mean(axis=(0, 2))
     var = xa.var(axis=(0, 2))
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xa - mean[None, :, None]) * inv[None, :, None]
-    od = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
-    out = Tensor(
-        od[0] if squeezed else od,
-        requires_grad=x.requires_grad or gamma.requires_grad or beta.requires_grad,
-    )
-
-    def pull(g):
-        gb = g[None] if squeezed else g
-        if gamma.requires_grad:
-            gamma.accumulate_grad((gb * xhat).sum(axis=(0, 2)))
-        if beta.requires_grad:
-            beta.accumulate_grad(gb.sum(axis=(0, 2)))
-        if x.requires_grad:
-            dxhat = gb * gamma.data[None, :, None]
-            m1 = dxhat.mean(axis=(0, 2), keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=(0, 2), keepdims=True)
-            gx = (dxhat - m1 - xhat * m2) * inv[None, :, None]
-            x.accumulate_grad(gx[0] if squeezed else gx)
-
-    _record("batch_norm_train", out, [x, gamma, beta], pull)
+    out = _batch_norm("batch_norm_train", x, gamma, beta, mean, var, eps, batch_stats=True)
     return out, mean, var, count
 
 
@@ -389,32 +380,19 @@ def batch_norm_eval(
     running_var: np.ndarray,
     eps: float,
 ) -> Tensor:
-    """Normalize per channel with fixed running statistics."""
-    xa, squeezed = _batched(x, 3, "batch_norm input")
-    inv = 1.0 / np.sqrt(running_var + eps)
-    xhat = (xa - running_mean[None, :, None]) * inv[None, :, None]
-    od = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
-    out = Tensor(
-        od[0] if squeezed else od,
-        requires_grad=x.requires_grad or gamma.requires_grad or beta.requires_grad,
-    )
+    """Normalize ``x [B, C, L]`` per channel with fixed running statistics."""
+    _checked(x, "[B, C, L]", "batch_norm_eval")
+    return _batch_norm("batch_norm_eval", x, gamma, beta, running_mean, running_var, eps, batch_stats=False)
 
-    def pull(g):
-        gb = g[None] if squeezed else g
-        if gamma.requires_grad:
-            gamma.accumulate_grad((gb * xhat).sum(axis=(0, 2)))
-        if beta.requires_grad:
-            beta.accumulate_grad(gb.sum(axis=(0, 2)))
-        if x.requires_grad:
-            gx = gb * (gamma.data[None, :, None] * inv[None, :, None])
-            x.accumulate_grad(gx[0] if squeezed else gx)
 
-    _record("batch_norm_eval", out, [x, gamma, beta], pull)
-    return out
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """Numerically stable log-softmax over the last axis."""
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean negative log-likelihood of integer labels under softmax(logits)."""
+    """Mean negative log-likelihood of integer labels under softmax(logits ``[B, classes]``)."""
     la = logits.data
     if la.ndim != 2:
         raise ShapeError(f"logits must be [batch, classes], got shape {logits.shape}")
@@ -425,8 +403,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     if ((lab < 0) | (lab >= classes)).any():
         bad = lab[(lab < 0) | (lab >= classes)][0]
         raise ValueError(f"label {bad} outside [0, {classes})")
-    z = la - la.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    logp = _log_softmax(la)
     od = np.asarray(-logp[np.arange(batch), lab].mean(), dtype=la.dtype)
     out = Tensor(od, requires_grad=logits.requires_grad)
 

@@ -33,11 +33,44 @@ def _fan_in_normal(rng, shape, fan_in, dtype, gain: float = 2.0):
     return Tensor(rng.normal(0.0, math.sqrt(gain / fan_in), shape).astype(dtype), requires_grad=True)
 
 
-def _kaiming(rng, shape, fan_in, dtype):
-    return _fan_in_normal(rng, shape, fan_in, dtype, gain=2.0)
+class Module:
+    """Names parameters and buffers by walking attributes in assignment order.
+
+    A :class:`Tensor` attribute is a learned parameter in the owning class's
+    ``category``; an ``ndarray`` attribute is a buffer (running statistics);
+    a :class:`Module` attribute is a child whose names are prefixed with the
+    attribute name. Every other attribute (sizes, modes, overridden bound
+    methods) is ignored.
+    """
+
+    category: str  # parameter category of the tensors this module owns
+
+    def _members(self):
+        """``(name, value)`` pairs to walk; subclasses may rename or flatten."""
+        return vars(self).items()
+
+    def _walk(self, prefix: str = ""):
+        for name, value in self._members():
+            if isinstance(value, Module):
+                yield from value._walk(f"{prefix}{name}.")
+            elif isinstance(value, (Tensor, np.ndarray)):
+                yield f"{prefix}{name}", value, self
+
+    def modules(self):
+        """This module and every module below it, depth first."""
+        yield self
+        for _name, value in self._members():
+            if isinstance(value, Module):
+                yield from value.modules()
+
+    def named_params(self) -> list[tuple[str, Tensor, str]]:
+        return [(n, v, owner.category) for n, v, owner in self._walk() if isinstance(v, Tensor)]
+
+    def named_buffers(self) -> list[tuple[str, np.ndarray]]:
+        return [(n, v) for n, v, _owner in self._walk() if isinstance(v, np.ndarray)]
 
 
-class BatchNorm:
+class BatchNorm(Module):
     """Per-channel normalization over batch and time, with running statistics.
 
     ``mode`` is "train" (batch statistics, running stats updated by an
@@ -45,6 +78,8 @@ class BatchNorm:
     ``scale_init`` sets the initial per-channel scale; layers wrapped by a
     shortcut start it at zero so a fresh block is the identity map.
     """
+
+    category = "batchnorm"
 
     def __init__(
         self,
@@ -72,19 +107,11 @@ class BatchNorm:
             return out
         return batch_norm_eval(x, self.gamma, self.beta, self.running_mean, self.running_var, self.eps)
 
-    def named_params(self):
-        return [("gamma", self.gamma, "batchnorm"), ("beta", self.beta, "batchnorm")]
 
-    def named_buffers(self):
-        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
-
-
-def batchnorm_forward(x: Tensor, state: BatchNorm) -> Tensor:
-    return state.forward(x)
-
-
-class EmbeddingTable:
+class EmbeddingTable(Module):
     """Character index to dense vector lookup; row 0 is the padding vector."""
+
+    category = "embedding"
 
     def __init__(self, vocab_size: int, dim: int, rng, dtype=DEFAULT_DTYPE):
         table = rng.normal(0.0, 0.25, (vocab_size, dim)).astype(dtype)
@@ -94,52 +121,38 @@ class EmbeddingTable:
     def forward(self, indices) -> Tensor:
         return embedding(indices, self.table)
 
-    def named_params(self):
-        return [("table", self.table, "embedding")]
 
-    def named_buffers(self):
-        return []
-
-
-def embedding_forward(indices, table: EmbeddingTable) -> Tensor:
-    return table.forward(indices)
-
-
-class TemporalConvLayer:
+class TemporalConvLayer(Module):
     """Kernel-3 temporal convolution + batch norm + ReLU."""
 
+    category = "conv"
     depth_units = 1
 
     def __init__(self, in_channels: int, out_channels: int, rng, dtype=DEFAULT_DTYPE, bn_scale_init: float = 1.0):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.weight = _kaiming(rng, (out_channels, in_channels, KERNEL_SIZE), in_channels * KERNEL_SIZE, dtype)
+        self.weight = _fan_in_normal(rng, (out_channels, in_channels, KERNEL_SIZE), in_channels * KERNEL_SIZE, dtype)
         self.bn = BatchNorm(out_channels, dtype=dtype, scale_init=bn_scale_init)
 
     def forward(self, x: Tensor) -> Tensor:
         return relu(self.bn.forward(conv1d(x, self.weight, padding=KERNEL_SIZE // 2)))
 
-    def named_params(self):
-        return [("weight", self.weight, "conv")] + [(f"bn.{n}", t, c) for n, t, c in self.bn.named_params()]
 
-    def named_buffers(self):
-        return [(f"bn.{n}", b) for n, b in self.bn.named_buffers()]
-
-
-class TdscLayer:
+class TdscLayer(Module):
     """Depthwise kernel-3 filter followed by a 1x1 cross-channel mix + BN + ReLU.
 
     The depthwise/pointwise pair is inseparable and counts as one layer of
     network depth.
     """
 
+    category = "conv"
     depth_units = 1
 
     def __init__(self, in_channels: int, out_channels: int, rng, dtype=DEFAULT_DTYPE, bn_scale_init: float = 1.0):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.depthwise = _kaiming(rng, (in_channels, KERNEL_SIZE), KERNEL_SIZE, dtype)
-        self.pointwise = _kaiming(rng, (out_channels, in_channels, 1), in_channels, dtype)
+        self.depthwise = _fan_in_normal(rng, (in_channels, KERNEL_SIZE), KERNEL_SIZE, dtype)
+        self.pointwise = _fan_in_normal(rng, (out_channels, in_channels, 1), in_channels, dtype)
         self.bn = BatchNorm(out_channels, dtype=dtype, scale_init=bn_scale_init)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -147,35 +160,16 @@ class TdscLayer:
         h = conv1d(h, self.pointwise, padding=0)
         return relu(self.bn.forward(h))
 
-    def named_params(self):
-        return [
-            ("depthwise", self.depthwise, "conv"),
-            ("pointwise", self.pointwise, "conv"),
-        ] + [(f"bn.{n}", t, c) for n, t, c in self.bn.named_params()]
 
-    def named_buffers(self):
-        return [(f"bn.{n}", b) for n, b in self.bn.named_buffers()]
-
-
-def tdsc_layer(x: Tensor, depthwise: Tensor, pointwise: Tensor, bn: BatchNorm) -> Tensor:
-    """Functional form of :class:`TdscLayer` over externally held weights."""
-    h = depthwise_conv1d(x, depthwise, padding=KERNEL_SIZE // 2)
-    h = conv1d(h, pointwise, padding=0)
-    return relu(bn.forward(h))
-
-
-def temporal_conv_layer(x: Tensor, weight: Tensor, bn: BatchNorm) -> Tensor:
-    """Functional form of :class:`TemporalConvLayer` over externally held weights."""
-    return relu(bn.forward(conv1d(x, weight, padding=KERNEL_SIZE // 2)))
-
-
-class ConvBlock:
+class ConvBlock(Module):
     """Two temporal layers at a fixed width wrapped by an additive shortcut.
 
     The first layer maps ``in_channels -> out_channels``, the second keeps
     the width. The shortcut is the identity when the width is unchanged and
     a 1x1 projection otherwise; nothing follows the addition.
     """
+
+    category = "conv"
 
     def __init__(self, variant: str, in_channels: int, out_channels: int, rng, dtype=DEFAULT_DTYPE):
         if variant not in ("standard", "tdsc"):
@@ -204,24 +198,21 @@ class ConvBlock:
     def depth_units(self) -> int:
         return self.layer1.depth_units + self.layer2.depth_units
 
-    def named_params(self):
-        out = [(f"layer1.{n}", t, c) for n, t, c in self.layer1.named_params()]
-        out += [(f"layer2.{n}", t, c) for n, t, c in self.layer2.named_params()]
-        if self.projection is not None:
-            out.append(("projection", self.projection, "conv"))
-        return out
 
-    def named_buffers(self):
-        out = [(f"layer1.{n}", b) for n, b in self.layer1.named_buffers()]
-        out += [(f"layer2.{n}", b) for n, b in self.layer2.named_buffers()]
-        return out
+class Linear(Module):
+    """Dense layer ``x @ weight.T + bias`` over rows; the bias starts at zero."""
 
+    category = "fc"
 
-def conv_block_forward(x: Tensor, block: ConvBlock) -> Tensor:
-    return block.forward(x)
+    def __init__(self, weight: Tensor):
+        self.weight = weight
+        self.bias = Tensor(np.zeros(weight.shape[0], dtype=weight.dtype), requires_grad=True)
+
+    def forward(self, x: Tensor) -> Tensor:
+        return affine(x, self.weight, self.bias)
 
 
-class KmaxLinearHead:
+class KmaxLinearHead(Module):
     """k-max pooling into a three-layer fully connected classifier.
 
     The logit layer starts at zero so untrained logits are exactly zero.
@@ -230,34 +221,18 @@ class KmaxLinearHead:
     def __init__(self, channels: int, k: int, hidden: int, n_classes: int, rng, dtype=DEFAULT_DTYPE):
         self.k = k
         flat = channels * k
-        self.fc1_weight = _kaiming(rng, (hidden, flat), flat, dtype)
-        self.fc1_bias = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
-        self.fc2_weight = _kaiming(rng, (hidden, hidden), hidden, dtype)
-        self.fc2_bias = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
-        self.fc3_weight = Tensor(np.zeros((n_classes, hidden), dtype=dtype), requires_grad=True)
-        self.fc3_bias = Tensor(np.zeros(n_classes, dtype=dtype), requires_grad=True)
+        self.fc1 = Linear(_fan_in_normal(rng, (hidden, flat), flat, dtype))
+        self.fc2 = Linear(_fan_in_normal(rng, (hidden, hidden), hidden, dtype))
+        self.fc3 = Linear(Tensor(np.zeros((n_classes, hidden), dtype=dtype), requires_grad=True))
 
     def forward(self, x: Tensor) -> Tensor:
         h = flatten_features(kmax_pool(x, self.k))
-        h = relu(affine(h, self.fc1_weight, self.fc1_bias))
-        h = relu(affine(h, self.fc2_weight, self.fc2_bias))
-        return affine(h, self.fc3_weight, self.fc3_bias)
-
-    def named_params(self):
-        return [
-            ("fc1.weight", self.fc1_weight, "fc"),
-            ("fc1.bias", self.fc1_bias, "fc"),
-            ("fc2.weight", self.fc2_weight, "fc"),
-            ("fc2.bias", self.fc2_bias, "fc"),
-            ("fc3.weight", self.fc3_weight, "fc"),
-            ("fc3.bias", self.fc3_bias, "fc"),
-        ]
-
-    def named_buffers(self):
-        return []
+        h = relu(self.fc1.forward(h))
+        h = relu(self.fc2.forward(h))
+        return self.fc3.forward(h)
 
 
-class AvgPoolLinearHead:
+class AvgPoolLinearHead(Module):
     """Global average pooling into a single linear classifier.
 
     The logit layer starts at zero so untrained logits are exactly zero.
@@ -266,15 +241,7 @@ class AvgPoolLinearHead:
     def __init__(self, channels: int, pooled_len: int, n_classes: int, rng, dtype=DEFAULT_DTYPE):
         self.pooled_len = pooled_len
         flat = channels * pooled_len
-        self.fc_weight = Tensor(np.zeros((n_classes, flat), dtype=dtype), requires_grad=True)
-        self.fc_bias = Tensor(np.zeros(n_classes, dtype=dtype), requires_grad=True)
+        self.fc = Linear(Tensor(np.zeros((n_classes, flat), dtype=dtype), requires_grad=True))
 
     def forward(self, x: Tensor) -> Tensor:
-        h = flatten_features(adaptive_avg_pool(x, self.pooled_len))
-        return affine(h, self.fc_weight, self.fc_bias)
-
-    def named_params(self):
-        return [("fc.weight", self.fc_weight, "fc"), ("fc.bias", self.fc_bias, "fc")]
-
-    def named_buffers(self):
-        return []
+        return self.fc.forward(flatten_features(adaptive_avg_pool(x, self.pooled_len)))

@@ -89,7 +89,7 @@ class SGD:
 class EpochStats:
     epoch: int
     train_loss: float
-    val_accuracy: float
+    val_accuracy: float | None  # None on epochs that were not evaluated
 
 
 class TrainingDivergedError(RuntimeError):
@@ -119,6 +119,9 @@ def evaluate(model: Model, dataset: Dataset, batch_size: int = 256) -> float:
 def train(model: Model, train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> list[EpochStats]:
     """Fixed-budget epoch loop; the best-validation weights are kept.
 
+    The model ends holding the weights of the first evaluated epoch that
+    reached the best validation accuracy (the last epoch if none was
+    evaluated), and ``model.checkpoint_epoch`` names that epoch.
     Deterministic for a given seed. Raises TrainingDivergedError on a
     non-finite loss.
     """
@@ -129,7 +132,7 @@ def train(model: Model, train_set: Dataset, val_set: Dataset, cfg: TrainConfig) 
     history: list[EpochStats] = []
     best_acc = -1.0
     best_state = None
-    val_acc = float("nan")
+    best_epoch = cfg.max_epochs
     for epoch in range(1, cfg.max_epochs + 1):
         model.train()
         losses = []
@@ -143,10 +146,12 @@ def train(model: Model, train_set: Dataset, val_set: Dataset, cfg: TrainConfig) 
             backward(loss, tape)
             opt.step()
             losses.append(loss_value)
+        val_acc = None
         if epoch % cfg.eval_every == 0:
             val_acc = evaluate(model, val_set)
             if val_acc > best_acc:
                 best_acc = val_acc
+                best_epoch = epoch
                 best_state = ([p.data.copy() for p in params], [b.copy() for _n, b in model.named_buffers()])
         history.append(EpochStats(epoch, float(np.mean(losses)), val_acc))
     if best_state is not None:
@@ -155,6 +160,7 @@ def train(model: Model, train_set: Dataset, val_set: Dataset, cfg: TrainConfig) 
             p.data[...] = w
         for (_n, b), saved in zip(model.named_buffers(), buffers):
             b[...] = saved
+    model.checkpoint_epoch = best_epoch
     model.eval()
     return history
 

@@ -143,7 +143,7 @@ def _primitive_checks():
         ("maxpool_halve", lambda x: squared_sum(F.maxpool_halve(x)),
          [t64(rng.permutation(np.linspace(0.2, 3.0, 24)).reshape(1, 3, 8))]),
         ("kmax_pool", lambda x: squared_sum(F.kmax_pool(x, 3)),
-         [t64(rng.permutation(np.linspace(0.2, 3.0, 16)).reshape(2, 8))]),
+         [t64(rng.permutation(np.linspace(0.2, 3.0, 16)).reshape(2, 8)[None])]),
         ("adaptive_avg_pool", lambda x: squared_sum(F.adaptive_avg_pool(x, 2)),
          [t64(rng.normal(size=(2, 3, 8)))]),
         ("embedding", lambda t: squared_sum(F.embedding(np.array([[0, 2, 1, 2]]), t)),
@@ -173,8 +173,8 @@ def test_criterion_08_gradient_suite():
             t.data[...] = rng.uniform(0.5, 1.5, t.data.shape)
         if name.endswith("bn.beta"):
             t.data[...] = rng.normal(0, 0.1, t.data.shape)
-    model.head.fc_weight.data[...] = rng.normal(0, spec.flat_features ** -0.5, model.head.fc_weight.shape)
-    model.head.fc_bias.data[...] = rng.normal(0, 0.05, model.head.fc_bias.shape)
+    model.head.fc.weight.data[...] = rng.normal(0, spec.flat_features ** -0.5, model.head.fc.weight.shape)
+    model.head.fc.bias.data[...] = rng.normal(0, 0.05, model.head.fc.bias.shape)
     model.train()
     indices = rng.integers(0, spec.vocab_size, size=(2, spec.seq_len))
     labels = np.array([0, 1])

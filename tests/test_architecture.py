@@ -1,5 +1,8 @@
 """Builders, shape traces, parameter accounting and table reconciliation."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,7 @@ from svdcnn.architecture import (
     tdsc_block_weights,
     tdsc_layer_weights,
 )
-from svdcnn.autograd import ShapeError
+from svdcnn.autograd import ShapeError, Tape
 from svdcnn.functional import DegenerateStatisticsError
 
 ALL_CONFIGS = [(family, depth) for family in ("vdcnn", "svdcnn") for depth in (9, 17, 29, 49)]
@@ -121,6 +124,63 @@ class TestBuildAndForward:
         model.forward(np.zeros((1, 64), dtype=np.int64), trace=trace)
         lengths = [length for _c, length in trace]
         assert lengths == [64, 32, 16, 8]
+
+
+class TestConcurrentEvalForwards:
+    def test_open_tape_on_another_thread_records_nothing(self):
+        model = build_model(ArchitectureSpec("svdcnn", seq_len=64), seed=0).eval()
+        opened, release = threading.Event(), threading.Event()
+        lengths = []
+
+        def hold_tape():
+            with Tape() as tape:
+                opened.set()
+                release.wait(timeout=30)
+            lengths.append(len(tape))
+
+        holder = threading.Thread(target=hold_tape)
+        holder.start()
+        try:
+            assert opened.wait(timeout=30)
+            model.forward(np.zeros((1, 64), dtype=np.int64))
+        finally:
+            release.set()
+            holder.join(timeout=30)
+        assert not holder.is_alive()
+        assert lengths == [0]
+
+    def test_threads_match_serial_logits_and_tapes(self):
+        model = build_model(ArchitectureSpec("svdcnn", seq_len=64), seed=0).eval()
+        inputs = [np.random.default_rng(i).integers(0, 70, size=(2, 64)) for i in range(4)]
+
+        def run(idx):
+            with Tape() as tape:
+                logits = model.forward(idx).data
+            return logits, len(tape)
+
+        serial = [run(idx) for idx in inputs]
+        results = [None] * len(inputs)
+
+        def worker(i):
+            for _ in range(3):
+                results[i] = run(inputs[i])
+                if results[i][1] != serial[i][1]:
+                    return
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(inputs))]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        for (logits, n_entries), (want_logits, want_entries) in zip(results, serial):
+            assert n_entries == want_entries
+            assert logits.tobytes() == want_logits.tobytes()
 
 
 class TestHeadCounts:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from svdcnn.cli import main
+from svdcnn.training import load_checkpoint
 
 
 def run(capsys, *argv):
@@ -84,6 +85,25 @@ class TestTrain:
         assert code == 0
         assert "lr=0.01" in out and "momentum=0.9" in out
         assert "weight_decay=0.001" in out and "batch_size=4" in out
+
+    def test_eval_every_writes_null_and_labels_best_epoch(self, capsys, tmp_path):
+        ckpt = tmp_path / "m.ckpt"
+        code, out, _err = run(
+            capsys, "train", "--synthetic", "--seq-len", "64", "--train-size", "16", "--val-size", "8",
+            "--epochs", "4", "--eval-every", "2", "--batch-size", "8", "--out", str(ckpt),
+        )
+        assert code == 0
+
+        def reject_constant(name):
+            raise ValueError(f"{name} is not valid JSON")
+
+        lines = (tmp_path / "m.ckpt.history.jsonl").read_text().strip().splitlines()
+        rows = [json.loads(line, parse_constant=reject_constant) for line in lines]
+        assert [r["val_accuracy"] is None for r in rows] == [True, False, True, False]
+        best = max(r["val_accuracy"] for r in rows if r["val_accuracy"] is not None)
+        best_epoch = next(r["epoch"] for r in rows if r["val_accuracy"] == best)
+        assert f"best epoch {best_epoch}; checkpoint val accuracy {best:.4f}" in out
+        assert load_checkpoint(ckpt).checkpoint_epoch == best_epoch
 
     def test_missing_csv_path_errors(self, capsys, tmp_path):
         code, _out, err = run(capsys, "train", "--csv", str(tmp_path / "absent.csv"),

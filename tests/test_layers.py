@@ -4,21 +4,10 @@ import numpy as np
 import pytest
 
 from svdcnn import functional as F
-from svdcnn.autograd import ShapeError, Tensor
+from svdcnn.autograd import ShapeError, Tape, Tensor, backward
 from svdcnn.data import Vocabulary
 from svdcnn.functional import DegenerateStatisticsError
-from svdcnn.layers import (
-    BatchNorm,
-    ConvBlock,
-    EmbeddingTable,
-    TdscLayer,
-    TemporalConvLayer,
-    batchnorm_forward,
-    conv_block_forward,
-    embedding_forward,
-    tdsc_layer,
-    temporal_conv_layer,
-)
+from svdcnn.layers import BatchNorm, ConvBlock, EmbeddingTable, TdscLayer, TemporalConvLayer
 
 from oracles import kmax_direct
 
@@ -28,25 +17,25 @@ RNG = np.random.default_rng
 class TestEmbedding:
     def test_all_padding_gives_zeros(self):
         table = EmbeddingTable(5, 3, RNG(0))
-        out = embedding_forward(np.zeros(7, dtype=np.int64), table)
-        np.testing.assert_array_equal(out.data, np.zeros((3, 7)))
+        out = table.forward(np.zeros(7, dtype=np.int64)[None])
+        np.testing.assert_array_equal(out.data[0], np.zeros((3, 7)))
 
     def test_hand_lookup(self):
         table = EmbeddingTable(3, 2, RNG(0))
         table.table.data[...] = [[0, 0], [1, 2], [3, 4]]
-        out = embedding_forward(np.array([2, 1]), table)
-        np.testing.assert_array_equal(out.data, [[3, 1], [4, 2]])
+        out = table.forward(np.array([2, 1])[None])
+        np.testing.assert_array_equal(out.data[0], [[3, 1], [4, 2]])
 
     def test_default_config_shape(self):
         vocab = Vocabulary()
         table = EmbeddingTable(vocab.size, 16, RNG(0))
-        out = embedding_forward(np.zeros(1024, dtype=np.int64), table)
-        assert out.shape == (16, 1024)
+        out = table.forward(np.zeros(1024, dtype=np.int64)[None])
+        assert out.shape == (1, 16, 1024)
 
     def test_out_of_range_reports_position_and_index(self):
         table = EmbeddingTable(4, 2, RNG(0))
         with pytest.raises(IndexError, match=r"index 9 at position 1"):
-            embedding_forward(np.array([0, 9, 1]), table)
+            table.forward(np.array([0, 9, 1])[None])
 
 
 class TestTdscLayer:
@@ -58,12 +47,12 @@ class TestTdscLayer:
 
     def test_identity_configuration_is_relu(self):
         channels = 3
-        depthwise = Tensor(np.tile([0.0, 1.0, 0.0], (channels, 1)))
-        pointwise = Tensor(np.eye(channels)[:, :, None])
-        bn = BatchNorm(channels)
-        bn.mode = "eval"  # running stats are (0, 1), gamma=1, beta=0
-        x = Tensor(RNG(1).normal(size=(channels, 6)).astype(np.float32) * 0.1)
-        out = tdsc_layer(x, depthwise, pointwise, bn)
+        layer = TdscLayer(channels, channels, RNG(0))
+        layer.depthwise.data[...] = np.tile([0.0, 1.0, 0.0], (channels, 1))
+        layer.pointwise.data[...] = np.eye(channels)[:, :, None]
+        layer.bn.mode = "eval"  # running stats are (0, 1), gamma=1, beta=0
+        x = Tensor(RNG(1).normal(size=(channels, 6)).astype(np.float32)[None] * 0.1)
+        out = layer.forward(x)
         np.testing.assert_allclose(out.data, np.maximum(x.data, 0), atol=1e-6)
 
     def test_block_weight_count_128_256(self):
@@ -96,44 +85,35 @@ class TestTemporalConvLayer:
         out = layer.forward(Tensor(RNG(2).normal(size=(2, 4, 10)).astype(np.float32)))
         assert out.shape == (2, 8, 10)
 
-    def test_functional_form_matches_class(self):
-        layer = TemporalConvLayer(3, 5, RNG(3))
-        x = Tensor(RNG(4).normal(size=(2, 3, 6)).astype(np.float32))
-        a = layer.forward(x)
-        layer.bn.running_mean[...] = 0  # undo the running-stat update
-        layer.bn.running_var[...] = 1
-        b = temporal_conv_layer(x, layer.weight, layer.bn)
-        np.testing.assert_array_equal(a.data, b.data)
-
 
 class TestBatchNorm:
     def test_constant_input_normalizes_to_zero(self):
         bn = BatchNorm(2)
         x = Tensor(np.full((3, 2, 4), 5.0, dtype=np.float32))
-        out = batchnorm_forward(x, bn)
+        out = bn.forward(x)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-6)
 
     def test_two_point_channel(self):
         bn = BatchNorm(1)
-        out = batchnorm_forward(Tensor([[1.0, 3.0]]), bn)
-        np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-4)
+        out = bn.forward(Tensor(np.array([[1.0, 3.0]])[None]))
+        np.testing.assert_allclose(out.data[0], [[-1.0, 1.0]], atol=1e-4)
 
     def test_eval_identity_with_unit_stats(self):
         bn = BatchNorm(3)
         bn.mode = "eval"
         x = Tensor(RNG(5).normal(size=(2, 3, 4)).astype(np.float32) * 0.1)
-        out = batchnorm_forward(x, bn)
+        out = bn.forward(x)
         np.testing.assert_allclose(out.data, x.data, atol=1e-6)
 
     def test_single_element_rejected_in_train_mode(self):
         bn = BatchNorm(2)
         with pytest.raises(DegenerateStatisticsError):
-            batchnorm_forward(Tensor(np.zeros((2, 1))), bn)
+            bn.forward(Tensor(np.zeros((2, 1))[None]))
 
     def test_running_stats_move_toward_batch_stats(self):
         bn = BatchNorm(1)
         x = Tensor(np.array([[[4.0, 6.0]]], dtype=np.float32))
-        batchnorm_forward(x, bn)
+        bn.forward(x)
         assert bn.running_mean[0] == pytest.approx(0.5)   # 0.9*0 + 0.1*5
         assert bn.running_var[0] == pytest.approx(1.1)    # 0.9*1 + 0.1*2 (unbiased)
 
@@ -146,35 +126,50 @@ class TestBatchNorm:
 
 class TestPools:
     def test_maxpool_hand_case(self):
-        np.testing.assert_array_equal(F.maxpool_halve(Tensor([[1.0, 2, 3, 4]])).data, [[2, 4]])
+        np.testing.assert_array_equal(F.maxpool_halve(Tensor([[[1.0, 2, 3, 4]]])).data[0], [[2, 4]])
 
     def test_maxpool_constant(self):
-        out = F.maxpool_halve(Tensor(np.full((2, 6), 3.0)))
-        np.testing.assert_array_equal(out.data, np.full((2, 3), 3.0))
+        out = F.maxpool_halve(Tensor(np.full((2, 6), 3.0)[None]))
+        np.testing.assert_array_equal(out.data[0], np.full((2, 3), 3.0))
 
     def test_maxpool_1024_to_512(self):
-        out = F.maxpool_halve(Tensor(np.zeros((4, 1024), dtype=np.float32)))
-        assert out.shape == (4, 512)
+        out = F.maxpool_halve(Tensor(np.zeros((4, 1024), dtype=np.float32)[None]))
+        assert out.shape == (1, 4, 512)
 
     def test_maxpool_odd_length(self):
-        out = F.maxpool_halve(Tensor([[5.0, 1, 2, 1, 7]]))
-        assert out.shape == (1, 3)
-        np.testing.assert_array_equal(out.data, [[5, 2, 7]])
+        out = F.maxpool_halve(Tensor([[[5.0, 1, 2, 1, 7]]]))
+        assert out.shape == (1, 1, 3)
+        np.testing.assert_array_equal(out.data[0], [[5, 2, 7]])
 
     def test_maxpool_too_short(self):
         with pytest.raises(ShapeError):
-            F.maxpool_halve(Tensor([[1.0]]))
+            F.maxpool_halve(Tensor([[[1.0]]]))
+
+    def test_maxpool_ties_route_gradient_to_earliest_position(self):
+        # Zero padding 1, windows of 3 at stride 2. In [1, 5, 5, 5] both
+        # windows hold a tie at 5 and each routes its gradient to position 1;
+        # in [3, 3, 1, 3, 3] the tied windows pick positions 0, 1 and 3.
+        cases = [
+            ([1.0, 5, 5, 5], [1.0, 10], [0, 11, 0, 0]),
+            ([3.0, 3, 1, 3, 3], [1.0, 10, 100], [1, 10, 0, 100, 0]),
+        ]
+        for row, weights, expected in cases:
+            x = Tensor([[row]], requires_grad=True)
+            with Tape() as tape:
+                loss = F.tensor_sum(F.mul(F.maxpool_halve(x), Tensor([[weights]])))
+            backward(loss, tape)
+            np.testing.assert_array_equal(x.grad, [[expected]])
 
     def test_kmax_hand_case(self):
-        np.testing.assert_array_equal(F.kmax_pool(Tensor([[3.0, 1, 5, 2, 4]]), 3).data, [[3, 5, 4]])
+        np.testing.assert_array_equal(F.kmax_pool(Tensor([[[3.0, 1, 5, 2, 4]]]), 3).data[0], [[3, 5, 4]])
 
     def test_kmax_full_width_is_identity(self):
         x = RNG(6).normal(size=(2, 5)).astype(np.float32)
-        np.testing.assert_array_equal(F.kmax_pool(Tensor(x), 5).data, x)
+        np.testing.assert_array_equal(F.kmax_pool(Tensor(x[None]), 5).data[0], x)
 
     def test_kmax_too_large(self):
         with pytest.raises(ValueError, match="exceeds"):
-            F.kmax_pool(Tensor(np.zeros((1, 3))), 4)
+            F.kmax_pool(Tensor(np.zeros((1, 3))[None]), 4)
 
     def test_kmax_matches_sort_oracle_and_is_subsequence(self):
         rng = RNG(7)
@@ -182,7 +177,7 @@ class TestPools:
             length = int(rng.integers(1, 12))
             k = int(rng.integers(1, length + 1))
             row = rng.normal(size=length).round(1).astype(np.float32)  # rounding forces ties
-            out = F.kmax_pool(Tensor(row[None]), k).data[0]
+            out = F.kmax_pool(Tensor(row[None, None]), k).data[0, 0]
             np.testing.assert_array_equal(out, np.array(kmax_direct(list(row), k), dtype=np.float32))
             # order preservation: output is a subsequence of the input
             pos = 0
@@ -193,31 +188,31 @@ class TestPools:
                 pos += 1
 
     def test_kmax_ties_prefer_earlier_position(self):
-        out = F.kmax_pool(Tensor([[2.0, 5.0, 2.0, 5.0]]), 3)
-        np.testing.assert_array_equal(out.data, [[2, 5, 5]])
+        out = F.kmax_pool(Tensor([[[2.0, 5.0, 2.0, 5.0]]]), 3)
+        np.testing.assert_array_equal(out.data[0], [[2, 5, 5]])
 
     def test_avgpool_identity(self):
         x = RNG(8).normal(size=(2, 4)).astype(np.float32)
-        np.testing.assert_array_equal(F.adaptive_avg_pool(Tensor(x), 4).data, x)
+        np.testing.assert_array_equal(F.adaptive_avg_pool(Tensor(x[None]), 4).data[0], x)
 
     def test_avgpool_hand_case(self):
-        np.testing.assert_array_equal(F.adaptive_avg_pool(Tensor([[1.0, 2, 3, 4]]), 2).data, [[1.5, 3.5]])
+        np.testing.assert_array_equal(F.adaptive_avg_pool(Tensor([[[1.0, 2, 3, 4]]]), 2).data[0], [[1.5, 3.5]])
 
     def test_avgpool_rejects_non_divisible(self):
         with pytest.raises(ValueError, match="not divisible"):
-            F.adaptive_avg_pool(Tensor(np.zeros((1, 10))), 4)
+            F.adaptive_avg_pool(Tensor(np.zeros((1, 10))[None]), 4)
 
     def test_avgpool_preserves_mean(self):
         rng = RNG(9)
         for _ in range(20):
             x = rng.normal(size=(3, 24))
-            out = F.adaptive_avg_pool(Tensor(x), 8)
-            np.testing.assert_allclose(out.data.mean(axis=1), x.mean(axis=1), atol=1e-6)
+            out = F.adaptive_avg_pool(Tensor(x[None]), 8)
+            np.testing.assert_allclose(out.data[0].mean(axis=1), x.mean(axis=1), atol=1e-6)
 
     def test_default_head_shapes(self):
-        x = Tensor(np.zeros((512, 128), dtype=np.float32))
+        x = Tensor(np.zeros((512, 128), dtype=np.float32)[None])
         pooled = F.adaptive_avg_pool(x, 8)
-        assert pooled.shape == (512, 8)
+        assert pooled.shape == (1, 512, 8)
         assert pooled.data.size == 4096
         kept = F.kmax_pool(x, 8)
         assert kept.data.size == 4096
@@ -229,7 +224,7 @@ class TestConvBlock:
         block.layer1.weight.data[...] = 0
         block.layer2.weight.data[...] = 0
         x = Tensor(RNG(11).normal(size=(2, 3, 6)).astype(np.float32))
-        out = conv_block_forward(x, block)
+        out = block.forward(x)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_zero_main_path_projection(self):
@@ -239,7 +234,7 @@ class TestConvBlock:
         block.layer2.depthwise.data[...] = 0
         block.layer2.pointwise.data[...] = 0
         x = Tensor(RNG(13).normal(size=(2, 2, 6)).astype(np.float32))
-        out = conv_block_forward(x, block)
+        out = block.forward(x)
         expected = F.conv1d(x, block.projection, padding=0)
         np.testing.assert_array_equal(out.data, expected.data)
 

@@ -20,14 +20,14 @@ from oracles import central_difference, conv1d_direct, depthwise_conv1d_direct, 
 
 class TestConv1d:
     def test_hand_case(self):
-        out = F.conv1d(Tensor([[1.0, 1, 1, 1]]), Tensor([[[1.0, 1, 1]]]), Tensor([0.0]), padding=1)
-        np.testing.assert_array_equal(out.data, [[2, 3, 3, 2]])
+        out = F.conv1d(Tensor([[[1.0, 1, 1, 1]]]), Tensor([[[1.0, 1, 1]]]), Tensor([0.0]), padding=1)
+        np.testing.assert_array_equal(out.data[0], [[2, 3, 3, 2]])
 
     def test_identity_kernel(self):
         x = np.random.default_rng(0).normal(size=(3, 7)).astype(np.float32)
         identity = np.eye(3)[:, :, None] * np.array([0.0, 1.0, 0.0])[None, None, :]
-        out = F.conv1d(Tensor(x), Tensor(identity), padding=1)
-        np.testing.assert_allclose(out.data, x, atol=1e-6)
+        out = F.conv1d(Tensor(x[None]), Tensor(identity), padding=1)
+        np.testing.assert_allclose(out.data[0], x, atol=1e-6)
 
     def test_weight_count_128_256(self):
         w = Tensor(np.zeros((256, 128, 3)))
@@ -39,33 +39,33 @@ class TestConv1d:
             x = rng.normal(size=(in_ch, length))
             w = rng.normal(size=(out_ch, in_ch, k))
             b = rng.normal(size=out_ch)
-            ours = F.conv1d(Tensor(x), Tensor(w), Tensor(b), padding=pad)
-            np.testing.assert_allclose(ours.data, conv1d_direct(x, w, b, pad), rtol=1e-5, atol=1e-6)
+            ours = F.conv1d(Tensor(x[None]), Tensor(w), Tensor(b), padding=pad)
+            np.testing.assert_allclose(ours.data[0], conv1d_direct(x, w, b, pad), rtol=1e-5, atol=1e-6)
 
-    def test_batched_matches_unbatched(self):
+    def test_batch_rows_match_batches_of_one(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 2, 6)).astype(np.float32)
         w = Tensor(rng.normal(size=(3, 2, 3)).astype(np.float32))
         batched = F.conv1d(Tensor(x), w, padding=1)
         for i in range(5):
-            single = F.conv1d(Tensor(x[i]), w, padding=1)
-            np.testing.assert_array_equal(batched.data[i], single.data)
+            single = F.conv1d(Tensor(x[i:i + 1]), w, padding=1)
+            np.testing.assert_array_equal(batched.data[i:i + 1], single.data)
 
     def test_channel_mismatch_names_extents(self):
         with pytest.raises(ShapeError, match="2 channels.*expects 3"):
-            F.conv1d(Tensor(np.zeros((2, 4))), Tensor(np.zeros((1, 3, 3))), padding=1)
+            F.conv1d(Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((1, 3, 3))), padding=1)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError, match="odd"):
-            F.conv1d(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 1, 2))))
+            F.conv1d(Tensor(np.zeros((1, 1, 4))), Tensor(np.zeros((1, 1, 2))))
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
         w = Tensor(rng.normal(size=(3, 2, 3)))
         for _ in range(20):
             a, b = rng.uniform(-2, 2, size=2)
-            x = rng.normal(size=(2, 6))
-            y = rng.normal(size=(2, 6))
+            x = rng.normal(size=(2, 6))[None]
+            y = rng.normal(size=(2, 6))[None]
             lhs = F.conv1d(Tensor(a * x + b * y), w, padding=1).data
             rhs = a * F.conv1d(Tensor(x), w, padding=1).data + b * F.conv1d(Tensor(y), w, padding=1).data
             np.testing.assert_allclose(lhs, rhs, atol=1e-5)
@@ -73,12 +73,12 @@ class TestConv1d:
 
 class TestDepthwise:
     def test_per_channel_identity(self):
-        out = F.depthwise_conv1d(Tensor([[1.0, 2, 3], [4, 5, 6]]), Tensor([[0.0, 1, 0], [0, 1, 0]]), padding=1)
-        np.testing.assert_array_equal(out.data, [[1, 2, 3], [4, 5, 6]])
+        out = F.depthwise_conv1d(Tensor([[[1.0, 2, 3], [4, 5, 6]]]), Tensor([[0.0, 1, 0], [0, 1, 0]]), padding=1)
+        np.testing.assert_array_equal(out.data[0], [[1, 2, 3], [4, 5, 6]])
 
     def test_hand_case(self):
-        out = F.depthwise_conv1d(Tensor([[1.0, 1, 1]]), Tensor([[1.0, 1, 1]]), padding=1)
-        np.testing.assert_array_equal(out.data, [[2, 3, 2]])
+        out = F.depthwise_conv1d(Tensor([[[1.0, 1, 1]]]), Tensor([[1.0, 1, 1]]), padding=1)
+        np.testing.assert_array_equal(out.data[0], [[2, 3, 2]])
 
     def test_weight_count(self):
         assert Tensor(np.zeros((128, 3))).data.size == 384
@@ -88,8 +88,8 @@ class TestDepthwise:
         for channels, length in [(1, 4), (2, 5), (4, 8)]:
             x = rng.normal(size=(channels, length))
             w = rng.normal(size=(channels, 3))
-            ours = F.depthwise_conv1d(Tensor(x), Tensor(w), padding=1)
-            np.testing.assert_allclose(ours.data, depthwise_conv1d_direct(x, w, 1), rtol=1e-5, atol=1e-6)
+            ours = F.depthwise_conv1d(Tensor(x[None]), Tensor(w), padding=1)
+            np.testing.assert_allclose(ours.data[0], depthwise_conv1d_direct(x, w, 1), rtol=1e-5, atol=1e-6)
 
     def test_equals_block_diagonal_conv(self):
         # Brute-force: a depthwise filter is a full convolution whose weight
@@ -102,23 +102,23 @@ class TestDepthwise:
                 full = np.zeros((channels, channels, 3))
                 for c in range(channels):
                     full[c, c] = w[c]
-                dw = F.depthwise_conv1d(Tensor(x), Tensor(w), padding=1)
-                conv = F.conv1d(Tensor(x), Tensor(full), padding=1)
+                dw = F.depthwise_conv1d(Tensor(x[None]), Tensor(w), padding=1)
+                conv = F.conv1d(Tensor(x[None]), Tensor(full), padding=1)
                 np.testing.assert_allclose(dw.data, conv.data, rtol=1e-5, atol=1e-6)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError, match="3 channels.*weight has 2"):
-            F.depthwise_conv1d(Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 3))), padding=1)
+            F.depthwise_conv1d(Tensor(np.zeros((1, 3, 4))), Tensor(np.zeros((2, 3))), padding=1)
 
 
 class TestAffine:
     def test_identity(self):
-        out = F.affine(Tensor([3.0, 7.0]), Tensor(np.eye(2)), Tensor([0.0, 0.0]))
-        np.testing.assert_array_equal(out.data, [3, 7])
+        out = F.affine(Tensor([[3.0, 7.0]]), Tensor(np.eye(2)), Tensor([0.0, 0.0]))
+        np.testing.assert_array_equal(out.data[0], [3, 7])
 
     def test_hand_case(self):
-        out = F.affine(Tensor([2.0, 3.0]), Tensor([[1.0, 1], [1, -1]]), Tensor([1.0, 0.0]))
-        np.testing.assert_array_equal(out.data, [6, -1])
+        out = F.affine(Tensor([[2.0, 3.0]]), Tensor([[1.0, 1], [1, -1]]), Tensor([1.0, 0.0]))
+        np.testing.assert_array_equal(out.data[0], [6, -1])
 
     def test_weight_count_4096_to_4(self):
         assert Tensor(np.zeros((4, 4096))).data.size == 16_384
@@ -129,12 +129,12 @@ class TestAffine:
         x = rng.normal(size=5)
         b = rng.normal(size=3)
         np.testing.assert_allclose(
-            F.affine(Tensor(x), Tensor(w), Tensor(b)).data, matvec_direct(w, x, b), rtol=1e-5
+            F.affine(Tensor(x[None]), Tensor(w), Tensor(b)).data[0], matvec_direct(w, x, b), rtol=1e-5
         )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError, match="length 3.*expecting 5"):
-            F.affine(Tensor(np.zeros(3)), Tensor(np.zeros((2, 5))), Tensor(np.zeros(2)))
+            F.affine(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 5))), Tensor(np.zeros(2)))
 
 
 class TestBackward:
@@ -154,7 +154,7 @@ class TestBackward:
 
     def test_conv_then_sum_matches_manual_finite_differences(self):
         rng = np.random.default_rng(9)
-        x = Tensor(rng.normal(size=(2, 6)), requires_grad=True, dtype=np.float64)
+        x = Tensor(rng.normal(size=(2, 6))[None], requires_grad=True, dtype=np.float64)
         w = Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True, dtype=np.float64)
         with Tape() as tape:
             loss = F.tensor_sum(F.mul(F.conv1d(x, w, padding=1), F.conv1d(x, w, padding=1)))
@@ -258,7 +258,7 @@ class TestGradCheck:
             )),
             ("kmax", lambda rng: (
                 lambda x: F.tensor_sum(F.mul(F.kmax_pool(x, 3), F.kmax_pool(x, 3))),
-                [Tensor(rng.permutation(np.linspace(0.2, 3.0, 16)).reshape(2, 8),
+                [Tensor(rng.permutation(np.linspace(0.2, 3.0, 16)).reshape(2, 8)[None],
                         requires_grad=True, dtype=np.float64)],
             )),
             ("avgpool", lambda rng: (
@@ -303,6 +303,34 @@ class TestGradCheck:
         x = Tensor([1.0], requires_grad=True)
         with pytest.raises(ValueError, match="eps"):
             grad_check(F.tensor_sum, [x], eps=0.5)
+
+
+class TestBatchedLayout:
+    @pytest.mark.parametrize(
+        "op,call",
+        [
+            ("conv1d", lambda x: F.conv1d(x, Tensor(np.zeros((2, 3, 3))), padding=1)),
+            ("depthwise_conv1d", lambda x: F.depthwise_conv1d(x, Tensor(np.zeros((3, 3))), padding=1)),
+            ("maxpool_halve", F.maxpool_halve),
+            ("kmax_pool", lambda x: F.kmax_pool(x, 2)),
+            ("adaptive_avg_pool", lambda x: F.adaptive_avg_pool(x, 2)),
+            ("flatten_features", F.flatten_features),
+            ("batch_norm_train", lambda x: F.batch_norm_train(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), 1e-5)),
+            ("batch_norm_eval", lambda x: F.batch_norm_eval(
+                x, Tensor(np.ones(3)), Tensor(np.zeros(3)), np.zeros(3), np.ones(3), 1e-5)),
+        ],
+    )
+    def test_unbatched_temporal_input_names_op_and_shape(self, op, call):
+        with pytest.raises(ShapeError, match=rf"{op} input must be \[B, C, L\], got shape \(3, 4\)"):
+            call(Tensor(np.zeros((3, 4))))
+
+    def test_unbatched_dense_input_rejected(self):
+        with pytest.raises(ShapeError, match=r"affine input must be \[B, N\], got shape \(5,\)"):
+            F.affine(Tensor(np.zeros(5)), Tensor(np.zeros((3, 5))), Tensor(np.zeros(3)))
+
+    def test_unbatched_indices_rejected(self):
+        with pytest.raises(ShapeError, match=r"embedding indices must be \[B, s\], got shape \(4,\)"):
+            F.embedding(np.zeros(4, dtype=np.int64), Tensor(np.zeros((5, 2))))
 
 
 class TestInvariantsAndHygiene:

@@ -1,5 +1,6 @@
 """Loss, optimizer, training loop, evaluation and checkpoint format."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -188,7 +189,33 @@ class TestEvaluate:
         assert 0.0 <= evaluate(model, ds) <= 1.0
 
 
+# SHA-256 of the ordered (name, category, shape) rows of every parameter and
+# buffer, and of the checkpoint bytes, of Model(spec, seed=0). They pin the
+# parameter names, their order, the checkpoint layout and the seeded
+# initial draws.
+PINNED_DIGESTS = [
+    ("vdcnn", 9, "12fba3474c17bbf6ed7ca1ad2e576385953fca4d54322afc5d659caf9c8fc892",
+     "ed7fcf04d3f3ef02561c509c6b44de9933dce121cdb2136c50c0a5fb461dde10"),
+    ("vdcnn", 29, "65e3350ed9533845254a44bfe07e4904fcc7da63dcf5cb62f2cd8b88e5db9de8",
+     "00dfa3d86b925125896580d31d0cfcaa40a758ff3e26031245630eda15f21a42"),
+    ("svdcnn", 9, "c3679e41d80b6b8f67fe0abdaa4bd523c0c5a5e5c0a18109cdf71187e82776df",
+     "83ed8ae8d632b6473c10076e40b503913f0bd654d1543c6b7f238f577c18d256"),
+    ("svdcnn", 29, "56c72a15a3679417c517d02c7a644d28691a9ea8755e3224cea5bcc9f99cf08a",
+     "0f80f3648feed9797cd253db39252831f6c9941ab04d8e724a70db7ccaf2bbba"),
+]
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("family,depth,layout_sha,checkpoint_sha", PINNED_DIGESTS)
+    def test_names_layout_and_seeded_init_are_pinned(self, tmp_path, family, depth, layout_sha, checkpoint_sha):
+        model = build_model(ArchitectureSpec(family, depth=depth), seed=0)
+        rows = [f"{n} {c} {tuple(t.shape)}" for n, t, c in model.named_params()]
+        rows += [f"{n} buffer {tuple(b.shape)}" for n, b in model.named_buffers()]
+        assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == layout_sha
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == checkpoint_sha
+
     def test_roundtrip_is_bitwise_identical(self, tmp_path):
         spec = tiny_spec()
         model = build_model(spec, seed=8).eval()
