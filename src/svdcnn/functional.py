@@ -92,7 +92,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
 
 
 def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
-    """Per-channel temporal convolution of ``x [B, C, L]``: ``weight [C, K]`` filters channel c alone."""
+    """Per-channel temporal convolution of ``x [B, C, L]``: ``weight [C, K]`` filters channel c alone.
+
+    Forward is K shifted multiply-adds over the padded input, tap 0 first; the
+    weight gradient is one per-channel dot product per tap.
+    """
     xa = _checked(x, "[B, C, L]", "depthwise_conv1d")
     w = weight.data
     if w.ndim != 2:
@@ -108,14 +112,15 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
 
     xp = _pad_time(xa, padding)
     t_out = length + 2 * padding - k + 1
-    win = sliding_window_view(xp, k, axis=2)  # [B, C, T, K]
-    od = np.ascontiguousarray(np.einsum("bctk,ck->bct", win, w))
+    od = xp[:, :, :t_out] * w[None, :, 0, None]
+    for kk in range(1, k):
+        od += xp[:, :, kk:kk + t_out] * w[None, :, kk, None]
 
     out = Tensor(od, requires_grad=x.requires_grad or weight.requires_grad)
 
     def pull(g):
         if weight.requires_grad:
-            weight.accumulate_grad(np.einsum("bct,bctk->ck", g, win))
+            weight.accumulate_grad(np.stack([np.einsum("bct,bct->c", g, xp[:, :, kk:kk + t_out]) for kk in range(k)], 1))
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for kk in range(k):
@@ -211,24 +216,30 @@ def tensor_sum(x: Tensor) -> Tensor:
 def maxpool_halve(x: Tensor) -> Tensor:
     """Max pooling of ``x [B, C, L]`` with kernel 3, stride 2, zero padding 1: L -> ceil(L/2).
 
-    Ties within a window send the whole gradient to the earliest position.
+    The output is the elementwise maximum of the three stride-2 slices of the
+    padded input. Ties within a window (the zero pad included) send the whole
+    gradient to the earliest position.
     """
     xa = _checked(x, "[B, C, L]", "maxpool_halve")
     length = xa.shape[2]
     if length < 2:
         raise ShapeError(f"temporal length must be at least 2 to halve, got {length}")
     xp = _pad_time(xa, 1)
-    win = sliding_window_view(xp, 3, axis=2)[:, :, ::2, :]  # [B, C, T, 3]
-    arg = win.argmax(axis=3)
-    od = np.ascontiguousarray(np.take_along_axis(win, arg[..., None], axis=3)[..., 0])
+    span = 2 * ((length + 1) // 2) - 1  # slice i holds padded position 2*t + i, the i-th entry of window t
+    slices = [xp[:, :, i:i + span:2] for i in range(3)]
+    od = np.maximum(np.maximum(slices[0], slices[1]), slices[2])
     out = Tensor(od, requires_grad=x.requires_grad)
 
     def pull(g):
         if not x.requires_grad:
             return
         gxp = np.zeros_like(xp)
-        bi, ci, ti = np.indices(arg.shape, sparse=True)
-        np.add.at(gxp, (bi, ci, 2 * ti + arg), g)
+        taken = np.zeros(od.shape, dtype=bool)
+        for i, s in enumerate(slices):
+            hit = s == od
+            hit &= ~taken
+            taken |= hit
+            gxp[:, :, i:i + span:2] += g * hit
         x.accumulate_grad(gxp[:, :, 1:1 + length])
 
     _record("maxpool_halve", out, [x], pull)
@@ -238,24 +249,31 @@ def maxpool_halve(x: Tensor) -> Tensor:
 def kmax_pool(x: Tensor, k: int) -> Tensor:
     """Keep the k largest values per channel of ``x [B, C, L]``, in original temporal order.
 
-    Ties are broken in favour of the earlier position.
+    ``np.partition`` finds the k-th largest value of each row. Every value
+    above it is kept; values equal to it are kept earliest position first
+    until the row holds k, so ties go to the earlier position.
     """
     xa = _checked(x, "[B, C, L]", "kmax_pool")
-    length = xa.shape[2]
+    batch, channels, length = xa.shape
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if k > length:
         raise ValueError(f"k={k} exceeds temporal length {length}")
-    top = np.argsort(-xa, axis=2, kind="stable")[:, :, :k]
-    idx = np.sort(top, axis=2)
-    od = np.ascontiguousarray(np.take_along_axis(xa, idx, axis=2))
+    neg = np.negative(xa)
+    np.fmin(neg, np.inf, out=neg)  # NaN -> +inf: NaN ranks below every number and each row still keeps k
+    kth = np.partition(neg, k - 1, axis=2)[:, :, k - 1:k]
+    above = neg < kth
+    tied = neg == kth
+    keep = above | (tied & (np.cumsum(tied, axis=2, dtype=np.int32) <= k - above.sum(axis=2, keepdims=True)))
+    flat = np.flatnonzero(keep)  # row-major: each row's k kept positions, in temporal order
+    od = xa.reshape(-1)[flat].reshape(batch, channels, k)
     out = Tensor(od, requires_grad=x.requires_grad)
 
     def pull(g):
         if not x.requires_grad:
             return
         gx = np.zeros_like(xa)
-        np.put_along_axis(gx, idx, g, axis=2)
+        gx.reshape(-1)[flat] = g.reshape(-1)
         x.accumulate_grad(gx)
 
     _record("kmax_pool", out, [x], pull)
@@ -322,30 +340,38 @@ def embedding(indices, table: Tensor) -> Tensor:
     return out
 
 
-def _batch_norm(op: str, x: Tensor, gamma: Tensor, beta: Tensor, mean, var, eps: float, batch_stats: bool) -> Tensor:
-    """Per-channel ``gamma * (x - mean) / sqrt(var + eps) + beta`` with its backward.
+def _batch_norm(op: str, x: Tensor, xc: np.ndarray, gamma: Tensor, beta: Tensor, var, eps: float, batch_stats: bool) -> Tensor:
+    """Per-channel ``gamma * xc / sqrt(var + eps) + beta`` for the centered input ``xc = x - mean``.
 
-    With ``batch_stats`` the statistics were computed from ``x`` itself, so
-    the gradient also flows through them.
+    ``xc`` is scaled in place into the normalized values. The backward
+    reduces ``g`` and ``g * xhat`` once per channel, which are also the beta
+    and gamma gradients. With ``batch_stats`` the statistics were computed
+    from ``x`` itself, so the gradient also flows through them.
     """
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None]) * inv[None, :, None]
-    od = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
+    xhat = xc
+    xhat *= inv[None, :, None]
+    od = gamma.data[None, :, None] * xhat
+    od += beta.data[None, :, None]
     out = Tensor(od, requires_grad=x.requires_grad or gamma.requires_grad or beta.requires_grad)
 
     def pull(g):
+        g_sum = g.sum(axis=(0, 2))
+        gx_sum = (g * xhat).sum(axis=(0, 2))
         if gamma.requires_grad:
-            gamma.accumulate_grad((g * xhat).sum(axis=(0, 2)))
+            gamma.accumulate_grad(gx_sum)
         if beta.requires_grad:
-            beta.accumulate_grad(g.sum(axis=(0, 2)))
+            beta.accumulate_grad(g_sum)
         if x.requires_grad:
-            dxhat = g * gamma.data[None, :, None]
+            scale = (gamma.data * inv)[None, :, None]
             if batch_stats:
-                m1 = dxhat.mean(axis=(0, 2), keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=(0, 2), keepdims=True)
-                gx = (dxhat - m1 - xhat * m2) * inv[None, :, None]
+                count = g.size // g.shape[1]
+                gx = xhat * (-gx_sum / count)[None, :, None]
+                gx += g
+                gx -= (g_sum / count)[None, :, None]
+                gx *= scale
             else:
-                gx = dxhat * inv[None, :, None]
+                gx = g * scale
             x.accumulate_grad(gx)
 
     _record(op, out, [x, gamma, beta], pull)
@@ -355,9 +381,11 @@ def _batch_norm(op: str, x: Tensor, gamma: Tensor, beta: Tensor, mean, var, eps:
 def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
     """Normalize ``x [B, C, L]`` per channel with statistics over the batch and time axes.
 
-    Returns ``(out, batch_mean, batch_var, count)`` where the variance is the
-    biased estimate used for normalization and ``count`` is the number of
-    values per channel.
+    The mean is one reduction; the variance is the mean square of the
+    centered input ``x - mean``, which stays accurate when the mean is far
+    from zero. Returns ``(out, batch_mean, batch_var, count)`` where the
+    variance is the biased estimate used for normalization and ``count`` is
+    the number of values per channel.
     """
     xa = _checked(x, "[B, C, L]", "batch_norm_train")
     batch, _channels, length = xa.shape
@@ -367,8 +395,9 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
             f"need at least 2 values per channel for batch statistics, got {count}"
         )
     mean = xa.mean(axis=(0, 2))
-    var = xa.var(axis=(0, 2))
-    out = _batch_norm("batch_norm_train", x, gamma, beta, mean, var, eps, batch_stats=True)
+    xc = xa - mean[None, :, None]
+    var = np.square(xc).mean(axis=(0, 2))
+    out = _batch_norm("batch_norm_train", x, xc, gamma, beta, var, eps, batch_stats=True)
     return out, mean, var, count
 
 
@@ -381,8 +410,8 @@ def batch_norm_eval(
     eps: float,
 ) -> Tensor:
     """Normalize ``x [B, C, L]`` per channel with fixed running statistics."""
-    _checked(x, "[B, C, L]", "batch_norm_eval")
-    return _batch_norm("batch_norm_eval", x, gamma, beta, running_mean, running_var, eps, batch_stats=False)
+    xc = _checked(x, "[B, C, L]", "batch_norm_eval") - running_mean[None, :, None]
+    return _batch_norm("batch_norm_eval", x, xc, gamma, beta, running_var, eps, batch_stats=False)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:

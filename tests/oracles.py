@@ -60,6 +60,24 @@ def kmax_direct(row, k):
     return [row[i] for i in sorted(ranked)]
 
 
+def maxpool_direct(row):
+    """Windows of 3 at stride 2 over the row with one zero of padding per side.
+
+    Returns each window's maximum and its position in the row (-1 or
+    len(row) when a padding zero wins); the earliest position wins ties.
+    """
+    padded = [0.0] + [float(v) for v in row] + [0.0]
+    values, positions = [], []
+    for t in range((len(row) + 1) // 2):
+        best = 2 * t
+        for j in (2 * t + 1, 2 * t + 2):
+            if padded[j] > padded[best]:
+                best = j
+        values.append(padded[best])
+        positions.append(best - 1)
+    return values, positions
+
+
 def central_difference(f, x, j, eps):
     """Two-sided derivative estimate of scalar f at entry j of flat array x."""
     saved = x[j]

@@ -9,7 +9,7 @@ from svdcnn.data import Vocabulary
 from svdcnn.functional import DegenerateStatisticsError
 from svdcnn.layers import BatchNorm, ConvBlock, EmbeddingTable, TdscLayer, TemporalConvLayer
 
-from oracles import kmax_direct
+from oracles import kmax_direct, maxpool_direct
 
 RNG = np.random.default_rng
 
@@ -117,6 +117,18 @@ class TestBatchNorm:
         assert bn.running_mean[0] == pytest.approx(0.5)   # 0.9*0 + 0.1*5
         assert bn.running_var[0] == pytest.approx(1.1)    # 0.9*1 + 0.1*2 (unbiased)
 
+    def test_large_offset_statistics_stay_accurate(self):
+        # Per-channel mean 1e4, std 1: E[x^2] - E[x]^2 in float32 would
+        # cancel to noise (and go negative); centered variance does not.
+        x = (1e4 + RNG(12).normal(size=(8, 4, 32))).astype(np.float32)
+        ones, zeros = Tensor(np.ones(4, dtype=np.float32)), Tensor(np.zeros(4, dtype=np.float32))
+        out, _mean, var, _count = F.batch_norm_train(Tensor(x), ones, zeros, 1e-5)
+        x64 = x.astype(np.float64)
+        var64 = x64.var(axis=(0, 2))
+        np.testing.assert_allclose(var, var64, rtol=1e-5, atol=0)
+        xhat64 = (x64 - x64.mean(axis=(0, 2), keepdims=True)) / np.sqrt(var64[None, :, None] + 1e-5)
+        np.testing.assert_allclose(out.data, xhat64, rtol=0, atol=5e-3)
+
     def test_running_stats_are_not_parameters(self):
         bn = BatchNorm(4)
         names = {n for n, _t, _c in bn.named_params()}
@@ -160,6 +172,51 @@ class TestPools:
             backward(loss, tape)
             np.testing.assert_array_equal(x.grad, [[expected]])
 
+    def test_maxpool_pad_wins_window_and_gets_no_gradient(self):
+        x = Tensor([[[-1.0, -2, -3, -4]]], requires_grad=True)
+        with Tape() as tape:
+            out = F.maxpool_halve(x)
+            loss = F.tensor_sum(F.mul(out, Tensor([[[1.0, 10]]])))
+        backward(loss, tape)
+        np.testing.assert_array_equal(out.data, [[[0, -2]]])
+        np.testing.assert_array_equal(x.grad, [[[0, 10, 0, 0]]])
+
+    @pytest.mark.parametrize("length", [7, 8, 16])
+    def test_maxpool_batched_rows_match_direct_oracle(self, length):
+        # Small integers force ties, including with the zero padding.
+        x = RNG(length).integers(-2, 3, size=(3, 5, length)).astype(np.float32)
+        out, grad, weights = _pool_output_and_grad(F.maxpool_halve, x)
+        for b in range(3):
+            for c in range(5):
+                values, positions = maxpool_direct(x[b, c])
+                np.testing.assert_array_equal(out[b, c], values)
+                expected = np.zeros(length)
+                for t, p in enumerate(positions):
+                    if 0 <= p < length:
+                        expected[p] += weights[b, c, t]
+                np.testing.assert_array_equal(grad[b, c], expected)
+
+    @pytest.mark.parametrize("length", [7, 8, 16])
+    def test_kmax_batched_rows_match_sort_oracle(self, length):
+        x = RNG(100 + length).normal(size=(3, 5, length)).round(0).astype(np.float32)
+        for k in sorted({1, 3, length // 2, length}):
+            out, grad, weights = _pool_output_and_grad(lambda t: F.kmax_pool(t, k), x)
+            for b in range(3):
+                for c in range(5):
+                    row = x[b, c]
+                    values = kmax_direct(list(row), k)
+                    np.testing.assert_array_equal(out[b, c], values)
+                    # The earliest-position rule makes the kept positions the
+                    # first match of the oracle's values, read left to right.
+                    expected = np.zeros(length)
+                    pos = 0
+                    for j, v in enumerate(values):
+                        while row[pos] != v:
+                            pos += 1
+                        expected[pos] = weights[b, c, j]
+                        pos += 1
+                    np.testing.assert_array_equal(grad[b, c], expected)
+
     def test_kmax_hand_case(self):
         np.testing.assert_array_equal(F.kmax_pool(Tensor([[[3.0, 1, 5, 2, 4]]]), 3).data[0], [[3, 5, 4]])
 
@@ -191,6 +248,12 @@ class TestPools:
         out = F.kmax_pool(Tensor([[[2.0, 5.0, 2.0, 5.0]]]), 3)
         np.testing.assert_array_equal(out.data[0], [[2, 5, 5]])
 
+    def test_kmax_nan_ranks_below_numbers(self):
+        # A diverged model feeds NaN rows; the pool must still return k values
+        # so the non-finite loss, not a shape error, reports the divergence.
+        x = np.array([[[np.nan, 1, np.nan, 2]], [[np.nan] * 4]], dtype=np.float32)
+        np.testing.assert_array_equal(F.kmax_pool(Tensor(x), 3).data, [[[np.nan, 1, 2]], [[np.nan] * 3]])
+
     def test_avgpool_identity(self):
         x = RNG(8).normal(size=(2, 4)).astype(np.float32)
         np.testing.assert_array_equal(F.adaptive_avg_pool(Tensor(x[None]), 4).data[0], x)
@@ -216,6 +279,17 @@ class TestPools:
         assert pooled.data.size == 4096
         kept = F.kmax_pool(x, 8)
         assert kept.data.size == 4096
+
+
+def _pool_output_and_grad(pool, x):
+    """Output and input gradient of ``sum(weights * pool(x))``, with distinct integer weights."""
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = pool(xt)
+        weights = np.arange(1, out.data.size + 1, dtype=np.float32).reshape(out.shape)
+        loss = F.tensor_sum(F.mul(out, Tensor(weights)))
+    backward(loss, tape)
+    return out.data, xt.grad, weights
 
 
 class TestConvBlock:
