@@ -43,7 +43,7 @@ from .data import (
     ALPHABET,
     Dataset,
     IngestionError,
-    Sample,
+    IngestionWarning,
     Vocabulary,
     load_csv,
     make_batches,

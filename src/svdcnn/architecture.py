@@ -163,12 +163,8 @@ class Model(Module):
             else:
                 yield name, value
 
-    def forward(self, indices, trace: list | None = None) -> Tensor:
-        """Logits for a batch of index sequences ``[B, seq_len]``.
-
-        ``trace``, when given, collects the (channels, length) pair after
-        each level's blocks.
-        """
+    def forward(self, indices) -> Tensor:
+        """Logits for a batch of index sequences ``[B, seq_len]``."""
         idx = np.asarray(indices)
         if idx.ndim != 2:
             raise ShapeError(f"expected a [batch, seq_len] index array, got shape {idx.shape}")
@@ -183,8 +179,6 @@ class Model(Module):
         for i, blocks in enumerate(self.levels):
             for block in blocks:
                 x = block.forward(x)
-            if trace is not None:
-                trace.append((x.shape[1], x.shape[2]))
             if i < len(self.levels) - 1:
                 x = maxpool_halve(x)
         return self.head.forward(x)

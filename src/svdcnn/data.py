@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
 import string
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,64 +20,81 @@ class IngestionError(ValueError):
     """A dataset file could not be parsed."""
 
 
+class IngestionWarning(UserWarning):
+    """A dataset file was read, but some of its bytes were not valid UTF-8."""
+
+
 class Vocabulary:
     """Ordered character dictionary with a padding token at index 0.
 
-    Characters not in the dictionary map to the padding index.
+    Characters not in the dictionary map to the padding index. Lookup goes
+    through a uint8 table indexed by code point; its trailing entry is 0 and
+    every code point past the table clamps to it. Indices are stored as
+    uint8, so at most 255 characters fit.
     """
 
     def __init__(self, characters: str = ALPHABET):
         if len(set(characters)) != len(characters):
             raise ValueError("vocabulary characters must be unique")
+        if len(characters) > 255:
+            raise ValueError(f"vocabulary holds at most 255 characters, got {len(characters)}")
         self.characters = characters
-        self._index = {ch: i + 1 for i, ch in enumerate(characters)}
+        codes = [ord(ch) for ch in characters]
+        self._table = np.zeros(max(codes, default=-1) + 2, dtype=np.uint8)
+        self._table[codes] = np.arange(1, len(codes) + 1)
 
     @property
     def size(self) -> int:
         return len(self.characters) + 1
 
+    def _lookup(self, codes) -> np.ndarray:
+        """uint8 indices of an array of code points."""
+        return self._table[np.minimum(codes, len(self._table) - 1)]
+
     def index(self, ch: str) -> int:
-        return self._index.get(ch, 0)
+        return int(self._lookup(ord(ch)))
 
 
 DEFAULT_VOCAB_SIZE = Vocabulary().size
 
 
 def quantize(text: str, vocab: Vocabulary, seq_len: int) -> np.ndarray:
-    """Map lowercased text to exactly ``seq_len`` indices.
+    """Map lowercased text to exactly ``seq_len`` int64 indices.
 
-    Longer texts are truncated, shorter ones right-padded with 0.
+    Longer texts are truncated, shorter ones right-padded with 0. Lone
+    surrogates (from undecodable command-line bytes) are looked up like any
+    other code point outside the dictionary.
     """
     if seq_len < 1:
         raise ValueError(f"sequence length must be positive, got {seq_len}")
+    codes = np.frombuffer(text.lower()[:seq_len].encode("utf-32-le", "surrogatepass"), dtype="<u4")
     out = np.zeros(seq_len, dtype=np.int64)
-    lookup = vocab._index
-    for i, ch in enumerate(text.lower()[:seq_len]):
-        out[i] = lookup.get(ch, 0)
+    out[:len(codes)] = vocab._lookup(codes)
     return out
 
 
-@dataclass(frozen=True)
-class Sample:
-    indices: np.ndarray
-    label: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    samples: list[Sample]
+    """Quantized texts: ``indices`` uint8 ``[N, s]`` and ``labels`` int64 ``[N]``."""
+
+    indices: np.ndarray
+    labels: np.ndarray
     n_classes: int
     source: str = ""
 
     def __post_init__(self):
-        if not self.samples:
+        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+        if self.indices.dtype != np.uint8 or self.indices.ndim != 2 or self.labels.shape != self.indices.shape[:1]:
+            raise ValueError(f"expected uint8 indices [N, s] and labels [N], got {self.indices.dtype} "
+                             f"indices {self.indices.shape} and labels {self.labels.shape}")
+        if not len(self.labels):
             raise ValueError("dataset must be non-empty")
-        for s in self.samples:
-            if not 0 <= s.label < self.n_classes:
-                raise ValueError(f"label {s.label} outside [0, {self.n_classes})")
+        bad = self.labels[(self.labels < 0) | (self.labels >= self.n_classes)]
+        if bad.size:
+            raise ValueError(f"label {bad[0]} outside [0, {self.n_classes})")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.labels)
 
 
 def load_csv(path, n_classes: int, seq_len: int = 1024, vocab: Vocabulary | None = None) -> Dataset:
@@ -83,44 +102,45 @@ def load_csv(path, n_classes: int, seq_len: int = 1024, vocab: Vocabulary | None
 
     Text fields are joined with a single space before quantization. Quoted
     fields with embedded commas and doubled quotes are handled by the CSV
-    layer.
+    layer. Bytes that are not valid UTF-8 become U+FFFD, and an
+    ``IngestionWarning`` gives how many sequences were replaced.
     """
     vocab = vocab or Vocabulary()
-    samples: list[Sample] = []
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise IngestionError(f"{path}, line {lineno}: expected at least 2 fields, got {len(row)}")
-            try:
-                cls = int(row[0])
-            except ValueError:
-                raise IngestionError(f"{path}, line {lineno}: class field {row[0]!r} is not an integer") from None
-            if cls < 1 or cls > n_classes:
-                raise IngestionError(f"{path}, line {lineno}: class {cls} outside [1, {n_classes}]")
-            text = " ".join(row[1:])
-            samples.append(Sample(quantize(text, vocab, seq_len), cls - 1))
-    if not samples:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    content = raw.decode("utf-8", errors="replace")
+    replaced = content.count("\ufffd") - raw.count("\ufffd".encode())
+    if replaced:
+        warnings.warn(f"{path}: {replaced} undecodable byte sequence(s) replaced with U+FFFD", IngestionWarning, stacklevel=2)
+    rows, labels = [], []
+    for lineno, row in enumerate(csv.reader(io.StringIO(content, newline="")), start=1):
+        if not row:
+            continue
+        if len(row) < 2:
+            raise IngestionError(f"{path}, line {lineno}: expected at least 2 fields, got {len(row)}")
+        try:
+            cls = int(row[0])
+        except ValueError:
+            raise IngestionError(f"{path}, line {lineno}: class field {row[0]!r} is not an integer") from None
+        if cls < 1 or cls > n_classes:
+            raise IngestionError(f"{path}, line {lineno}: class {cls} outside [1, {n_classes}]")
+        rows.append(quantize(" ".join(row[1:]), vocab, seq_len))
+        labels.append(cls - 1)
+    if not rows:
         raise IngestionError(f"{path}: no samples found")
-    return Dataset(samples, n_classes, source=str(path))
+    return Dataset(np.array(rows, dtype=np.uint8), np.array(labels), n_classes, source=str(path))
 
 
 def make_batches(dataset: Dataset, batch_size: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Seeded shuffle into ``(indices [b, s], labels [b])`` batches.
+    """Seeded shuffle into ``(indices [b, s] int64, labels [b])`` batches.
 
     Every sample appears exactly once; the final partial batch is kept.
     """
     if batch_size < 1:
         raise ValueError(f"batch size must be positive, got {batch_size}")
     order = np.random.default_rng(seed).permutation(len(dataset))
-    batches = []
-    for start in range(0, len(dataset), batch_size):
-        chunk = order[start:start + batch_size]
-        idx = np.stack([dataset.samples[i].indices for i in chunk])
-        labels = np.array([dataset.samples[i].label for i in chunk], dtype=np.int64)
-        batches.append((idx, labels))
-    return batches
+    chunks = [order[start:start + batch_size] for start in range(0, len(dataset), batch_size)]
+    return [(dataset.indices[chunk].astype(np.int64), dataset.labels[chunk]) for chunk in chunks]
 
 
 def split_dataset(dataset: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -129,11 +149,10 @@ def split_dataset(dataset: Dataset, val_fraction: float, seed: int) -> tuple[Dat
         raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
     order = np.random.default_rng(seed).permutation(len(dataset))
     n_val = min(max(1, int(round(len(dataset) * val_fraction))), len(dataset) - 1)
-    val = [dataset.samples[i] for i in order[:n_val]]
-    train = [dataset.samples[i] for i in order[n_val:]]
+    val, train = order[:n_val], order[n_val:]
     return (
-        Dataset(train, dataset.n_classes, source=f"{dataset.source}[train]"),
-        Dataset(val, dataset.n_classes, source=f"{dataset.source}[val]"),
+        Dataset(dataset.indices[train], dataset.labels[train], dataset.n_classes, source=f"{dataset.source}[train]"),
+        Dataset(dataset.indices[val], dataset.labels[val], dataset.n_classes, source=f"{dataset.source}[val]"),
     )
 
 
@@ -149,13 +168,11 @@ def synth_dataset(n: int, n_classes: int, seq_len: int, seed: int, signal: float
     if n < n_classes:
         raise ValueError(f"need at least one sample per class, got n={n}")
     rng = np.random.default_rng(seed)
-    vocab = Vocabulary()
-    chars = np.array(list(vocab.characters))
-    samples = []
-    for i in range(n):
-        label = i % n_classes
-        base = chars[rng.integers(0, len(chars), size=seq_len)]
+    labels = np.arange(n) % n_classes
+    indices = np.empty((n, seq_len), dtype=np.uint8)
+    for i, label in enumerate(labels):
+        base = rng.integers(0, len(ALPHABET), size=seq_len)
         mask = rng.random(seq_len) < signal
-        text = "".join(np.where(mask, chr(ord("a") + label), base))
-        samples.append(Sample(quantize(text, vocab, seq_len), label))
-    return Dataset(samples, n_classes, source=f"synthetic(seed={seed})")
+        # ALPHABET[j] has index j + 1; it starts with a-z, so letter c has index c + 1
+        indices[i] = np.where(mask, label + 1, base + 1)
+    return Dataset(indices, labels, n_classes, source=f"synthetic(seed={seed})")

@@ -106,14 +106,10 @@ def evaluate(model: Model, dataset: Dataset, batch_size: int = 256) -> float:
     """Eval-mode accuracy; argmax ties resolve to the lowest class index."""
     model.eval()
     correct = 0
-    samples = dataset.samples
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start:start + batch_size]
-        idx = np.stack([s.indices for s in chunk])
-        labels = np.array([s.label for s in chunk])
-        logits = model.forward(idx).data
-        correct += int((logits.argmax(axis=1) == labels).sum())
-    return correct / len(samples)
+    for start in range(0, len(dataset), batch_size):
+        logits = model.forward(dataset.indices[start:start + batch_size]).data
+        correct += int((logits.argmax(axis=1) == dataset.labels[start:start + batch_size]).sum())
+    return correct / len(dataset)
 
 
 def train(model: Model, train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> list[EpochStats]:
@@ -121,7 +117,8 @@ def train(model: Model, train_set: Dataset, val_set: Dataset, cfg: TrainConfig) 
 
     The model ends holding the weights of the first evaluated epoch that
     reached the best validation accuracy (the last epoch if none was
-    evaluated), and ``model.checkpoint_epoch`` names that epoch.
+    evaluated), and ``model.checkpoint_epoch`` names that epoch. A
+    one-sample final batch joins the batch before it.
     Deterministic for a given seed. Raises TrainingDivergedError on a
     non-finite loss.
     """
@@ -136,7 +133,12 @@ def train(model: Model, train_set: Dataset, val_set: Dataset, cfg: TrainConfig) 
     for epoch in range(1, cfg.max_epochs + 1):
         model.train()
         losses = []
-        for batch_index, (idx, labels) in enumerate(make_batches(train_set, cfg.batch_size, cfg.seed + epoch)):
+        batches = make_batches(train_set, cfg.batch_size, cfg.seed + epoch)
+        if len(batches) > 1 and len(batches[-1][1]) == 1:
+            # a train-mode forward needs two samples for batch statistics
+            (idx, labels), (last_idx, last_labels) = batches[-2], batches.pop()
+            batches[-1] = (np.concatenate([idx, last_idx]), np.concatenate([labels, last_labels]))
+        for batch_index, (idx, labels) in enumerate(batches):
             opt.zero_grad()
             with Tape() as tape:
                 loss = cross_entropy(model.forward(idx), labels)

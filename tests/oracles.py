@@ -89,10 +89,41 @@ def central_difference(f, x, j, eps):
     return (hi - lo) / (2 * eps)
 
 
-def histogram_classifier(samples, n_classes, signature_indices):
+def histogram_classifier(rows, n_classes, signature_indices):
     """Predict the class whose signature character index is most frequent."""
     predictions = []
-    for s in samples:
-        counts = [int((s.indices == sig).sum()) for sig in signature_indices[:n_classes]]
+    for row in rows:
+        counts = [int((row == sig).sum()) for sig in signature_indices[:n_classes]]
         predictions.append(int(np.argmax(counts)))
     return predictions
+
+
+def quantize_direct(text, vocab, seq_len):
+    """Per-character dictionary lookup of the lowercased, truncated text."""
+    out = np.zeros(seq_len, dtype=np.int64)
+    lookup = {ch: i + 1 for i, ch in enumerate(vocab.characters)}
+    for i, ch in enumerate(text.lower()[:seq_len]):
+        out[i] = lookup.get(ch, 0)
+    return out
+
+
+def level_shapes(model, indices):
+    """(channels, length) after each level's blocks in one forward of ``model``.
+
+    Each level's last block gets a per-instance ``forward`` override that
+    records its output shape; the model's parameter walk skips such
+    overrides, and they are removed afterwards.
+    """
+    shapes = []
+    for blocks in model.levels:
+        def record(x, forward=blocks[-1].forward):
+            out = forward(x)
+            shapes.append((out.shape[1], out.shape[2]))
+            return out
+        blocks[-1].forward = record
+    try:
+        model.forward(indices)
+    finally:
+        for blocks in model.levels:
+            del blocks[-1].forward
+    return shapes

@@ -33,6 +33,8 @@ from svdcnn.data import synth_dataset
 from svdcnn.functional import cross_entropy
 from svdcnn.training import TrainConfig, train
 
+from oracles import level_shapes
+
 ALL_CONFIGS = [(family, depth) for family in ("vdcnn", "svdcnn") for depth in (9, 17, 29, 49)]
 
 
@@ -113,9 +115,8 @@ def test_criterion_06_enumeration_equals_closed_form():
 def test_criterion_07_constant_product_invariant():
     for family, depth in ALL_CONFIGS:
         model = build_model(ArchitectureSpec(family, depth=depth, seq_len=1024), seed=0).eval()
-        trace = []
-        model.forward(np.zeros((1, 1024), dtype=np.int64), trace=trace)
-        assert [c * length for c, length in trace] == [65_536] * 4
+        shapes = level_shapes(model, np.zeros((1, 1024), dtype=np.int64))
+        assert [c * length for c, length in shapes] == [65_536] * 4
     report(7, "channels x length == 65,536 at all four level boundaries of every model")
 
 

@@ -30,6 +30,8 @@ from svdcnn.architecture import (
 from svdcnn.autograd import ShapeError, Tape
 from svdcnn.functional import DegenerateStatisticsError
 
+from oracles import level_shapes
+
 ALL_CONFIGS = [(family, depth) for family in ("vdcnn", "svdcnn") for depth in (9, 17, 29, 49)]
 
 
@@ -79,10 +81,8 @@ class TestBuildAndForward:
     def test_final_feature_shape_svdcnn(self):
         model = build_model(ArchitectureSpec("svdcnn", seq_len=1024), seed=0)
         model.eval()
-        trace = []
         idx = np.zeros((1, 1024), dtype=np.int64)
-        model.forward(idx, trace=trace)
-        assert trace == [(64, 1024), (128, 512), (256, 256), (512, 128)]
+        assert level_shapes(model, idx) == [(64, 1024), (128, 512), (256, 256), (512, 128)]
 
     def test_logits_shape(self):
         model = build_model(ArchitectureSpec("svdcnn", seq_len=64), seed=0).eval()
@@ -120,9 +120,7 @@ class TestBuildAndForward:
 
     def test_only_pools_change_length(self):
         model = build_model(ArchitectureSpec("svdcnn", seq_len=64), seed=0).eval()
-        trace = []
-        model.forward(np.zeros((1, 64), dtype=np.int64), trace=trace)
-        lengths = [length for _c, length in trace]
+        lengths = [length for _c, length in level_shapes(model, np.zeros((1, 64), dtype=np.int64))]
         assert lengths == [64, 32, 16, 8]
 
 
@@ -317,7 +315,5 @@ class TestConstantProduct:
     @pytest.mark.parametrize("family,depth", ALL_CONFIGS)
     def test_channels_times_length_constant(self, family, depth):
         model = build_model(ArchitectureSpec(family, depth=depth, seq_len=1024), seed=0).eval()
-        trace = []
-        model.forward(np.zeros((1, 1024), dtype=np.int64), trace=trace)
-        products = [c * length for c, length in trace]
+        products = [c * length for c, length in level_shapes(model, np.zeros((1, 1024), dtype=np.int64))]
         assert products == [65_536] * 4

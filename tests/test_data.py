@@ -1,5 +1,8 @@
 """Vocabulary, quantization, CSV ingestion, batching and the synthetic set."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from svdcnn.data import (
     ALPHABET,
     Dataset,
     IngestionError,
-    Sample,
+    IngestionWarning,
     Vocabulary,
     load_csv,
     make_batches,
@@ -16,7 +19,13 @@ from svdcnn.data import (
     synth_dataset,
 )
 
-from oracles import histogram_classifier
+from oracles import histogram_classifier, quantize_direct
+
+
+def digest(indices, labels):
+    """SHA-256 of the int64 index rows followed by the int64 labels."""
+    rows = np.ascontiguousarray(indices, dtype=np.int64).tobytes()
+    return hashlib.sha256(rows + np.asarray(labels, dtype=np.int64).tobytes()).hexdigest()
 
 
 class TestVocabulary:
@@ -38,6 +47,11 @@ class TestVocabulary:
     def test_duplicate_characters_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             Vocabulary("aab")
+
+    def test_more_than_255_characters_rejected(self):
+        Vocabulary("".join(map(chr, range(256, 511))))  # 255 fit uint8 indices
+        with pytest.raises(ValueError, match="at most 255"):
+            Vocabulary("".join(map(chr, range(256, 512))))
 
 
 class TestQuantize:
@@ -64,6 +78,16 @@ class TestQuantize:
         assert out[1] == 0
         assert (out[[0, 2, 3, 4]] > 0).all()
 
+    @pytest.mark.parametrize("seq_len", [1, 3, 8, 64])
+    @pytest.mark.parametrize("text", [
+        "MIXED Case", "é€ßü~", "a\U0001F600b\U00010400", "İİİabc", "\udcff\ud800x", "", "x" * 100,
+    ], ids=["uppercase", "out_of_dictionary", "astral", "longer_after_lower", "lone_surrogates", "empty", "long"])
+    def test_matches_direct_oracle(self, text, seq_len):
+        vocab = Vocabulary()
+        out = quantize(text, vocab, seq_len)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, quantize_direct(text, vocab, seq_len))
+
     def test_total_and_deterministic(self):
         vocab = Vocabulary()
         texts = ["", "a", "zz@@  !!", "MIXED case 123", "\x00\x7f\n"]
@@ -78,16 +102,16 @@ class TestLoadCsv:
         path = tmp_path / "data.csv"
         path.write_text('"3","title","desc"\n"1","other","text"\n')
         ds = load_csv(path, n_classes=4, seq_len=16)
-        assert [s.label for s in ds.samples] == [2, 0]
+        assert ds.labels.tolist() == [2, 0]
         expected = quantize("title desc", Vocabulary(), 16)
-        np.testing.assert_array_equal(ds.samples[0].indices, expected)
+        np.testing.assert_array_equal(ds.indices[0], expected)
 
     def test_quoted_commas_and_doubled_quotes(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text('"2","a, b","say ""hi"""\n')
         ds = load_csv(path, n_classes=2, seq_len=20)
         expected = quantize('a, b say "hi"', Vocabulary(), 20)
-        np.testing.assert_array_equal(ds.samples[0].indices, expected)
+        np.testing.assert_array_equal(ds.indices[0], expected)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -122,11 +146,52 @@ class TestLoadCsv:
         assert len(ds) == 120
         assert ds.n_classes == 4
 
+    def test_rows_and_labels_are_pinned(self, tmp_path):
+        # digest computed with the per-sample loader this array layout replaced
+        path = tmp_path / "data.csv"
+        path.write_bytes(
+            '"3","Title One","Desc, with comma"\n"1","héllo WORLD","say ""hi"""\n'
+            '"2","x","tab\there"\n"4","İstanbul ß","中文 1234567890 {}~|"\n'.encode("utf-8")
+        )
+        ds = load_csv(path, n_classes=4, seq_len=16)
+        assert ds.indices.dtype == np.uint8 and ds.indices.shape == (4, 16)
+        assert digest(ds.indices, ds.labels) == "d7fceb0733fcdbcf4921918712f8e6e20759f2d18d2f7f653bee7dfa62c5a995"
+
+    def test_undecodable_bytes_counted_in_a_warning(self, tmp_path):
+        path = tmp_path / "bad_bytes.csv"
+        path.write_bytes(b'"1","ab\xffc"\n"2","\xfe\xfe"\n')
+        with pytest.warns(IngestionWarning, match=r"bad_bytes\.csv: 3 undecodable"):
+            ds = load_csv(path, n_classes=2, seq_len=8)
+        assert ds.labels.tolist() == [0, 1]
+        np.testing.assert_array_equal(ds.indices[0], quantize("ab\ufffdc", Vocabulary(), 8))
+
+    def test_genuine_replacement_character_is_not_warned(self, tmp_path):
+        path = tmp_path / "fffd.csv"
+        path.write_bytes('"1","a\ufffdb"\n'.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_csv(path, n_classes=2, seq_len=8)
+        assert len(ds) == 1
+
+
+class TestDataset:
+    def test_label_outside_classes_named(self):
+        with pytest.raises(ValueError, match=r"label 2 outside \[0, 2\)"):
+            Dataset(np.zeros((3, 4), dtype=np.uint8), [0, 2, 1], n_classes=2)
+
+    def test_layout_checked(self):
+        with pytest.raises(ValueError, match=r"got int64 indices \(3, 4\)"):
+            Dataset(np.zeros((3, 4), dtype=np.int64), [0, 1, 0], n_classes=2)
+        with pytest.raises(ValueError, match=r"labels \(2,\)"):
+            Dataset(np.zeros((3, 4), dtype=np.uint8), [0, 1], n_classes=2)
+        with pytest.raises(ValueError, match="non-empty"):
+            Dataset(np.zeros((0, 4), dtype=np.uint8), [], n_classes=2)
+
 
 class TestBatches:
     def _dataset(self, n):
-        samples = [Sample(np.full(4, i % 3, dtype=np.int64), i % 2) for i in range(n)]
-        return Dataset(samples, n_classes=2, source="unit")
+        indices = np.repeat(np.arange(n)[:, None] % 3, 4, axis=1).astype(np.uint8)
+        return Dataset(indices, np.arange(n) % 2, n_classes=2, source="unit")
 
     def test_sizes_with_partial_tail(self):
         batches = make_batches(self._dataset(10), 3, seed=0)
@@ -143,9 +208,14 @@ class TestBatches:
         ds = self._dataset(11)
         batches = make_batches(ds, 4, seed=1)
         seen = sorted(int(idx[0]) for idx_batch, labels in batches for idx in idx_batch)
-        expected = sorted(int(s.indices[0]) for s in ds.samples)
+        expected = sorted(int(row[0]) for row in ds.indices)
         assert seen == expected
         assert sum(len(labels) for _i, labels in batches) == len(ds)
+
+    def test_rows_are_contiguous_int64(self):
+        for idx, labels in make_batches(self._dataset(10), 3, seed=2):
+            assert idx.dtype == np.int64 and idx.flags.c_contiguous
+            assert labels.dtype == np.int64
 
     def test_default_batch_size_is_64(self):
         from svdcnn.training import TrainConfig
@@ -161,36 +231,47 @@ class TestSplit:
         assert len(val) == 10
 
     def _make(self, n):
-        samples = [Sample(np.full(4, i, dtype=np.int64), i % 2) for i in range(n)]
-        return Dataset(samples, n_classes=2, source="unit")
+        indices = np.repeat(np.arange(n)[:, None], 4, axis=1).astype(np.uint8)
+        return Dataset(indices, np.arange(n) % 2, n_classes=2, source="unit")
 
 
 class TestSynthetic:
     def test_round_robin_counts(self):
         ds = synth_dataset(400, 4, 32, seed=0)
-        counts = np.bincount([s.label for s in ds.samples], minlength=4)
+        counts = np.bincount(ds.labels, minlength=4)
         np.testing.assert_array_equal(counts, [100, 100, 100, 100])
 
     def test_labels_in_range(self):
         ds = synth_dataset(40, 4, 32, seed=1)
-        assert all(0 <= s.label < 4 for s in ds.samples)
+        assert all(0 <= label < 4 for label in ds.labels)
 
     def test_deterministic_per_seed(self):
         a = synth_dataset(20, 4, 32, seed=3)
         b = synth_dataset(20, 4, 32, seed=3)
-        for sa, sb in zip(a.samples, b.samples):
-            np.testing.assert_array_equal(sa.indices, sb.indices)
+        for ra, rb in zip(a.indices, b.indices):
+            np.testing.assert_array_equal(ra, rb)
         c = synth_dataset(20, 4, 32, seed=4)
-        assert any((sa.indices != sc.indices).any() for sa, sc in zip(a.samples, c.samples))
+        assert any((ra != rc).any() for ra, rc in zip(a.indices, c.indices))
 
     def test_histogram_oracle_reaches_99_percent(self):
         # learnability floor: counting signature letters alone classifies it
         ds = synth_dataset(400, 4, 128, seed=11)
         vocab = Vocabulary()
         signatures = [vocab.index(chr(ord("a") + c)) for c in range(4)]
-        predictions = histogram_classifier(ds.samples, 4, signatures)
-        accuracy = float(np.mean([p == s.label for p, s in zip(predictions, ds.samples)]))
+        predictions = histogram_classifier(ds.indices, 4, signatures)
+        accuracy = float(np.mean([p == label for p, label in zip(predictions, ds.labels)]))
         assert accuracy >= 0.99
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_rows_and_labels_are_pinned(self, seed):
+        # digests computed with the per-sample text generator this array layout replaced
+        expected = {
+            11: "f32ab9f4a859decbe757f1fa7e902b6ddee400db20b91a54e0e9bc01cea3a3ce",
+            12: "b0119d47f829cc4041e3bfdbfe96929574eac861d076c1e216d617da9c5e9906",
+        }
+        ds = synth_dataset(400, 4, 128, seed=seed)
+        assert ds.indices.dtype == np.uint8 and ds.indices.shape == (400, 128)
+        assert digest(ds.indices, ds.labels) == expected[seed]
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 
 from svdcnn.architecture import ArchitectureSpec, build_model, count_params
 from svdcnn.autograd import Tape, Tensor, backward
-from svdcnn.data import synth_dataset
+from svdcnn.data import Dataset, synth_dataset
 from svdcnn.functional import cross_entropy
 from svdcnn.training import (
     SGD,
@@ -158,6 +158,13 @@ class TestTrainLoop:
         assert [e.epoch for e in h1] == [1, 2, 3]
         assert h1 == h2
 
+    def test_one_sample_final_batch_joins_the_batch_before(self):
+        # 5 samples at batch size 4 leave one sample, too few for batch statistics
+        train_set = synth_dataset(5, 2, 16, seed=8)
+        history = train(build_model(tiny_spec(), seed=1), train_set, train_set, TrainConfig(batch_size=4, max_epochs=2, seed=0))
+        assert [e.epoch for e in history] == [1, 2]
+        assert all(math.isfinite(e.train_loss) for e in history)
+
     def test_class_count_mismatch_rejected(self):
         model = build_model(tiny_spec(n_classes=2), seed=0)
         four_class = synth_dataset(8, 4, 16, seed=0)
@@ -177,8 +184,8 @@ class TestEvaluate:
     def test_untrained_net_is_chance_level_on_random_labels(self):
         rng = np.random.default_rng(4)
         ds = synth_dataset(400, 4, 16, seed=6)
-        shuffled = [type(s)(indices=s.indices, label=int(rng.integers(0, 4))) for s in ds.samples]
-        ds = type(ds)(samples=shuffled, n_classes=4, source="shuffled")
+        shuffled = [int(rng.integers(0, 4)) for _row in ds.indices]
+        ds = Dataset(ds.indices, shuffled, n_classes=4, source="shuffled")
         model = build_model(tiny_spec(n_classes=4), seed=3)
         acc = evaluate(model, ds)
         assert 0.10 <= acc <= 0.40
