@@ -115,11 +115,13 @@ class Model(Module):
     """A built network: embedding, trunk of blocks with pools, classifier.
 
     Parameters and buffers are named by the module walk; the blocks of
-    ``levels`` are named ``level{i}.block{b}``.
+    ``levels`` are named ``level{i}.block{b}``. With ``seed=None`` the
+    weights start at zero with no random draw, for a caller that loads
+    every value next (see ``load_checkpoint``).
     """
 
-    def __init__(self, spec: ArchitectureSpec, seed: int = 0, dtype=DEFAULT_DTYPE):
-        rng = np.random.default_rng(seed)
+    def __init__(self, spec: ArchitectureSpec, seed: int | None = 0, dtype=DEFAULT_DTYPE):
+        rng = None if seed is None else np.random.default_rng(seed)
         self.spec = spec
         self.mode = "train"
         self.embedding = EmbeddingTable(spec.vocab_size, spec.embed_dim, rng, dtype)
@@ -191,7 +193,7 @@ class Model(Module):
         return [t for _n, t, _c in self.named_params()]
 
 
-def build_model(spec: ArchitectureSpec, seed: int = 0, dtype=DEFAULT_DTYPE) -> Model:
+def build_model(spec: ArchitectureSpec, seed: int | None = 0, dtype=DEFAULT_DTYPE) -> Model:
     return Model(spec, seed=seed, dtype=dtype)
 
 

@@ -39,7 +39,11 @@ class Tensor:
     """N-dimensional array with an optional gradient buffer.
 
     The data buffer is row-major and is treated as immutable once an
-    operation has consumed it; only ``grad`` accumulates in place.
+    operation has consumed it; only ``grad`` accumulates in place. After
+    :func:`backward`, leaves (tensors no recorded operation produced) keep
+    their ``grad``; recorded operation outputs have ``grad`` None, because
+    each output's gradient is handed to its operation's pull, which may
+    write into it and pass it on.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -73,10 +77,20 @@ class Tensor:
         raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
-        else:
+        """Add ``g`` to ``grad``.
+
+        The first gradient is kept without a copy when it is writeable, owns
+        its data and matches ``data`` in dtype and shape; otherwise it is
+        copied. A caller hands such an array over: it must hold no other
+        reference to it that it reads or writes later, and must not pass it
+        to a second tensor.
+        """
+        if self.grad is not None:
             self.grad += g
+        elif g.flags.writeable and g.flags.owndata and g.dtype == self.data.dtype and g.shape == self.data.shape:
+            self.grad = g
+        else:
+            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -136,8 +150,11 @@ def active_tape() -> Optional[Tape]:
 def backward(loss: Tensor, tape: Tape) -> None:
     """Run the reverse pass of ``tape`` seeded at a scalar ``loss``.
 
-    Every tensor with ``requires_grad`` reachable from the loss gets its
+    Every leaf with ``requires_grad`` reachable from the loss gets its
     gradient populated; tensors not on a path to the loss are untouched.
+    Each recorded output's ``grad`` is dropped before its pull runs, so the
+    pull holds the only reference to the array it receives: it may write
+    into it and hand it to :meth:`Tensor.accumulate_grad` of one input.
     """
     if tape.consumed:
         raise TapeConsumedError("tape was already consumed by a previous backward pass")
@@ -148,8 +165,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
     tape.consumed = True
     loss.accumulate_grad(np.ones_like(loss.data))
     for _name, out, pull in reversed(tape._entries):
-        if out.grad is not None:
-            pull(out.grad)
+        g, out.grad = out.grad, None
+        if g is not None:
+            pull(g)
 
 
 def grad_check(

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .autograd import ShapeError, Tensor, active_tape
 
@@ -33,16 +32,42 @@ def _record(name, out, inputs, pull) -> None:
         tape.append(name, out, pull)
 
 
-def _pad_time(a: np.ndarray, padding: int) -> np.ndarray:
-    if padding == 0:
-        return a
-    return np.pad(a, ((0, 0), (0, 0), (padding, padding)))
+def _tap_slices(length: int, t_out: int, padding: int, k: int) -> list[tuple[slice, slice]]:
+    """Per tap ``kk``, the output and input time slices it connects: ``out[t]`` reads ``x[t + kk - padding]``."""
+    slices = []
+    for kk in range(k):
+        lo = max(0, padding - kk)
+        hi = max(lo, min(t_out, length + padding - kk))
+        slices.append((slice(lo, hi), slice(lo + kk - padding, hi + kk - padding)))
+    return slices
+
+
+def _tap_sum(n: int, slices, term) -> np.ndarray:
+    """Sum over taps of ``term(kk, read)`` added into the ``write`` slice of a ``[..., n]`` array.
+
+    ``slices[kk]`` is tap kk's ``(write, read)`` pair. The centre tap goes
+    first, and its term becomes the result when it covers all n positions;
+    otherwise the result starts at zero. The other taps follow in order.
+    """
+    c = len(slices) // 2
+    write, read = slices[c]
+    out = term(c, read)
+    if out.shape[-1] != n:
+        first, out = out, np.zeros(out.shape[:-1] + (n,), dtype=out.dtype)
+        out[..., write] = first
+    for kk, (write, read) in enumerate(slices):
+        if kk != c:
+            out[..., write] += term(kk, read)
+    return out
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: int = 0) -> Tensor:
     """Temporal convolution: ``x [B, C_in, L]``, ``weight [C_out, C_in, K]``.
 
-    Output is ``[B, C_out, L + 2*padding - K + 1]``. The kernel size must be odd.
+    Output is ``[B, C_out, L + 2*padding - K + 1]``. The kernel size must be
+    odd. Each tap is one batched ``[C_out, C_in]`` matmul over a shifted
+    time slice of the input, summed into the output's valid slice, so no
+    padded or re-laid-out copy of the input is made.
     """
     xa = _checked(x, "[B, C, L]", "conv1d")
     w = weight.data
@@ -53,7 +78,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
         raise ShapeError(f"kernel size must be odd, got {k}")
     if padding < 0:
         raise ValueError(f"padding must be non-negative, got {padding}")
-    batch, in_ch, length = xa.shape
+    _batch, in_ch, length = xa.shape
     if in_ch != w_in_ch:
         raise ShapeError(f"input has {in_ch} channels but weight expects {w_in_ch}")
     if length + 2 * padding < k:
@@ -61,31 +86,27 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
     if bias is not None and bias.data.shape != (out_ch,):
         raise ShapeError(f"bias shape {bias.shape} does not match {out_ch} output channels")
 
-    xp = _pad_time(xa, padding)
+    # contiguous [K, C_out, C_in]: a strided w[:, :, kk] view would keep matmul off BLAS
+    taps = np.ascontiguousarray(w.transpose(2, 0, 1))
     t_out = length + 2 * padding - k + 1
-    win = sliding_window_view(xp, k, axis=2)  # [B, C_in, T, K]
-    cols = win.transpose(0, 2, 1, 3).reshape(batch * t_out, in_ch * k)
-    w2 = w.reshape(out_ch, in_ch * k)
-    od = (cols @ w2.T).reshape(batch, t_out, out_ch).transpose(0, 2, 1)
+    slices = _tap_slices(length, t_out, padding, k)
+    od = _tap_sum(t_out, slices, lambda kk, src: np.matmul(taps[kk], xa[:, :, src]))
     if bias is not None:
-        od = od + bias.data[None, :, None]
-    od = np.ascontiguousarray(od)
+        od += bias.data[:, None]
 
     requires = x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
     out = Tensor(od, requires_grad=requires)
 
     def pull(g):
-        g2 = g.transpose(0, 2, 1).reshape(batch * t_out, out_ch)
         if weight.requires_grad:
-            weight.accumulate_grad((g2.T @ cols).reshape(out_ch, in_ch, k))
+            weight.accumulate_grad(
+                np.stack([np.tensordot(g[:, :, dst], xa[:, :, src], axes=([0, 2], [0, 2])) for dst, src in slices], 2)
+            )
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2)))
         if x.requires_grad:
-            gcols = (g2 @ w2).reshape(batch, t_out, in_ch, k).transpose(0, 2, 1, 3)
-            gxp = np.zeros_like(xp)
-            for kk in range(k):
-                gxp[:, :, kk:kk + t_out] += gcols[:, :, :, kk]
-            x.accumulate_grad(gxp[:, :, padding:padding + length])
+            back = [(src, dst) for dst, src in slices]
+            x.accumulate_grad(_tap_sum(length, back, lambda kk, dst: np.matmul(taps[kk].T, g[:, :, dst])))
 
     _record("conv1d", out, [x, weight] + ([bias] if bias is not None else []), pull)
     return out
@@ -94,7 +115,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
 def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
     """Per-channel temporal convolution of ``x [B, C, L]``: ``weight [C, K]`` filters channel c alone.
 
-    Forward is K shifted multiply-adds over the padded input, tap 0 first; the
+    Forward and input gradient start from the centre tap and add each other
+    tap's shifted multiply into its valid slice, with no padded copy; the
     weight gradient is one per-channel dot product per tap.
     """
     xa = _checked(x, "[B, C, L]", "depthwise_conv1d")
@@ -104,28 +126,24 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
     channels, k = w.shape
     if k % 2 == 0:
         raise ShapeError(f"kernel size must be odd, got {k}")
-    batch, in_ch, length = xa.shape
+    _batch, in_ch, length = xa.shape
     if in_ch != channels:
         raise ShapeError(f"input has {in_ch} channels but weight has {channels}")
     if length + 2 * padding < k:
         raise ShapeError(f"length {length} with padding {padding} is shorter than kernel {k}")
 
-    xp = _pad_time(xa, padding)
     t_out = length + 2 * padding - k + 1
-    od = xp[:, :, :t_out] * w[None, :, 0, None]
-    for kk in range(1, k):
-        od += xp[:, :, kk:kk + t_out] * w[None, :, kk, None]
+    slices = _tap_slices(length, t_out, padding, k)
+    od = _tap_sum(t_out, slices, lambda kk, src: xa[:, :, src] * w[None, :, kk, None])
 
     out = Tensor(od, requires_grad=x.requires_grad or weight.requires_grad)
 
     def pull(g):
         if weight.requires_grad:
-            weight.accumulate_grad(np.stack([np.einsum("bct,bct->c", g, xp[:, :, kk:kk + t_out]) for kk in range(k)], 1))
+            weight.accumulate_grad(np.stack([np.einsum("bct,bct->c", g[:, :, dst], xa[:, :, src]) for dst, src in slices], 1))
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for kk in range(k):
-                gxp[:, :, kk:kk + t_out] += g * w[:, kk][None, :, None]
-            x.accumulate_grad(gxp[:, :, padding:padding + length])
+            back = [(src, dst) for dst, src in slices]
+            x.accumulate_grad(_tap_sum(length, back, lambda kk, dst: g[:, :, dst] * w[None, :, kk, None]))
 
     _record("depthwise_conv1d", out, [x, weight], pull)
     return out
@@ -163,7 +181,8 @@ def relu(x: Tensor) -> Tensor:
 
     def pull(g):
         if x.requires_grad:
-            x.accumulate_grad(g * (x.data > 0))
+            g *= x.data > 0
+            x.accumulate_grad(g)
 
     _record("relu", out, [x], pull)
     return out
@@ -179,7 +198,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g)
         if b.requires_grad:
-            b.accumulate_grad(g)
+            b.accumulate_grad(g.copy())
 
     _record("add", out, [a, b], pull)
     return out
@@ -224,7 +243,7 @@ def maxpool_halve(x: Tensor) -> Tensor:
     length = xa.shape[2]
     if length < 2:
         raise ShapeError(f"temporal length must be at least 2 to halve, got {length}")
-    xp = _pad_time(xa, 1)
+    xp = np.pad(xa, ((0, 0), (0, 0), (1, 1)))
     span = 2 * ((length + 1) // 2) - 1  # slice i holds padded position 2*t + i, the i-th entry of window t
     slices = [xp[:, :, i:i + span:2] for i in range(3)]
     od = np.maximum(np.maximum(slices[0], slices[1]), slices[2])
@@ -345,8 +364,10 @@ def _batch_norm(op: str, x: Tensor, xc: np.ndarray, gamma: Tensor, beta: Tensor,
 
     ``xc`` is scaled in place into the normalized values. The backward
     reduces ``g`` and ``g * xhat`` once per channel, which are also the beta
-    and gamma gradients. With ``batch_stats`` the statistics were computed
-    from ``x`` itself, so the gradient also flows through them.
+    and gamma gradients, then writes the input gradient into ``g`` (and, with
+    batch statistics, ``xhat``): the tape runs each pull once. With
+    ``batch_stats`` the statistics were computed from ``x`` itself, so the
+    gradient also flows through them.
     """
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc
@@ -363,16 +384,12 @@ def _batch_norm(op: str, x: Tensor, xc: np.ndarray, gamma: Tensor, beta: Tensor,
         if beta.requires_grad:
             beta.accumulate_grad(g_sum)
         if x.requires_grad:
-            scale = (gamma.data * inv)[None, :, None]
             if batch_stats:
                 count = g.size // g.shape[1]
-                gx = xhat * (-gx_sum / count)[None, :, None]
-                gx += g
-                gx -= (g_sum / count)[None, :, None]
-                gx *= scale
-            else:
-                gx = g * scale
-            x.accumulate_grad(gx)
+                g += np.multiply(xhat, (-gx_sum / count)[None, :, None], out=xhat)
+                g -= (g_sum / count)[None, :, None]
+            g *= (gamma.data * inv)[None, :, None]
+            x.accumulate_grad(g)
 
     _record(op, out, [x, gamma, beta], pull)
     return out

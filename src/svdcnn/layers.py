@@ -29,8 +29,15 @@ from .functional import (
 KERNEL_SIZE = 3
 
 
+def _normal(rng, std: float, shape, dtype) -> np.ndarray:
+    """Seeded normal draws; zeros with no draw when ``rng`` is None (the values are about to be loaded)."""
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
+    return rng.normal(0.0, std, shape).astype(dtype)
+
+
 def _fan_in_normal(rng, shape, fan_in, dtype, gain: float = 2.0):
-    return Tensor(rng.normal(0.0, math.sqrt(gain / fan_in), shape).astype(dtype), requires_grad=True)
+    return Tensor(_normal(rng, math.sqrt(gain / fan_in), shape, dtype), requires_grad=True)
 
 
 class Module:
@@ -114,7 +121,7 @@ class EmbeddingTable(Module):
     category = "embedding"
 
     def __init__(self, vocab_size: int, dim: int, rng, dtype=DEFAULT_DTYPE):
-        table = rng.normal(0.0, 0.25, (vocab_size, dim)).astype(dtype)
+        table = _normal(rng, 0.25, (vocab_size, dim), dtype)
         table[0] = 0.0
         self.table = Tensor(table, requires_grad=True)
 

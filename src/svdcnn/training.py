@@ -44,8 +44,8 @@ class TrainConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0:
             raise ValueError(f"weight decay must be non-negative, got {self.weight_decay}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch size must be positive, got {self.batch_size}")
+        if self.batch_size < 2:
+            raise ValueError(f"batch size must be at least 2 for batch statistics, got {self.batch_size}")
         if self.max_epochs < 1:
             raise ValueError(f"epoch budget must be positive, got {self.max_epochs}")
         if self.eval_every < 1:
@@ -124,6 +124,11 @@ def train(model: Model, train_set: Dataset, val_set: Dataset, cfg: TrainConfig) 
     """
     if train_set.n_classes != val_set.n_classes or train_set.n_classes != model.spec.n_classes:
         raise ValueError("model and datasets disagree on the number of classes")
+    if len(train_set) < 2:
+        raise ValueError(
+            f"training set has {len(train_set)} sample(s); a train-mode batch needs at least 2 "
+            f"(batch size {cfg.batch_size})"
+        )
     params = model.parameters()
     opt = SGD(params, cfg.lr, cfg.momentum, cfg.weight_decay)
     history: list[EpochStats] = []
@@ -134,7 +139,7 @@ def train(model: Model, train_set: Dataset, val_set: Dataset, cfg: TrainConfig) 
         model.train()
         losses = []
         batches = make_batches(train_set, cfg.batch_size, cfg.seed + epoch)
-        if len(batches) > 1 and len(batches[-1][1]) == 1:
+        if len(batches[-1][1]) == 1:
             # a train-mode forward needs two samples for batch statistics
             (idx, labels), (last_idx, last_labels) = batches[-2], batches.pop()
             batches[-1] = (np.concatenate([idx, last_idx]), np.concatenate([labels, last_labels]))
@@ -255,7 +260,7 @@ def load_checkpoint(path) -> Model:
         )
     except ValueError as exc:
         raise CheckpointError(f"{path}: invalid architecture fields: {exc}") from None
-    model = Model(spec, seed=0)
+    model = Model(spec, seed=None)
     offset = header_end
     for name, arr in _model_arrays(model):
         if offset + 8 > len(blob):

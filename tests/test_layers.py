@@ -312,6 +312,24 @@ class TestConvBlock:
         expected = F.conv1d(x, block.projection, padding=0)
         np.testing.assert_array_equal(out.data, expected.data)
 
+    @pytest.mark.parametrize("variant", ["standard", "tdsc"])
+    def test_identity_shortcut_input_gets_both_gradients(self, variant):
+        block = ConvBlock(variant, 3, 3, RNG(20), dtype=np.float64)
+        block.layer2.bn.gamma.data[...] = 1.0  # a fresh block's main path passes no gradient
+        x = RNG(21).normal(size=(2, 3, 6))
+        c = Tensor(RNG(22).normal(size=(2, 3, 6)))
+
+        def input_grad(forward):
+            leaf = Tensor(x, requires_grad=True)
+            with Tape() as tape:
+                loss = F.tensor_sum(F.mul(forward(leaf), c))
+            backward(loss, tape)
+            return leaf.grad
+
+        main = input_grad(lambda t: block.layer2.forward(block.layer1.forward(t)))
+        assert np.abs(main).max() > 0
+        np.testing.assert_allclose(input_grad(block.forward), main + c.data, rtol=1e-12, atol=1e-12)
+
     def test_projection_weight_count_64_128(self):
         block = ConvBlock("standard", 64, 128, RNG(14))
         assert block.projection.data.size == 8_192

@@ -35,12 +35,17 @@ class TestConv1d:
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(3)
-        for in_ch, out_ch, length, k, pad in [(1, 1, 4, 3, 1), (2, 3, 5, 3, 1), (3, 2, 6, 1, 0), (2, 2, 4, 3, 0)]:
-            x = rng.normal(size=(in_ch, length))
+        cases = [
+            (1, 1, 1, 4, 3, 1), (1, 2, 3, 5, 3, 1), (1, 3, 2, 6, 1, 0), (1, 2, 2, 4, 3, 0),
+            (3, 4, 5, 6, 1, 0), (2, 2, 3, 4, 3, 2), (2, 2, 2, 1, 7, 4),
+        ]
+        for batch, in_ch, out_ch, length, k, pad in cases:
+            x = rng.normal(size=(batch, in_ch, length))
             w = rng.normal(size=(out_ch, in_ch, k))
             b = rng.normal(size=out_ch)
-            ours = F.conv1d(Tensor(x[None]), Tensor(w), Tensor(b), padding=pad)
-            np.testing.assert_allclose(ours.data[0], conv1d_direct(x, w, b, pad), rtol=1e-5, atol=1e-6)
+            ours = F.conv1d(Tensor(x), Tensor(w), Tensor(b), padding=pad)
+            for i in range(batch):
+                np.testing.assert_allclose(ours.data[i], conv1d_direct(x[i], w, b, pad), rtol=1e-5, atol=1e-6)
 
     def test_batch_rows_match_batches_of_one(self):
         rng = np.random.default_rng(4)
@@ -85,11 +90,11 @@ class TestDepthwise:
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(6)
-        for channels, length in [(1, 4), (2, 5), (4, 8)]:
+        for channels, length, pad in [(1, 4, 1), (2, 5, 1), (4, 8, 1), (3, 5, 0), (3, 4, 2)]:
             x = rng.normal(size=(channels, length))
             w = rng.normal(size=(channels, 3))
-            ours = F.depthwise_conv1d(Tensor(x[None]), Tensor(w), padding=1)
-            np.testing.assert_allclose(ours.data[0], depthwise_conv1d_direct(x, w, 1), rtol=1e-5, atol=1e-6)
+            ours = F.depthwise_conv1d(Tensor(x[None]), Tensor(w), padding=pad)
+            np.testing.assert_allclose(ours.data[0], depthwise_conv1d_direct(x, w, pad), rtol=1e-5, atol=1e-6)
 
     def test_equals_block_diagonal_conv(self):
         # Brute-force: a depthwise filter is a full convolution whose weight
@@ -203,6 +208,48 @@ class TestBackward:
         backward(loss, tape)
         np.testing.assert_array_equal(x.grad, [2])
 
+    def test_add_of_a_tensor_to_itself_sums_both_gradients(self):
+        x = Tensor(np.zeros(4), requires_grad=True, dtype=np.float64)
+        c = Tensor([1.0, -2.0, 3.0, 0.5], dtype=np.float64)
+        with Tape() as tape:
+            loss = F.tensor_sum(F.mul(F.add(x, x), c))
+        backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, 2 * c.data)
+
+    def test_add_gives_each_operand_its_own_gradient(self):
+        a = Tensor(np.zeros(3), requires_grad=True, dtype=np.float64)
+        b = Tensor(np.zeros(3), requires_grad=True, dtype=np.float64)
+        with Tape() as tape:
+            loss = F.tensor_sum(F.mul(F.add(a, b), Tensor([1.0, 2.0, 3.0], dtype=np.float64)))
+        backward(loss, tape)
+        assert not np.may_share_memory(a.grad, b.grad)
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, [1, 2, 3])
+
+    def test_first_gradient_kept_only_when_owned_writeable_and_matching(self):
+        owned = np.ones(3, dtype=np.float32)
+        t = Tensor(np.zeros(3, dtype=np.float32))
+        t.accumulate_grad(owned)
+        assert t.grad is owned
+        base = np.ones(6, dtype=np.float32)
+        readonly = np.ones(3, dtype=np.float32)
+        readonly.flags.writeable = False
+        for g in (base[:3], readonly, np.ones(3), np.ones((1, 3), dtype=np.float32)):
+            t = Tensor(np.zeros(3, dtype=np.float32))
+            t.accumulate_grad(g)
+            assert t.grad.dtype == np.float32 and not np.may_share_memory(t.grad, g)
+            t.accumulate_grad(np.ones(3, dtype=np.float32))
+            np.testing.assert_array_equal(g, 1.0)
+
+    def test_recorded_outputs_release_their_gradient(self):
+        x = Tensor(np.arange(1.0, 5.0), requires_grad=True, dtype=np.float64)
+        with Tape() as tape:
+            loss = F.tensor_sum(F.relu(F.mul(x, x)))
+        recorded = [out for _name, out, _pull in tape.entries]
+        backward(loss, tape)
+        assert all(out.grad is None for out in recorded)
+        np.testing.assert_array_equal(x.grad, 2 * x.data)
+
 
 class TestGradCheck:
     def test_sum_is_exact(self):
@@ -223,6 +270,32 @@ class TestGradCheck:
                 [Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True, dtype=np.float64),
                  Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True, dtype=np.float64),
                  Tensor(rng.normal(size=4), requires_grad=True, dtype=np.float64)],
+            )),
+            ("conv1d_k1_pad0", lambda rng: (
+                lambda x, w, b: F.tensor_sum(F.mul(F.conv1d(x, w, b), F.conv1d(x, w, b))),
+                [Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True, dtype=np.float64),
+                 Tensor(rng.normal(size=(4, 3, 1)), requires_grad=True, dtype=np.float64),
+                 Tensor(rng.normal(size=4), requires_grad=True, dtype=np.float64)],
+            )),
+            ("conv1d_k3_pad0", lambda rng: (
+                lambda x, w: F.tensor_sum(F.mul(F.conv1d(x, w, padding=0), F.conv1d(x, w, padding=0))),
+                [Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True, dtype=np.float64),
+                 Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True, dtype=np.float64)],
+            )),
+            ("conv1d_k3_pad2", lambda rng: (
+                lambda x, w: F.tensor_sum(F.mul(F.conv1d(x, w, padding=2), F.conv1d(x, w, padding=2))),
+                [Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True, dtype=np.float64),
+                 Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True, dtype=np.float64)],
+            )),
+            ("depthwise_pad0", lambda rng: (
+                lambda x, w: F.tensor_sum(F.mul(F.depthwise_conv1d(x, w, padding=0), F.depthwise_conv1d(x, w, padding=0))),
+                [Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True, dtype=np.float64),
+                 Tensor(rng.normal(size=(3, 3)), requires_grad=True, dtype=np.float64)],
+            )),
+            ("depthwise_pad2", lambda rng: (
+                lambda x, w: F.tensor_sum(F.mul(F.depthwise_conv1d(x, w, padding=2), F.depthwise_conv1d(x, w, padding=2))),
+                [Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True, dtype=np.float64),
+                 Tensor(rng.normal(size=(3, 3)), requires_grad=True, dtype=np.float64)],
             )),
             ("depthwise", lambda rng: (
                 lambda x, w: F.tensor_sum(F.mul(F.depthwise_conv1d(x, w, padding=1), F.depthwise_conv1d(x, w, padding=1))),

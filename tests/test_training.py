@@ -135,8 +135,22 @@ class TestSgd:
         with pytest.raises(ValueError):
             TrainConfig(weight_decay=-0.1)
 
+    def test_batch_size_below_two_rejected(self):
+        with pytest.raises(ValueError, match="batch size must be at least 2.*got 1"):
+            TrainConfig(batch_size=1)
+        assert TrainConfig(batch_size=2).batch_size == 2
+
 
 class TestTrainLoop:
+    def test_single_sample_training_set_rejected_up_front(self):
+        pair = synth_dataset(2, 2, 16, seed=0)
+        one = Dataset(pair.indices[:1], pair.labels[:1], n_classes=2, source="one row")
+        model = build_model(tiny_spec(), seed=1)
+        before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(ValueError, match=r"training set has 1 sample.*batch size 4"):
+            train(model, one, synth_dataset(4, 2, 16, seed=1), TrainConfig(batch_size=4, max_epochs=1))
+        assert all(np.array_equal(p.data, b) for p, b in zip(model.parameters(), before))
+
     def test_zero_like_lr_keeps_parameters(self):
         # the smallest positive learning rate is an effective freeze at f32
         spec = tiny_spec()
@@ -170,6 +184,30 @@ class TestTrainLoop:
         four_class = synth_dataset(8, 4, 16, seed=0)
         with pytest.raises(ValueError, match="classes"):
             train(model, four_class, four_class, TrainConfig(max_epochs=1))
+
+
+class TestGradientOwnership:
+    @pytest.mark.parametrize("family", ["svdcnn", "vdcnn"])
+    def test_train_step_leaves_one_private_gradient_per_parameter(self, family):
+        model = build_model(tiny_spec(family=family), seed=3)
+        params = model.parameters()
+        rng = np.random.default_rng(4)
+        for p in params:  # nonzero closing scales and logit weights, so every parameter gets a gradient
+            p.data[...] += rng.normal(0.0, 0.05, p.shape).astype(p.dtype)
+        idx = np.random.default_rng(5).integers(0, 69, size=(4, 16))
+        with Tape() as tape:
+            loss = cross_entropy(model.forward(idx), np.array([0, 1, 1, 0]))
+        recorded = [out for _name, out, _pull in tape.entries]
+        backward(loss, tape)
+        assert all(out.grad is None for out in recorded)
+        assert all(p.grad is not None and p.grad.shape == p.shape and np.abs(p.grad).max() > 0 for p in params)
+        for i, p in enumerate(params):
+            for q in params[i + 1:]:
+                assert not np.may_share_memory(p.grad, q.grad)
+        opt = SGD(params, lr=0.1, momentum=0.0, weight_decay=0.0)
+        grads = [p.grad.copy() for p in params]
+        opt.step()
+        assert all(np.array_equal(p.grad, g) for p, g in zip(params, grads))
 
 
 class TestEvaluate:
@@ -235,6 +273,25 @@ class TestCheckpoint:
         assert loaded.checkpoint_epoch == 3
         after = loaded.forward(inputs).data
         assert before.tobytes() == after.tobytes()
+
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
+        model = build_model(tiny_spec(), seed=8)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+
+        def no_draws(*_args, **_kwargs):
+            raise AssertionError("load_checkpoint drew a random init")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded = load_checkpoint(path)
+        for (name, p, _c), (_n, q, _d) in zip(model.named_params(), loaded.named_params()):
+            assert p.data.tobytes() == q.data.tobytes(), name
+
+    def test_unseeded_model_starts_at_zero_weights(self):
+        model = build_model(tiny_spec(), seed=None)
+        for name, t, category in model.named_params():
+            if category != "batchnorm":
+                assert not t.data.any(), name
 
     def test_corrupted_magic_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
