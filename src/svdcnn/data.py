@@ -147,6 +147,8 @@ def split_dataset(dataset: Dataset, val_fraction: float, seed: int) -> tuple[Dat
     """Seeded train/validation split keeping at least one sample per side."""
     if not 0.0 < val_fraction < 1.0:
         raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
+    if len(dataset) < 2:
+        raise ValueError(f"cannot split {len(dataset)} sample(s) into a train and a validation set; need at least 2")
     order = np.random.default_rng(seed).permutation(len(dataset))
     n_val = min(max(1, int(round(len(dataset) * val_fraction))), len(dataset) - 1)
     val, train = order[:n_val], order[n_val:]

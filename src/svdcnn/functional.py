@@ -4,6 +4,9 @@ Every operation is batched. Temporal operations take channel-major feature
 maps ``[B, C, L]``; stride is always 1 and padding is zero-fill. Dense
 operations take rows ``[B, N]``, and the embedding takes index rows
 ``[B, s]``. A single instance is a batch of one (``x[None]``).
+
+An output needs a gradient exactly when one of its inputs does, and only
+such an output's backward is recorded, onto the innermost open tape.
 """
 
 from __future__ import annotations
@@ -26,10 +29,13 @@ def _checked(t: Tensor, layout: str, op: str) -> np.ndarray:
     return t.data
 
 
-def _record(name, out, inputs, pull) -> None:
+def _output(name: str, od: np.ndarray, inputs, pull) -> Tensor:
+    """Wrap ``od``: it needs a gradient iff an input does (None skipped), and only then is ``pull`` taped, if a tape is open."""
+    out = Tensor(od, requires_grad=any(t is not None and t.requires_grad for t in inputs))
     tape = active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if tape is not None and out.requires_grad:
         tape.append(name, out, pull)
+    return out
 
 
 def _tap_slices(length: int, t_out: int, padding: int, k: int) -> list[tuple[slice, slice]]:
@@ -94,9 +100,6 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
     if bias is not None:
         od += bias.data[:, None]
 
-    requires = x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
-    out = Tensor(od, requires_grad=requires)
-
     def pull(g):
         if weight.requires_grad:
             weight.accumulate_grad(
@@ -108,8 +111,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
             back = [(src, dst) for dst, src in slices]
             x.accumulate_grad(_tap_sum(length, back, lambda kk, dst: np.matmul(taps[kk].T, g[:, :, dst])))
 
-    _record("conv1d", out, [x, weight] + ([bias] if bias is not None else []), pull)
-    return out
+    return _output("conv1d", od, (x, weight, bias), pull)
 
 
 def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
@@ -126,6 +128,8 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
     channels, k = w.shape
     if k % 2 == 0:
         raise ShapeError(f"kernel size must be odd, got {k}")
+    if padding < 0:
+        raise ValueError(f"padding must be non-negative, got {padding}")
     _batch, in_ch, length = xa.shape
     if in_ch != channels:
         raise ShapeError(f"input has {in_ch} channels but weight has {channels}")
@@ -136,8 +140,6 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
     slices = _tap_slices(length, t_out, padding, k)
     od = _tap_sum(t_out, slices, lambda kk, src: xa[:, :, src] * w[None, :, kk, None])
 
-    out = Tensor(od, requires_grad=x.requires_grad or weight.requires_grad)
-
     def pull(g):
         if weight.requires_grad:
             weight.accumulate_grad(np.stack([np.einsum("bct,bct->c", g[:, :, dst], xa[:, :, src]) for dst, src in slices], 1))
@@ -145,8 +147,7 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
             back = [(src, dst) for dst, src in slices]
             x.accumulate_grad(_tap_sum(length, back, lambda kk, dst: g[:, :, dst] * w[None, :, kk, None]))
 
-    _record("depthwise_conv1d", out, [x, weight], pull)
-    return out
+    return _output("depthwise_conv1d", od, (x, weight), pull)
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -159,8 +160,6 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"input of length {xa.shape[1]} incompatible with weight expecting {w.shape[1]}")
     if bias.data.shape != (w.shape[0],):
         raise ShapeError(f"bias shape {bias.shape} does not match {w.shape[0]} outputs")
-    od = xa @ w.T + bias.data
-    out = Tensor(od, requires_grad=x.requires_grad or weight.requires_grad or bias.requires_grad)
 
     def pull(g):
         if weight.requires_grad:
@@ -170,29 +169,22 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if x.requires_grad:
             x.accumulate_grad(g @ w)
 
-    _record("affine", out, [x, weight, bias], pull)
-    return out
+    return _output("affine", xa @ w.T + bias.data, (x, weight, bias), pull)
 
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(x, 0); the derivative at exactly 0 is 0."""
-    od = np.maximum(x.data, 0)
-    out = Tensor(od, requires_grad=x.requires_grad)
-
     def pull(g):
-        if x.requires_grad:
-            g *= x.data > 0
-            x.accumulate_grad(g)
+        g *= x.data > 0
+        x.accumulate_grad(g)
 
-    _record("relu", out, [x], pull)
-    return out
+    return _output("relu", np.maximum(x.data, 0), (x,), pull)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two same-shape tensors."""
     if a.shape != b.shape:
         raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad)
 
     def pull(g):
         if a.requires_grad:
@@ -200,15 +192,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(g.copy())
 
-    _record("add", out, [a, b], pull)
-    return out
+    return _output("add", a.data + b.data, (a, b), pull)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two same-shape tensors."""
     if a.shape != b.shape:
         raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad)
 
     def pull(g):
         if a.requires_grad:
@@ -216,20 +206,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(g * a.data)
 
-    _record("mul", out, [a, b], pull)
-    return out
+    return _output("mul", a.data * b.data, (a, b), pull)
 
 
 def tensor_sum(x: Tensor) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
-    out = Tensor(x.data.sum(), requires_grad=x.requires_grad)
-
     def pull(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * np.ones_like(x.data))
+        x.accumulate_grad(g * np.ones_like(x.data))
 
-    _record("sum", out, [x], pull)
-    return out
+    return _output("sum", x.data.sum(), (x,), pull)
 
 
 def maxpool_halve(x: Tensor) -> Tensor:
@@ -247,11 +232,8 @@ def maxpool_halve(x: Tensor) -> Tensor:
     span = 2 * ((length + 1) // 2) - 1  # slice i holds padded position 2*t + i, the i-th entry of window t
     slices = [xp[:, :, i:i + span:2] for i in range(3)]
     od = np.maximum(np.maximum(slices[0], slices[1]), slices[2])
-    out = Tensor(od, requires_grad=x.requires_grad)
 
     def pull(g):
-        if not x.requires_grad:
-            return
         gxp = np.zeros_like(xp)
         taken = np.zeros(od.shape, dtype=bool)
         for i, s in enumerate(slices):
@@ -261,8 +243,7 @@ def maxpool_halve(x: Tensor) -> Tensor:
             gxp[:, :, i:i + span:2] += g * hit
         x.accumulate_grad(gxp[:, :, 1:1 + length])
 
-    _record("maxpool_halve", out, [x], pull)
-    return out
+    return _output("maxpool_halve", od, (x,), pull)
 
 
 def kmax_pool(x: Tensor, k: int) -> Tensor:
@@ -285,18 +266,13 @@ def kmax_pool(x: Tensor, k: int) -> Tensor:
     tied = neg == kth
     keep = above | (tied & (np.cumsum(tied, axis=2, dtype=np.int32) <= k - above.sum(axis=2, keepdims=True)))
     flat = np.flatnonzero(keep)  # row-major: each row's k kept positions, in temporal order
-    od = xa.reshape(-1)[flat].reshape(batch, channels, k)
-    out = Tensor(od, requires_grad=x.requires_grad)
 
     def pull(g):
-        if not x.requires_grad:
-            return
         gx = np.zeros_like(xa)
         gx.reshape(-1)[flat] = g.reshape(-1)
         x.accumulate_grad(gx)
 
-    _record("kmax_pool", out, [x], pull)
-    return out
+    return _output("kmax_pool", xa.reshape(-1)[flat].reshape(batch, channels, k), (x,), pull)
 
 
 def adaptive_avg_pool(x: Tensor, out_len: int) -> Tensor:
@@ -308,31 +284,23 @@ def adaptive_avg_pool(x: Tensor, out_len: int) -> Tensor:
     if length % out_len != 0:
         raise ValueError(f"temporal length {length} is not divisible by output length {out_len}")
     binsize = length // out_len
-    od = xa.reshape(batch, channels, out_len, binsize).mean(axis=3)
-    out = Tensor(od, requires_grad=x.requires_grad)
 
     def pull(g):
-        if not x.requires_grad:
-            return
         gx = np.broadcast_to((g / binsize)[..., None], (batch, channels, out_len, binsize))
         x.accumulate_grad(gx.reshape(batch, channels, length))
 
-    _record("adaptive_avg_pool", out, [x], pull)
-    return out
+    return _output("adaptive_avg_pool", xa.reshape(batch, channels, out_len, binsize).mean(axis=3), (x,), pull)
 
 
 def flatten_features(x: Tensor) -> Tensor:
     """Collapse ``[B, C, L]`` feature maps to ``[B, C*L]`` rows."""
     xa = _checked(x, "[B, C, L]", "flatten_features")
     batch, channels, length = xa.shape
-    out = Tensor(xa.reshape(batch, channels * length), requires_grad=x.requires_grad)
 
     def pull(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.reshape(batch, channels, length))
+        x.accumulate_grad(g.reshape(batch, channels, length))
 
-    _record("flatten", out, [x], pull)
-    return out
+    return _output("flatten", xa.reshape(batch, channels * length), (x,), pull)
 
 
 def embedding(indices, table: Tensor) -> Tensor:
@@ -345,18 +313,13 @@ def embedding(indices, table: Tensor) -> Tensor:
     if bad.any():
         b0, p0 = np.argwhere(bad)[0]
         raise IndexError(f"character index {idx[b0, p0]} at position {p0} is outside [0, {vocab})")
-    od = np.ascontiguousarray(table.data[idx].transpose(0, 2, 1))
-    out = Tensor(od, requires_grad=table.requires_grad)
 
     def pull(g):
-        if not table.requires_grad:
-            return
         acc = np.zeros_like(table.data)
         np.add.at(acc, idx.reshape(-1), g.transpose(0, 2, 1).reshape(-1, dim))
         table.accumulate_grad(acc)
 
-    _record("embedding", out, [table], pull)
-    return out
+    return _output("embedding", np.ascontiguousarray(table.data[idx].transpose(0, 2, 1)), (table,), pull)
 
 
 def _batch_norm(op: str, x: Tensor, xc: np.ndarray, gamma: Tensor, beta: Tensor, var, eps: float, batch_stats: bool) -> Tensor:
@@ -374,7 +337,6 @@ def _batch_norm(op: str, x: Tensor, xc: np.ndarray, gamma: Tensor, beta: Tensor,
     xhat *= inv[None, :, None]
     od = gamma.data[None, :, None] * xhat
     od += beta.data[None, :, None]
-    out = Tensor(od, requires_grad=x.requires_grad or gamma.requires_grad or beta.requires_grad)
 
     def pull(g):
         g_sum = g.sum(axis=(0, 2))
@@ -391,8 +353,7 @@ def _batch_norm(op: str, x: Tensor, xc: np.ndarray, gamma: Tensor, beta: Tensor,
             g *= (gamma.data * inv)[None, :, None]
             x.accumulate_grad(g)
 
-    _record(op, out, [x, gamma, beta], pull)
-    return out
+    return _output(op, od, (x, gamma, beta), pull)
 
 
 def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
@@ -450,15 +411,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         bad = lab[(lab < 0) | (lab >= classes)][0]
         raise ValueError(f"label {bad} outside [0, {classes})")
     logp = _log_softmax(la)
-    od = np.asarray(-logp[np.arange(batch), lab].mean(), dtype=la.dtype)
-    out = Tensor(od, requires_grad=logits.requires_grad)
 
     def pull(g):
-        if not logits.requires_grad:
-            return
         p = np.exp(logp)
         p[np.arange(batch), lab] -= 1.0
         logits.accumulate_grad(p * (g / batch))
 
-    _record("cross_entropy", out, [logits], pull)
-    return out
+    return _output("cross_entropy", np.asarray(-logp[np.arange(batch), lab].mean(), dtype=la.dtype), (logits,), pull)

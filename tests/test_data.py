@@ -230,6 +230,10 @@ class TestSplit:
         assert len(train) + len(val) == 50
         assert len(val) == 10
 
+    def test_single_sample_rejected_with_its_count(self):
+        with pytest.raises(ValueError, match=r"cannot split 1 sample\(s\).*at least 2"):
+            split_dataset(self._make(1), 0.2, seed=0)
+
     def _make(self, n):
         indices = np.repeat(np.arange(n)[:, None], 4, axis=1).astype(np.uint8)
         return Dataset(indices, np.arange(n) % 2, n_classes=2, source="unit")
