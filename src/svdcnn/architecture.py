@@ -4,8 +4,8 @@ reference table.
 Both network families share the same trunk: an embedding, one standard
 kernel-3 convolution to 64 maps, then four levels of convolutional blocks at
 64/128/256/512 maps with a halving max-pool before each width doubling, so
-channels x length stays constant across levels. They differ in the block
-variant (standard vs depthwise-separable) and in the classifier head
+channels x length stays constant across levels. They differ in each layer's
+convolution (standard vs depthwise-separable) and in the classifier head
 (k-max pooling + three dense layers vs average pooling + one dense layer).
 
 Parameter counts are produced by two independent routes: direct enumeration
@@ -28,8 +28,8 @@ from .functional import DegenerateStatisticsError, maxpool_halve
 from .layers import (
     KERNEL_SIZE,
     AvgPoolLinearHead,
-    BatchNorm,
     ConvBlock,
+    ConvLayer,
     EmbeddingTable,
     KmaxLinearHead,
     Module,
@@ -123,38 +123,23 @@ class Model(Module):
     def __init__(self, spec: ArchitectureSpec, seed: int | None = 0, dtype=DEFAULT_DTYPE):
         rng = None if seed is None else np.random.default_rng(seed)
         self.spec = spec
-        self.mode = "train"
         self.embedding = EmbeddingTable(spec.vocab_size, spec.embed_dim, rng, dtype)
         self.first_conv = TemporalConvLayer(
             spec.embed_dim, FIRST_CONV_CHANNELS, rng, dtype, bn_scale_init=STEM_BN_SCALE
         )
-        variant = "standard" if spec.family == "vdcnn" else "tdsc"
+        layer_cls = TemporalConvLayer if spec.family == "vdcnn" else TdscLayer
         self.levels: list[list[ConvBlock]] = []
         in_ch = FIRST_CONV_CHANNELS
         for channels, n_layers in zip(LEVEL_CHANNELS, depth_layout(spec.depth)):
             blocks = []
             for b in range(n_layers // 2):
-                blocks.append(ConvBlock(variant, in_ch if b == 0 else channels, channels, rng, dtype))
+                blocks.append(ConvBlock(layer_cls, in_ch if b == 0 else channels, channels, rng, dtype))
             self.levels.append(blocks)
             in_ch = channels
         if spec.family == "vdcnn":
             self.head = KmaxLinearHead(LEVEL_CHANNELS[-1], spec.pooled_len, spec.fc_hidden, spec.n_classes, rng, dtype)
         else:
             self.head = AvgPoolLinearHead(LEVEL_CHANNELS[-1], spec.pooled_len, spec.n_classes, rng, dtype)
-
-    def train(self) -> "Model":
-        self.mode = "train"
-        for module in self.modules():
-            if isinstance(module, BatchNorm):
-                module.mode = "train"
-        return self
-
-    def eval(self) -> "Model":
-        self.mode = "eval"
-        for module in self.modules():
-            if isinstance(module, BatchNorm):
-                module.mode = "eval"
-        return self
 
     def _members(self):
         for name, value in vars(self).items():
@@ -187,7 +172,7 @@ class Model(Module):
 
     def conv_depth(self) -> int:
         """Network depth: the first convolution plus one per block layer."""
-        return sum(m.depth_units for m in self.modules() if isinstance(m, (TemporalConvLayer, TdscLayer)))
+        return sum(isinstance(m, ConvLayer) for m in self.modules())
 
     def parameters(self) -> list[Tensor]:
         return [t for _n, t, _c in self.named_params()]

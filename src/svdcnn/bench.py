@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -101,5 +101,12 @@ def save_stats(stats: LatencyStats, path) -> None:
 
 
 def load_stats(path) -> LatencyStats:
+    """Read a record written by :func:`save_stats`; ValueError names the path if it is malformed."""
     with open(path, encoding="utf-8") as fh:
-        return LatencyStats(**json.load(fh))
+        record = json.load(fh)
+    names = [f.name for f in fields(LatencyStats)]
+    required = [f.name for f in fields(LatencyStats) if f.default is MISSING]
+    if not isinstance(record, dict) or not set(required) <= record.keys() <= set(names):
+        raise ValueError(f"{path}: expected a JSON object with the fields {', '.join(required)} "
+                         f"(optional: {', '.join(n for n in names if n not in required)})")
+    return LatencyStats(**record)

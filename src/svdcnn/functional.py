@@ -22,10 +22,14 @@ class DegenerateStatisticsError(ValueError):
     """Batch statistics requested over too few values."""
 
 
-def _checked(t: Tensor, layout: str, op: str) -> np.ndarray:
-    """``t.data`` after checking that its rank matches ``layout``, e.g. "[B, C, L]"."""
+def _checked(t: Tensor, layout: str, op: str, **per_channel) -> np.ndarray:
+    """``t.data`` after checking that its rank matches ``layout``, e.g. "[B, C, L]", and that
+    each ``per_channel`` array (Tensor or ndarray) has shape ``(C,)``."""
     if t.data.ndim != layout.count(",") + 1:
         raise ShapeError(f"{op} input must be {layout}, got shape {t.shape}")
+    for name, a in per_channel.items():
+        if a.shape != t.shape[1:2]:
+            raise ShapeError(f"{op} {name} has shape {a.shape}, but the input has {t.shape[1]} channels")
     return t.data
 
 
@@ -365,7 +369,7 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
     variance is the biased estimate used for normalization and ``count`` is
     the number of values per channel.
     """
-    xa = _checked(x, "[B, C, L]", "batch_norm_train")
+    xa = _checked(x, "[B, C, L]", "batch_norm_train", gamma=gamma, beta=beta)
     batch, _channels, length = xa.shape
     count = batch * length
     if count < 2:
@@ -388,7 +392,9 @@ def batch_norm_eval(
     eps: float,
 ) -> Tensor:
     """Normalize ``x [B, C, L]`` per channel with fixed running statistics."""
-    xc = _checked(x, "[B, C, L]", "batch_norm_eval") - running_mean[None, :, None]
+    xa = _checked(x, "[B, C, L]", "batch_norm_eval",
+                  gamma=gamma, beta=beta, running_mean=running_mean, running_var=running_var)
+    xc = xa - running_mean[None, :, None]
     return _batch_norm("batch_norm_eval", x, xc, gamma, beta, running_var, eps, batch_stats=False)
 
 

@@ -51,6 +51,19 @@ class Module:
     """
 
     category: str  # parameter category of the tensors this module owns
+    mode = "train"  # "train" or "eval"; set for a whole subtree by train()/eval()
+
+    def train(self):
+        """Put this module and every module below it in train mode; returns ``self``."""
+        for module in self.modules():
+            module.mode = "train"
+        return self
+
+    def eval(self):
+        """Put this module and every module below it in eval mode; returns ``self``."""
+        for module in self.modules():
+            module.mode = "eval"
+        return self
 
     def _members(self):
         """``(name, value)`` pairs to walk; subclasses may rename or flatten."""
@@ -102,7 +115,6 @@ class BatchNorm(Module):
         self.running_var = np.ones(channels, dtype=dtype)
         self.momentum = momentum
         self.eps = eps
-        self.mode = "train"
 
     def forward(self, x: Tensor) -> Tensor:
         if self.mode == "train":
@@ -129,11 +141,17 @@ class EmbeddingTable(Module):
         return embedding(indices, self.table)
 
 
-class TemporalConvLayer(Module):
-    """Kernel-3 temporal convolution + batch norm + ReLU."""
+class ConvLayer(Module):
+    """One layer of network depth: the subclass's ``conv``, then ``bn``, then ReLU."""
 
     category = "conv"
-    depth_units = 1
+
+    def forward(self, x: Tensor) -> Tensor:
+        return relu(self.bn.forward(self.conv(x)))
+
+
+class TemporalConvLayer(ConvLayer):
+    """Kernel-3 temporal convolution + batch norm + ReLU."""
 
     def __init__(self, in_channels: int, out_channels: int, rng, dtype=DEFAULT_DTYPE, bn_scale_init: float = 1.0):
         self.in_channels = in_channels
@@ -141,19 +159,16 @@ class TemporalConvLayer(Module):
         self.weight = _fan_in_normal(rng, (out_channels, in_channels, KERNEL_SIZE), in_channels * KERNEL_SIZE, dtype)
         self.bn = BatchNorm(out_channels, dtype=dtype, scale_init=bn_scale_init)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return relu(self.bn.forward(conv1d(x, self.weight, padding=KERNEL_SIZE // 2)))
+    def conv(self, x: Tensor) -> Tensor:
+        return conv1d(x, self.weight, padding=KERNEL_SIZE // 2)
 
 
-class TdscLayer(Module):
+class TdscLayer(ConvLayer):
     """Depthwise kernel-3 filter followed by a 1x1 cross-channel mix + BN + ReLU.
 
     The depthwise/pointwise pair is inseparable and counts as one layer of
     network depth.
     """
-
-    category = "conv"
-    depth_units = 1
 
     def __init__(self, in_channels: int, out_channels: int, rng, dtype=DEFAULT_DTYPE, bn_scale_init: float = 1.0):
         self.in_channels = in_channels
@@ -162,14 +177,12 @@ class TdscLayer(Module):
         self.pointwise = _fan_in_normal(rng, (out_channels, in_channels, 1), in_channels, dtype)
         self.bn = BatchNorm(out_channels, dtype=dtype, scale_init=bn_scale_init)
 
-    def forward(self, x: Tensor) -> Tensor:
-        h = depthwise_conv1d(x, self.depthwise, padding=KERNEL_SIZE // 2)
-        h = conv1d(h, self.pointwise, padding=0)
-        return relu(self.bn.forward(h))
+    def conv(self, x: Tensor) -> Tensor:
+        return conv1d(depthwise_conv1d(x, self.depthwise, padding=KERNEL_SIZE // 2), self.pointwise, padding=0)
 
 
 class ConvBlock(Module):
-    """Two temporal layers at a fixed width wrapped by an additive shortcut.
+    """Two ``layer_cls`` layers at a fixed width wrapped by an additive shortcut.
 
     The first layer maps ``in_channels -> out_channels``, the second keeps
     the width. The shortcut is the identity when the width is unchanged and
@@ -178,11 +191,7 @@ class ConvBlock(Module):
 
     category = "conv"
 
-    def __init__(self, variant: str, in_channels: int, out_channels: int, rng, dtype=DEFAULT_DTYPE):
-        if variant not in ("standard", "tdsc"):
-            raise ValueError(f"unknown block variant {variant!r}")
-        layer_cls = TemporalConvLayer if variant == "standard" else TdscLayer
-        self.variant = variant
+    def __init__(self, layer_cls: type[ConvLayer], in_channels: int, out_channels: int, rng, dtype=DEFAULT_DTYPE):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.layer1 = layer_cls(in_channels, out_channels, rng, dtype)
@@ -200,10 +209,6 @@ class ConvBlock(Module):
         main = self.layer2.forward(self.layer1.forward(x))
         shortcut = x if self.projection is None else conv1d(x, self.projection, padding=0)
         return add(main, shortcut)
-
-    @property
-    def depth_units(self) -> int:
-        return self.layer1.depth_units + self.layer2.depth_units
 
 
 class Linear(Module):

@@ -129,8 +129,7 @@ def train(model: Model, train_set: Dataset, val_set: Dataset, cfg: TrainConfig) 
             f"training set has {len(train_set)} sample(s); a train-mode batch needs at least 2 "
             f"(batch size {cfg.batch_size})"
         )
-    params = model.parameters()
-    opt = SGD(params, cfg.lr, cfg.momentum, cfg.weight_decay)
+    opt = SGD(model.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
     history: list[EpochStats] = []
     best_acc = -1.0
     best_state = None
@@ -159,14 +158,11 @@ def train(model: Model, train_set: Dataset, val_set: Dataset, cfg: TrainConfig) 
             if val_acc > best_acc:
                 best_acc = val_acc
                 best_epoch = epoch
-                best_state = ([p.data.copy() for p in params], [b.copy() for _n, b in model.named_buffers()])
+                best_state = [a.copy() for _n, a in _model_arrays(model)]
         history.append(EpochStats(epoch, float(np.mean(losses)), val_acc))
     if best_state is not None:
-        weights, buffers = best_state
-        for p, w in zip(params, weights):
-            p.data[...] = w
-        for (_n, b), saved in zip(model.named_buffers(), buffers):
-            b[...] = saved
+        for (_n, a), saved in zip(_model_arrays(model), best_state):
+            a[...] = saved
     model.checkpoint_epoch = best_epoch
     model.eval()
     return history

@@ -166,6 +166,22 @@ class TestBench:
         assert code == 0
         assert "0.21" in out
 
+    @pytest.mark.parametrize("record", [
+        {"mean_ms": 1.0},
+        [1, 2],
+        {"mean_ms": 1.0, "std_ms": 0.1, "reps": 10, "warmup": 0, "median_ms": 1.0},
+    ], ids=["missing-fields", "not-an-object", "unknown-field"])
+    def test_compare_rejects_malformed_record(self, capsys, tmp_path, record):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"mean_ms": 5.0, "std_ms": 0.1, "reps": 10, "warmup": 0}))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(record))
+        code, out, err = run(capsys, "bench", "--compare", str(good), str(bad))
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: {bad}: expected a JSON object with the fields mean_ms, std_ms, reps, warmup "
+                       "(optional: environment, resolution_warning)\n")
+
     def test_json_record_written(self, capsys, tmp_path):
         record = tmp_path / "run.json"
         code, _out, _err = run(

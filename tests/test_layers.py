@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from svdcnn import functional as F
+from svdcnn.architecture import ArchitectureSpec, build_model
 from svdcnn.autograd import ShapeError, Tape, Tensor, backward
 from svdcnn.data import Vocabulary
 from svdcnn.functional import DegenerateStatisticsError
-from svdcnn.layers import BatchNorm, ConvBlock, EmbeddingTable, TdscLayer, TemporalConvLayer
+from svdcnn.layers import BatchNorm, ConvBlock, ConvLayer, EmbeddingTable, TdscLayer, TemporalConvLayer
 
 from oracles import kmax_direct, maxpool_direct
 
@@ -50,24 +51,24 @@ class TestTdscLayer:
         layer = TdscLayer(channels, channels, RNG(0))
         layer.depthwise.data[...] = np.tile([0.0, 1.0, 0.0], (channels, 1))
         layer.pointwise.data[...] = np.eye(channels)[:, :, None]
-        layer.bn.mode = "eval"  # running stats are (0, 1), gamma=1, beta=0
+        layer.eval()  # running stats are (0, 1), gamma=1, beta=0
         x = Tensor(RNG(1).normal(size=(channels, 6)).astype(np.float32)[None] * 0.1)
         out = layer.forward(x)
         np.testing.assert_allclose(out.data, np.maximum(x.data, 0), atol=1e-6)
 
     def test_block_weight_count_128_256(self):
-        block = ConvBlock("tdsc", 128, 256, RNG(0))
+        block = ConvBlock(TdscLayer, 128, 256, RNG(0))
         weights = block.layer1.depthwise.data.size + block.layer1.pointwise.data.size
         weights += block.layer2.depthwise.data.size + block.layer2.pointwise.data.size
         assert weights == 99_456
 
     def test_counts_as_one_depth_unit(self):
-        assert TdscLayer(8, 8, RNG(0)).depth_units == 1
+        assert isinstance(TdscLayer(8, 8, RNG(0)), ConvLayer)
 
 
 class TestTemporalConvLayer:
     def test_standard_block_weight_count_128_256(self):
-        block = ConvBlock("standard", 128, 256, RNG(0))
+        block = ConvBlock(TemporalConvLayer, 128, 256, RNG(0))
         weights = block.layer1.weight.data.size + block.layer2.weight.data.size
         assert weights == 294_912
 
@@ -99,8 +100,7 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.data[0], [[-1.0, 1.0]], atol=1e-4)
 
     def test_eval_identity_with_unit_stats(self):
-        bn = BatchNorm(3)
-        bn.mode = "eval"
+        bn = BatchNorm(3).eval()
         x = Tensor(RNG(5).normal(size=(2, 3, 4)).astype(np.float32) * 0.1)
         out = bn.forward(x)
         np.testing.assert_allclose(out.data, x.data, atol=1e-6)
@@ -294,7 +294,7 @@ def _pool_output_and_grad(pool, x):
 
 class TestConvBlock:
     def test_zero_main_path_returns_shortcut(self):
-        block = ConvBlock("standard", 3, 3, RNG(10))
+        block = ConvBlock(TemporalConvLayer, 3, 3, RNG(10))
         block.layer1.weight.data[...] = 0
         block.layer2.weight.data[...] = 0
         x = Tensor(RNG(11).normal(size=(2, 3, 6)).astype(np.float32))
@@ -302,7 +302,7 @@ class TestConvBlock:
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_zero_main_path_projection(self):
-        block = ConvBlock("tdsc", 2, 4, RNG(12))
+        block = ConvBlock(TdscLayer, 2, 4, RNG(12))
         block.layer1.depthwise.data[...] = 0
         block.layer1.pointwise.data[...] = 0
         block.layer2.depthwise.data[...] = 0
@@ -312,9 +312,9 @@ class TestConvBlock:
         expected = F.conv1d(x, block.projection, padding=0)
         np.testing.assert_array_equal(out.data, expected.data)
 
-    @pytest.mark.parametrize("variant", ["standard", "tdsc"])
-    def test_identity_shortcut_input_gets_both_gradients(self, variant):
-        block = ConvBlock(variant, 3, 3, RNG(20), dtype=np.float64)
+    @pytest.mark.parametrize("layer_cls", [TemporalConvLayer, TdscLayer], ids=["standard", "tdsc"])
+    def test_identity_shortcut_input_gets_both_gradients(self, layer_cls):
+        block = ConvBlock(layer_cls, 3, 3, RNG(20), dtype=np.float64)
         block.layer2.bn.gamma.data[...] = 1.0  # a fresh block's main path passes no gradient
         x = RNG(21).normal(size=(2, 3, 6))
         c = Tensor(RNG(22).normal(size=(2, 3, 6)))
@@ -331,23 +331,34 @@ class TestConvBlock:
         np.testing.assert_allclose(input_grad(block.forward), main + c.data, rtol=1e-12, atol=1e-12)
 
     def test_projection_weight_count_64_128(self):
-        block = ConvBlock("standard", 64, 128, RNG(14))
+        block = ConvBlock(TemporalConvLayer, 64, 128, RNG(14))
         assert block.projection.data.size == 8_192
 
     def test_projection_only_when_widths_differ(self):
-        assert ConvBlock("tdsc", 64, 64, RNG(15)).projection is None
-        assert ConvBlock("tdsc", 64, 128, RNG(15)).projection is not None
+        assert ConvBlock(TdscLayer, 64, 64, RNG(15)).projection is None
+        assert ConvBlock(TdscLayer, 64, 128, RNG(15)).projection is not None
 
     def test_preserves_length(self):
-        for variant in ("standard", "tdsc"):
-            block = ConvBlock(variant, 4, 8, RNG(16))
+        for layer_cls in (TemporalConvLayer, TdscLayer):
+            block = ConvBlock(layer_cls, 4, 8, RNG(16))
             out = block.forward(Tensor(RNG(17).normal(size=(2, 4, 10)).astype(np.float32)))
             assert out.shape == (2, 8, 10)
 
-    def test_block_is_two_depth_units(self):
-        assert ConvBlock("tdsc", 4, 4, RNG(18)).depth_units == 2
-        assert ConvBlock("standard", 4, 4, RNG(18)).depth_units == 2
 
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError, match="variant"):
-            ConvBlock("fancy", 2, 2, RNG(19))
+class TestModeSwitch:
+    @pytest.mark.parametrize("build", [
+        lambda: build_model(ArchitectureSpec("svdcnn", seq_len=64), seed=0),
+        lambda: build_model(ArchitectureSpec("vdcnn", seq_len=64, fc_hidden=16), seed=0),
+        lambda: ConvBlock(TemporalConvLayer, 4, 8, RNG(0)),
+        lambda: ConvBlock(TdscLayer, 4, 4, RNG(0)),
+    ], ids=["svdcnn", "vdcnn", "standard-block", "separable-block"])
+    def test_sets_every_module_and_returns_the_receiver(self, build):
+        root = build()
+        modules = list(root.modules())
+        assert any(isinstance(m, ConvLayer) for m in modules) and any(isinstance(m, BatchNorm) for m in modules)
+        assert all(m.mode == "train" for m in modules)
+        assert root.eval() is root
+        assert [m for m in modules if m.mode != "eval"] == []
+        assert build().mode == "train"  # the switch sets instances, not the class default
+        assert root.train() is root
+        assert [m for m in modules if m.mode != "train"] == []

@@ -468,6 +468,21 @@ class TestBatchedLayout:
             F.embedding(np.zeros(4, dtype=np.int64), Tensor(np.zeros((5, 2))))
 
 
+class TestPerChannelShapes:
+    @pytest.mark.parametrize(
+        "op,param",
+        [("batch_norm_train", "gamma"), ("batch_norm_train", "beta")]
+        + [("batch_norm_eval", p) for p in ("gamma", "beta", "running_mean", "running_var")],
+    )
+    def test_wrong_channel_count_names_op_parameter_and_shape(self, op, param):
+        args = {"gamma": Tensor(np.ones(2)), "beta": Tensor(np.zeros(2)), "running_mean": np.zeros(2), "running_var": np.ones(2)}
+        args[param] = Tensor(np.ones(3)) if param in ("gamma", "beta") else np.ones(3)
+        if op == "batch_norm_train":
+            del args["running_mean"], args["running_var"]
+        with pytest.raises(ShapeError, match=rf"^{op} {param} has shape \(3,\), but the input has 2 channels$"):
+            getattr(F, op)(Tensor(np.zeros((1, 2, 6))), **args, eps=1e-5)
+
+
 class TestInvariantsAndHygiene:
     def test_outputs_finite_on_finite_inputs(self):
         rng = np.random.default_rng(10)

@@ -172,6 +172,19 @@ class TestTrainLoop:
         assert [e.epoch for e in h1] == [1, 2, 3]
         assert h1 == h2
 
+    def test_ends_holding_every_array_of_the_best_epoch(self, tmp_path):
+        # Epochs replay identically, so a run stopped at the best epoch holds
+        # exactly the parameters and running statistics the longer run restores.
+        train_set, val_set = synth_dataset(16, 2, 16, seed=1), synth_dataset(8, 2, 16, seed=2)
+        paths = []
+        for epochs in (3, 2):
+            model = build_model(tiny_spec(), seed=0)
+            train(model, train_set, val_set, TrainConfig(batch_size=8, max_epochs=epochs, seed=0))
+            assert model.checkpoint_epoch == 2
+            paths.append(tmp_path / f"{epochs}.ckpt")
+            save_checkpoint(model, paths[-1], epoch=model.checkpoint_epoch)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_one_sample_final_batch_joins_the_batch_before(self):
         # 5 samples at batch size 4 leave one sample, too few for batch statistics
         train_set = synth_dataset(5, 2, 16, seed=8)
