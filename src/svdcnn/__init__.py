@@ -74,6 +74,7 @@ from .training import (
     TrainingDivergedError,
     evaluate,
     load_checkpoint,
+    predict_logits,
     save_checkpoint,
     train,
 )

@@ -100,8 +100,13 @@ def save_stats(stats: LatencyStats, path) -> None:
         fh.write("\n")
 
 
+# JSON types each annotated field type accepts; bool is an int subclass, so it is refused where not named.
+_RECORD_TYPES = {"float": ((int, float), "a real number"), "int": (int, "an integer"), "str": (str, "a string"),
+                 "bool": (bool, "true or false")}
+
+
 def load_stats(path) -> LatencyStats:
-    """Read a record written by :func:`save_stats`; ValueError names the path if it is malformed."""
+    """Read a record written by :func:`save_stats`; ValueError names the path (and field) if it is malformed."""
     with open(path, encoding="utf-8") as fh:
         record = json.load(fh)
     names = [f.name for f in fields(LatencyStats)]
@@ -109,4 +114,9 @@ def load_stats(path) -> LatencyStats:
     if not isinstance(record, dict) or not set(required) <= record.keys() <= set(names):
         raise ValueError(f"{path}: expected a JSON object with the fields {', '.join(required)} "
                          f"(optional: {', '.join(n for n in names if n not in required)})")
+    for f in fields(LatencyStats):
+        accepted, described = _RECORD_TYPES[f.type]
+        value = record.get(f.name, f.default)
+        if not isinstance(value, accepted) or (isinstance(value, bool) and f.type != "bool"):
+            raise ValueError(f"{path}: field {f.name} must be {described}, got {json.dumps(value)}")
     return LatencyStats(**record)

@@ -18,6 +18,7 @@ from .training import (
     TrainingDivergedError,
     evaluate,
     load_checkpoint,
+    predict_logits,
     save_checkpoint,
     train,
 )
@@ -176,13 +177,30 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of ``path`` (``-`` is stdin) without their line endings."""
+    if path == "-":
+        return [line.rstrip("\n") for line in sys.stdin]
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        return [line.rstrip("\n") for line in fh]
+
+
+def _probabilities(logits: np.ndarray) -> str:
+    return " ".join(f"{p:.6f}" for p in np.exp(_log_softmax(logits.astype(np.float64))))
+
+
 def cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    indices = quantize(args.text, Vocabulary(), model.spec.seq_len)
-    logits = model.forward(indices[None]).data[0]
-    probs = np.exp(_log_softmax(logits.astype(np.float64)))
-    print(f"class: {int(logits.argmax())}")
-    print("probabilities: " + " ".join(f"{p:.6f}" for p in probs))
+    texts = [args.text] if args.text is not None else _read_lines(args.file)
+    vocab, seq_len = Vocabulary(), model.spec.seq_len
+    rows = np.array([quantize(text, vocab, seq_len) for text in texts], dtype=np.uint8).reshape(len(texts), seq_len)
+    logits = predict_logits(model, rows)
+    if args.text is not None:
+        print(f"class: {int(logits[0].argmax())}")
+        print(f"probabilities: {_probabilities(logits[0])}")
+        return 0
+    for row in logits:
+        print(f"{int(row.argmax())}\t{_probabilities(row)}")
     return 0
 
 
@@ -243,9 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", default=None, help="history JSONL path (defaults to OUT.history.jsonl)")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="classify one text with a trained checkpoint")
+    p = sub.add_parser("predict", help="classify texts with a trained checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--text", required=True)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--text", help="classify this one text")
+    source.add_argument("--file", help="classify each line of this file (- reads stdin); "
+                                       "prints one 'class<TAB>probabilities' line per text")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("bench", help="measure single-instance inference latency")

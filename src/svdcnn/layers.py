@@ -1,8 +1,10 @@
 """Layers for the character-level convolutional classifiers.
 
 Every temporal layer preserves the sequence length (kernel 3, padding 1);
-only pooling changes it. Convolutions carry no bias because each one is
-followed by a batch normalization whose shift subsumes it.
+only pooling changes it. Convolutions have no bias parameter because each
+one is followed by a batch normalization whose shift subsumes it; an eval
+forward with no tape open folds that normalization into the convolution's
+weight and passes its shift as the ``conv1d`` bias (see ``ConvLayer``).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 
 import numpy as np
 
-from .autograd import DEFAULT_DTYPE, Tensor
+from .autograd import DEFAULT_DTYPE, Tensor, active_tape
 from .functional import (
     add,
     adaptive_avg_pool,
@@ -142,12 +144,34 @@ class EmbeddingTable(Module):
 
 
 class ConvLayer(Module):
-    """One layer of network depth: the subclass's ``conv``, then ``bn``, then ReLU."""
+    """One layer of network depth: the subclass's convolution, then ``bn``, then ReLU.
+
+    A subclass's convolution ends in a ``conv1d`` with the weight
+    ``last_weight``; ``conv(x, weight, bias)`` runs it with ``weight`` and
+    ``bias`` in that ``conv1d``'s place.
+    """
 
     category = "conv"
 
     def forward(self, x: Tensor) -> Tensor:
-        return relu(self.bn.forward(self.conv(x)))
+        """``relu(bn(conv(x)))``; in eval mode with no tape open, the batch norm is folded into the convolution.
+
+        The fold scales the output channels of ``last_weight`` by
+        ``gamma / sqrt(running_var + eps)`` and passes ``beta - scale *
+        running_mean`` as the bias, so one ``conv1d`` does the work of
+        ``conv1d`` then ``batch_norm_eval``. It is computed from the live
+        arrays on every call and never stored, so parameters, buffers and
+        checkpoints stay unfolded and in-place writes to them show at the
+        next forward. With a tape open, the batch norm runs unfolded and its
+        gradients are recorded.
+        """
+        weight = self.last_weight
+        if self.mode == "train" or active_tape() is not None:
+            return relu(self.bn.forward(self.conv(x, weight)))
+        bn = self.bn
+        scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+        folded = Tensor(weight.data * scale[:, None, None])
+        return relu(self.conv(x, folded, Tensor(bn.beta.data - scale * bn.running_mean)))
 
 
 class TemporalConvLayer(ConvLayer):
@@ -159,15 +183,19 @@ class TemporalConvLayer(ConvLayer):
         self.weight = _fan_in_normal(rng, (out_channels, in_channels, KERNEL_SIZE), in_channels * KERNEL_SIZE, dtype)
         self.bn = BatchNorm(out_channels, dtype=dtype, scale_init=bn_scale_init)
 
-    def conv(self, x: Tensor) -> Tensor:
-        return conv1d(x, self.weight, padding=KERNEL_SIZE // 2)
+    @property
+    def last_weight(self) -> Tensor:
+        return self.weight
+
+    def conv(self, x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+        return conv1d(x, weight, bias, padding=KERNEL_SIZE // 2)
 
 
 class TdscLayer(ConvLayer):
     """Depthwise kernel-3 filter followed by a 1x1 cross-channel mix + BN + ReLU.
 
     The depthwise/pointwise pair is inseparable and counts as one layer of
-    network depth.
+    network depth. A batch-norm fold scales the pointwise mix only.
     """
 
     def __init__(self, in_channels: int, out_channels: int, rng, dtype=DEFAULT_DTYPE, bn_scale_init: float = 1.0):
@@ -177,8 +205,12 @@ class TdscLayer(ConvLayer):
         self.pointwise = _fan_in_normal(rng, (out_channels, in_channels, 1), in_channels, dtype)
         self.bn = BatchNorm(out_channels, dtype=dtype, scale_init=bn_scale_init)
 
-    def conv(self, x: Tensor) -> Tensor:
-        return conv1d(depthwise_conv1d(x, self.depthwise, padding=KERNEL_SIZE // 2), self.pointwise, padding=0)
+    @property
+    def last_weight(self) -> Tensor:
+        return self.pointwise
+
+    def conv(self, x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+        return conv1d(depthwise_conv1d(x, self.depthwise, padding=KERNEL_SIZE // 2), weight, bias, padding=0)
 
 
 class ConvBlock(Module):

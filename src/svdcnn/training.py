@@ -102,14 +102,19 @@ class TrainingDivergedError(RuntimeError):
         self.loss_value = loss_value
 
 
+def predict_logits(model: Model, indices, batch_size: int = 256) -> np.ndarray:
+    """Eval-mode logits ``[N, classes]`` of index rows ``[N, s]``, ``batch_size`` rows per forward."""
+    model.eval()
+    batches = [model.forward(indices[start:start + batch_size]).data for start in range(0, len(indices), batch_size)]
+    if not batches:
+        return np.zeros((0, model.spec.n_classes), dtype=model.embedding.table.dtype)
+    return np.concatenate(batches)
+
+
 def evaluate(model: Model, dataset: Dataset, batch_size: int = 256) -> float:
     """Eval-mode accuracy; argmax ties resolve to the lowest class index."""
-    model.eval()
-    correct = 0
-    for start in range(0, len(dataset), batch_size):
-        logits = model.forward(dataset.indices[start:start + batch_size]).data
-        correct += int((logits.argmax(axis=1) == dataset.labels[start:start + batch_size]).sum())
-    return correct / len(dataset)
+    logits = predict_logits(model, dataset.indices, batch_size)
+    return int((logits.argmax(axis=1) == dataset.labels).sum()) / len(dataset)
 
 
 def train(model: Model, train_set: Dataset, val_set: Dataset, cfg: TrainConfig) -> list[EpochStats]:

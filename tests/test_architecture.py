@@ -27,8 +27,10 @@ from svdcnn.architecture import (
     tdsc_block_weights,
     tdsc_layer_weights,
 )
-from svdcnn.autograd import ShapeError, Tape
-from svdcnn.functional import DegenerateStatisticsError
+from svdcnn.autograd import ShapeError, Tape, backward
+from svdcnn.functional import DegenerateStatisticsError, cross_entropy
+from svdcnn.layers import ConvLayer
+from svdcnn.training import save_checkpoint
 
 from oracles import level_shapes
 
@@ -124,6 +126,115 @@ class TestBuildAndForward:
         assert lengths == [64, 32, 16, 8]
 
 
+def randomized_eval_model(family):
+    """A depth-9 model at s=64 in eval mode, with random batch-norm scales, shifts and running
+    statistics and a random classifier, so every layer reaches the logits.
+
+    The final length is 8, equal to vdcnn's k, so k-max pooling keeps every value and the logits
+    are continuous in the trunk's output.
+    """
+    model = build_model(ArchitectureSpec(family, seq_len=64, fc_hidden=32), seed=0)
+    rng = np.random.default_rng(7)
+    for name, t, category in model.named_params():
+        if name.endswith(".gamma"):
+            t.data[...] = rng.uniform(0.2, 1.5, t.shape)
+        elif name.endswith(".beta"):
+            t.data[...] = rng.normal(0.0, 0.2, t.shape)
+        elif category == "fc" and t.data.ndim == 2:
+            t.data[...] = rng.normal(0.0, 1.0 / np.sqrt(t.shape[1]), t.shape)
+    for name, buf in model.named_buffers():
+        if name.endswith("running_mean"):
+            buf[...] = rng.normal(0.0, 0.5, buf.shape)
+        else:
+            buf[...] = rng.uniform(0.5, 2.0, buf.shape)
+    return model.eval()
+
+
+FOLD_INPUTS = np.random.default_rng(8).integers(0, 70, size=(3, 64))
+
+
+def taped_logits(model, idx):
+    """Eval logits with a tape open, which runs every batch norm unfolded."""
+    with Tape():
+        return model.forward(idx).data
+
+
+def assert_fold_close(folded, unfolded):
+    """Within 1e-5 of max(1, the row's largest |logit|), the float32 rounding of scaling the weights
+    instead of the activations, as in perfbench's reference check."""
+    scale = np.maximum(1.0, np.abs(unfolded).max(axis=1, keepdims=True))
+    assert np.abs(unfolded).max() > 0.1
+    assert (np.abs(folded - unfolded) <= 1e-5 * scale).all()
+
+
+@pytest.mark.parametrize("family", ["vdcnn", "svdcnn"])
+class TestBatchNormFold:
+    def test_tapeless_logits_match_taped_logits(self, family):
+        model = randomized_eval_model(family)
+        assert_fold_close(model.forward(FOLD_INPUTS).data, taped_logits(model, FOLD_INPUTS))
+
+    @pytest.mark.parametrize("target", ["conv-weight", "running-var"])
+    def test_in_place_write_shows_at_next_forward(self, family, target):
+        model = randomized_eval_model(family)
+        before = model.forward(FOLD_INPUTS).data
+        layer = model.levels[0][0].layer1
+        if target == "conv-weight":
+            layer.last_weight.data *= 1.5
+        else:
+            layer.bn.running_var *= 3.0
+        after = model.forward(FOLD_INPUTS).data
+        assert np.abs(after - before).max() > 1e-3
+        assert_fold_close(after, taped_logits(model, FOLD_INPUTS))
+
+    def test_tapeless_forward_leaves_state_and_checkpoint_unchanged(self, family, tmp_path):
+        model = randomized_eval_model(family)
+
+        def state():
+            return ([(name, t.data.tobytes()) for name, t, _c in model.named_params()]
+                    + [(name, buf.tobytes()) for name, buf in model.named_buffers()])
+
+        before = state()
+        save_checkpoint(model, tmp_path / "before.ckpt")
+        model.forward(FOLD_INPUTS)
+        assert state() == before
+        save_checkpoint(model, tmp_path / "after.ckpt")
+        assert (tmp_path / "after.ckpt").read_bytes() == (tmp_path / "before.ckpt").read_bytes()
+
+    def test_taped_eval_records_batch_norm_and_reaches_gamma(self, family):
+        model = randomized_eval_model(family)
+        with Tape() as tape:
+            loss = cross_entropy(model.forward(FOLD_INPUTS), np.arange(3) % 4)
+        backward(loss, tape)
+        layers = [m for m in model.modules() if isinstance(m, ConvLayer)]
+        assert [name for name, _out, _pull in tape.entries].count("batch_norm_eval") == len(layers) == 9
+        for layer in layers:
+            assert np.abs(layer.bn.gamma.grad).max() > 0
+            assert layer.bn.beta.grad is not None and layer.last_weight.grad is not None
+
+
+def run_in_threads(run, inputs, rounds=3):
+    """``run(x)`` ``rounds`` times per input, one thread per input, switching threads every
+    microsecond; returns each input's list of results."""
+    results = [[] for _ in inputs]
+
+    def worker(i):
+        for _ in range(rounds):
+            results[i].append(run(inputs[i]))
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(inputs))]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
 class TestConcurrentEvalForwards:
     def test_open_tape_on_another_thread_records_nothing(self):
         model = build_model(ArchitectureSpec("svdcnn", seq_len=64), seed=0).eval()
@@ -157,28 +268,19 @@ class TestConcurrentEvalForwards:
             return logits, len(tape)
 
         serial = [run(idx) for idx in inputs]
-        results = [None] * len(inputs)
+        for got, (want_logits, want_entries) in zip(run_in_threads(run, inputs), serial):
+            for logits, n_entries in got:
+                assert n_entries == want_entries
+                assert logits.tobytes() == want_logits.tobytes()
 
-        def worker(i):
-            for _ in range(3):
-                results[i] = run(inputs[i])
-                if results[i][1] != serial[i][1]:
-                    return
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(inputs))]
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old_interval)
-        assert not any(t.is_alive() for t in threads)
-        for (logits, n_entries), (want_logits, want_entries) in zip(results, serial):
-            assert n_entries == want_entries
-            assert logits.tobytes() == want_logits.tobytes()
+    @pytest.mark.parametrize("family", ["vdcnn", "svdcnn"])
+    def test_tapeless_threads_match_serial_logits(self, family):
+        # no tape open: every layer runs the folded batch norm, the path serving uses
+        model = randomized_eval_model(family)
+        inputs = [np.random.default_rng(i).integers(0, 70, size=(2, 64)) for i in range(4)]
+        serial = [model.forward(idx).data for idx in inputs]
+        for got, want in zip(run_in_threads(lambda idx: model.forward(idx).data, inputs), serial):
+            assert [logits.tobytes() for logits in got] == [want.tobytes()] * 3
 
 
 class TestHeadCounts:

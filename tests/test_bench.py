@@ -1,6 +1,7 @@
 """Latency statistics with injected clocks, ratios and the protocol defaults."""
 
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -117,6 +118,29 @@ class TestRecords:
             LatencyStats(mean_ms=1.0, std_ms=-0.1, reps=5, warmup=0)
         with pytest.raises(ValueError):
             LatencyStats(mean_ms=1.0, std_ms=0.1, reps=1, warmup=0)
+
+    def test_integer_milliseconds_are_accepted(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"mean_ms": 3, "std_ms": 0, "reps": 10, "warmup": 0}))
+        assert load_stats(path) == LatencyStats(mean_ms=3.0, std_ms=0.0, reps=10, warmup=0)
+
+    @pytest.mark.parametrize("field,value,kind", [
+        ("mean_ms", "1.0", "a real number"),
+        ("std_ms", True, "a real number"),
+        ("reps", "10", "an integer"),
+        ("reps", 10.0, "an integer"),
+        ("warmup", False, "an integer"),
+        ("environment", 3, "a string"),
+        ("resolution_warning", 0, "true or false"),
+    ], ids=["float-given-str", "float-given-bool", "int-given-str", "int-given-float", "int-given-bool",
+            "str-given-int", "bool-given-int"])
+    def test_wrong_field_type_names_path_and_field(self, tmp_path, field, value, kind):
+        record = {"mean_ms": 1.0, "std_ms": 0.1, "reps": 10, "warmup": 0} | {field: value}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError) as exc:
+            load_stats(path)
+        assert str(exc.value) == f"{path}: field {field} must be {kind}, got {json.dumps(value)}"
 
     def test_row_format_mentions_reps(self):
         stats = LatencyStats(mean_ms=3.25, std_ms=0.5, reps=100, warmup=10)

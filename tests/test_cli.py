@@ -1,5 +1,6 @@
 """End-to-end command behaviour through the argument-parsing entry point."""
 
+import io
 import json
 
 import pytest
@@ -140,6 +141,67 @@ class TestPredict:
         assert "no.ckpt" in err
 
 
+class TestPredictFile:
+    TEXTS = ["hello world", "", "Zebra crossing at 5pm!", "abc abc abc", "\u00e9t\u00e9 caf\u00e9"]
+
+    def predict_text(self, capsys, trained, text):
+        code, out, _err = run(capsys, "predict", "--checkpoint", str(trained), "--text", text)
+        assert code == 0
+        cls_line, prob_line = out.splitlines()
+        return int(cls_line.split(":")[1]), [float(p) for p in prob_line.split(":")[1].split()]
+
+    def check_lines(self, capsys, trained, out):
+        lines = out.splitlines()
+        assert len(lines) == len(self.TEXTS)
+        for text, line in zip(self.TEXTS, lines):
+            cls, probs = line.split("\t")
+            want_cls, want_probs = self.predict_text(capsys, trained, text)
+            assert int(cls) == want_cls
+            got = [float(p) for p in probs.split()]
+            assert len(got) == len(want_probs)
+            assert max(abs(a - b) for a, b in zip(got, want_probs)) <= 1e-5
+
+    def test_each_line_matches_its_text_result(self, trained, capsys, tmp_path):
+        path = tmp_path / "texts.txt"
+        path.write_text("\n".join(self.TEXTS) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "predict", "--checkpoint", str(trained), "--file", str(path))
+        assert (code, err) == (0, "")
+        self.check_lines(capsys, trained, out)
+
+    def test_dash_reads_stdin(self, trained, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(self.TEXTS)))
+        code, out, _err = run(capsys, "predict", "--checkpoint", str(trained), "--file", "-")
+        assert code == 0
+        self.check_lines(capsys, trained, out)
+
+    def test_more_lines_than_one_batch(self, trained, capsys, tmp_path):
+        path = tmp_path / "many.txt"
+        path.write_text("".join(f"text number {i}\n" for i in range(300)), encoding="utf-8")
+        code, out, _err = run(capsys, "predict", "--checkpoint", str(trained), "--file", str(path))
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 300
+        assert lines[299].split("\t")[0] == str(self.predict_text(capsys, trained, "text number 299")[0])
+
+    def test_empty_file_prints_nothing(self, trained, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        assert run(capsys, "predict", "--checkpoint", str(trained), "--file", str(path)) == (0, "", "")
+
+    def test_missing_file(self, trained, capsys, tmp_path):
+        code, out, err = run(capsys, "predict", "--checkpoint", str(trained), "--file", str(tmp_path / "none.txt"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "none.txt" in err
+
+    def test_text_and_file_are_exclusive(self, trained, capsys, tmp_path):
+        code, _out, err = run(capsys, "predict", "--checkpoint", str(trained), "--text", "a", "--file", "-")
+        assert code == 2
+        assert "not allowed with" in err
+        code, _out, err = run(capsys, "predict", "--checkpoint", str(trained))
+        assert code == 2
+        assert "--text" in err and "--file" in err
+
+
 class TestBench:
     def test_one_stats_row(self, capsys):
         code, out, _err = run(
@@ -181,6 +243,14 @@ class TestBench:
         assert out == ""
         assert err == (f"error: {bad}: expected a JSON object with the fields mean_ms, std_ms, reps, warmup "
                        "(optional: environment, resolution_warning)\n")
+
+    def test_compare_rejects_wrong_field_type(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"mean_ms": 1.0, "std_ms": 0.1, "reps": "10", "warmup": 0}))
+        code, out, err = run(capsys, "bench", "--compare", str(bad), str(bad))
+        assert code == 1
+        assert out == ""
+        assert err == f'error: {bad}: field reps must be an integer, got "10"\n'
 
     def test_json_record_written(self, capsys, tmp_path):
         record = tmp_path / "run.json"

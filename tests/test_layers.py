@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from svdcnn import functional as F
+from svdcnn import layers
 from svdcnn.architecture import ArchitectureSpec, build_model
 from svdcnn.autograd import ShapeError, Tape, Tensor, backward
 from svdcnn.data import Vocabulary
@@ -134,6 +135,54 @@ class TestBatchNorm:
         names = {n for n, _t, _c in bn.named_params()}
         assert names == {"gamma", "beta"}
         assert {n for n, _b in bn.named_buffers()} == {"running_mean", "running_var"}
+
+
+def _randomized_eval_layer(layer_cls):
+    """A float64 layer 4 -> 6 channels in eval mode with random batch-norm scale, shift and running statistics."""
+    layer = layer_cls(4, 6, RNG(30), dtype=np.float64)
+    rng, bn = RNG(31), layer.bn
+    bn.gamma.data[...] = rng.uniform(0.2, 1.5, 6)
+    bn.beta.data[...] = rng.normal(0.0, 0.3, 6)
+    bn.running_mean[...] = rng.normal(0.0, 0.5, 6)
+    bn.running_var[...] = rng.uniform(0.5, 2.0, 6)
+    return layer.eval()
+
+
+@pytest.mark.parametrize("layer_cls", [TemporalConvLayer, TdscLayer], ids=["standard", "tdsc"])
+class TestBatchNormFold:
+    def test_tapeless_eval_equals_conv_then_batch_norm(self, layer_cls):
+        layer = _randomized_eval_layer(layer_cls)
+        x = Tensor(RNG(32).normal(size=(3, 4, 10)))
+        bn = layer.bn
+        unfolded = F.batch_norm_eval(layer.conv(x, layer.last_weight), bn.gamma, bn.beta,
+                                     bn.running_mean, bn.running_var, bn.eps)
+        np.testing.assert_allclose(layer.forward(x).data, np.maximum(unfolded.data, 0), rtol=1e-12, atol=1e-12)
+
+    def test_tapeless_eval_is_one_biased_conv1d_and_no_batch_norm(self, layer_cls, monkeypatch):
+        layer = _randomized_eval_layer(layer_cls)
+        biases = []
+
+        def conv1d(x, weight, bias=None, padding=0):
+            biases.append(bias)
+            return F.conv1d(x, weight, bias, padding)
+
+        def batch_norm_eval(*args):
+            raise AssertionError("batch_norm_eval ran on the folded path")
+
+        monkeypatch.setattr(layers, "conv1d", conv1d)
+        monkeypatch.setattr(layers, "batch_norm_eval", batch_norm_eval)
+        layer.forward(Tensor(RNG(33).normal(size=(2, 4, 5))))
+        assert len(biases) == 1 and biases[0] is not None
+
+    def test_taped_eval_runs_batch_norm_and_keeps_weights_unfolded(self, layer_cls):
+        layer = _randomized_eval_layer(layer_cls)
+        weight = layer.last_weight.data.copy()
+        x = Tensor(RNG(34).normal(size=(2, 4, 5)))
+        with Tape() as tape:
+            taped = layer.forward(x)
+        assert [name for name, _out, _pull in tape.entries].count("batch_norm_eval") == 1
+        np.testing.assert_allclose(taped.data, layer.forward(x).data, rtol=1e-12, atol=1e-12)
+        assert layer.last_weight.data.tobytes() == weight.tobytes()
 
 
 class TestPools:
