@@ -7,6 +7,9 @@ clock is injectable so the statistics are unit-testable without wall time.
 from __future__ import annotations
 
 import json
+import math
+import os
+import platform
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -28,8 +31,16 @@ class LatencyStats:
     def __post_init__(self):
         if self.reps < 2:
             raise ValueError(f"need at least 2 repetitions, got {self.reps}")
-        if self.std_ms < 0:
-            raise ValueError(f"standard deviation cannot be negative, got {self.std_ms}")
+        for name in ("mean_ms", "std_ms"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"field {name} must be finite and non-negative, got {value}")
+
+
+def environment_summary() -> str:
+    """Usable cores, machine, numpy and Python versions, e.g. "2 vCPU x86_64, numpy 2.4.6, Python 3.11.7"."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return f"{cores} vCPU {platform.machine()}, numpy {np.__version__}, Python {platform.python_version()}"
 
 
 def measure_latency(
@@ -119,4 +130,9 @@ def load_stats(path) -> LatencyStats:
         value = record.get(f.name, f.default)
         if not isinstance(value, accepted) or (isinstance(value, bool) and f.type != "bool"):
             raise ValueError(f"{path}: field {f.name} must be {described}, got {json.dumps(value)}")
-    return LatencyStats(**record)
+    if not record["mean_ms"] > 0:  # NaN fails this too; a ratio needs a positive mean on both sides
+        raise ValueError(f"{path}: field mean_ms must be positive, got {json.dumps(record['mean_ms'])}")
+    try:
+        return LatencyStats(**record)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -220,7 +220,8 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     indices = rng.integers(0, spec.vocab_size, size=spec.seq_len)
     stats = bench_mod.measure_latency(
-        model, indices, reps=args.reps, warmup=args.warmup, environment=args.environment
+        model, indices, reps=args.reps, warmup=args.warmup,
+        environment=bench_mod.environment_summary() if args.environment is None else args.environment,
     )
     print(bench_mod.format_stats_row(spec.family, spec.depth, stats))
     if args.json is not None:
@@ -275,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--warmup", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--environment", default="local")
+    p.add_argument("--environment", default=None,
+                   help="label stored with the record (default: cores, machine, numpy and Python versions)")
     p.add_argument("--json", default=None, help="write the measurement record to this path")
     p.add_argument("--compare", nargs=2, metavar=("A", "B"), default=None,
                    help="print the mean-latency ratio of two recorded runs")

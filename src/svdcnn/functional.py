@@ -71,6 +71,49 @@ def _tap_sum(n: int, slices, term) -> np.ndarray:
     return out
 
 
+def _channel_sum(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-channel sum of ``a [B, C, L]`` (or of ``a * b``) over batch and time, as one contraction.
+
+    A matrix-vector product with ones, or one ``einsum``, runs a long inner
+    loop over time; ``sum(axis=(0, 2))`` is several times slower at layer shapes.
+    """
+    if b is None:
+        return (a @ np.ones(a.shape[2], dtype=a.dtype)).sum(axis=0)
+    return np.einsum("bcl,bcl->c", a, b)
+
+
+def _reframe(a: np.ndarray, n: int) -> np.ndarray:
+    """``a [B, C, L]`` with its time axis centred in length ``n``: zero-extended, cropped (a view), or ``a`` itself."""
+    d = (n - a.shape[2]) // 2
+    if d > 0:
+        return np.pad(a, ((0, 0), (0, 0), (d, d)))
+    return a[:, :, -d:a.shape[2] + d] if d < 0 else a
+
+
+def _same_taps(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``out[b, c, t] = sum_kk rows[kk, c*L + t] * a[b, c, t + kk - k//2]`` for ``a [B, C, L]``, zero outside ``[0, L)``.
+
+    Each tap is one shifted multiply over whole flattened ``[B, C*L]`` rows
+    into a single reused temporary. One strided write then zeroes the
+    positions where the shift read from a neighbouring channel, so no value
+    (NaN included) crosses a channel boundary. The result owns its data.
+    """
+    batch, _channels, length = a.shape
+    k, n = rows.shape
+    flat = a.reshape(batch, n)
+    out = np.empty(a.shape, dtype=np.result_type(a, rows))
+    np.multiply(flat, rows[k // 2], out=out.reshape(batch, n))
+    tmp = np.empty_like(out)
+    for kk, ((write, read), (valid, _)) in enumerate(zip(_tap_slices(n, n, k // 2, k),
+                                                         _tap_slices(length, length, k // 2, k))):
+        if kk != k // 2:
+            np.multiply(flat[:, read], rows[kk, write], out=tmp.reshape(batch, n)[:, write])
+            tmp[:, :, :valid.start] = 0
+            tmp[:, :, valid.stop:] = 0
+            out += tmp
+    return out
+
+
 def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: int = 0) -> Tensor:
     """Temporal convolution: ``x [B, C_in, L]``, ``weight [C_out, C_in, K]``.
 
@@ -110,7 +153,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
                 np.stack([np.tensordot(g[:, :, dst], xa[:, :, src], axes=([0, 2], [0, 2])) for dst, src in slices], 2)
             )
         if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2)))
+            bias.accumulate_grad(_channel_sum(g))
         if x.requires_grad:
             back = [(src, dst) for dst, src in slices]
             x.accumulate_grad(_tap_sum(length, back, lambda kk, dst: np.matmul(taps[kk].T, g[:, :, dst])))
@@ -121,9 +164,12 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
 def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
     """Per-channel temporal convolution of ``x [B, C, L]``: ``weight [C, K]`` filters channel c alone.
 
-    Forward and input gradient start from the centre tap and add each other
-    tap's shifted multiply into its valid slice, with no padded copy; the
-    weight gradient is one per-channel dot product per tap.
+    Forward and input gradient run in a frame of ``max(L, L_out)`` time
+    steps, where the convolution keeps the length: every tap is a shifted
+    multiply over whole flattened rows (see ``_same_taps``), with per-position
+    weight rows built once per call. Only a padding other than ``K // 2``
+    zero-extends or crops into that frame. The weight gradient is one
+    per-channel contraction per tap.
     """
     xa = _checked(x, "[B, C, L]", "depthwise_conv1d")
     w = weight.data
@@ -141,15 +187,16 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
         raise ShapeError(f"length {length} with padding {padding} is shorter than kernel {k}")
 
     t_out = length + 2 * padding - k + 1
-    slices = _tap_slices(length, t_out, padding, k)
-    od = _tap_sum(t_out, slices, lambda kk, src: xa[:, :, src] * w[None, :, kk, None])
+    frame = max(length, t_out)
+    rows = np.repeat(w.T, frame, axis=1)  # rows[kk, c*frame + t] = w[c, kk]
+    od = _reframe(_same_taps(_reframe(xa, frame), rows), t_out)
 
     def pull(g):
         if weight.requires_grad:
-            weight.accumulate_grad(np.stack([np.einsum("bct,bct->c", g[:, :, dst], xa[:, :, src]) for dst, src in slices], 1))
+            slices = _tap_slices(length, t_out, padding, k)
+            weight.accumulate_grad(np.stack([_channel_sum(g[:, :, dst], xa[:, :, src]) for dst, src in slices], 1))
         if x.requires_grad:
-            back = [(src, dst) for dst, src in slices]
-            x.accumulate_grad(_tap_sum(length, back, lambda kk, dst: g[:, :, dst] * w[None, :, kk, None]))
+            x.accumulate_grad(_reframe(_same_taps(_reframe(g, frame), rows[::-1]), length))
 
     return _output("depthwise_conv1d", od, (x, weight), pull)
 
@@ -224,28 +271,40 @@ def tensor_sum(x: Tensor) -> Tensor:
 def maxpool_halve(x: Tensor) -> Tensor:
     """Max pooling of ``x [B, C, L]`` with kernel 3, stride 2, zero padding 1: L -> ceil(L/2).
 
-    The output is the elementwise maximum of the three stride-2 slices of the
-    padded input. Ties within a window (the zero pad included) send the whole
-    gradient to the earliest position.
+    Window t holds ``x[2t - 1], x[2t], x[2t + 1]``: its entries are read from
+    contiguous copies of the even and odd time steps of ``x``, with no padded
+    copy. The first window's first entry and, for odd L, the last window's
+    last entry are the zero pad. Ties within a window (the zero pad included)
+    send the whole gradient to the earliest position.
     """
     xa = _checked(x, "[B, C, L]", "maxpool_halve")
     length = xa.shape[2]
     if length < 2:
         raise ShapeError(f"temporal length must be at least 2 to halve, got {length}")
-    xp = np.pad(xa, ((0, 0), (0, 0), (1, 1)))
-    span = 2 * ((length + 1) // 2) - 1  # slice i holds padded position 2*t + i, the i-th entry of window t
-    slices = [xp[:, :, i:i + span:2] for i in range(3)]
-    od = np.maximum(np.maximum(slices[0], slices[1]), slices[2])
+    t_out, n_odd = (length + 1) // 2, length // 2
+    od = xa[:, :, 0::2].copy()  # x[2t], the middle entry of every window
+    odd = np.ascontiguousarray(xa[:, :, 1::2])  # x[2t + 1]: last entry of window t, first of window t + 1
+    np.maximum(od[:, :, :n_odd], odd, out=od[:, :, :n_odd])
+    np.maximum(od[:, :, 1:], odd[:, :, :t_out - 1], out=od[:, :, 1:])
+    np.maximum(od[:, :, :1], 0, out=od[:, :, :1])
+    np.maximum(od[:, :, n_odd:], 0, out=od[:, :, n_odd:])
 
     def pull(g):
-        gxp = np.zeros_like(xp)
-        taken = np.zeros(od.shape, dtype=bool)
-        for i, s in enumerate(slices):
-            hit = s == od
-            hit &= ~taken
-            taken |= hit
-            gxp[:, :, i:i + span:2] += g * hit
-        x.accumulate_grad(gxp[:, :, 1:1 + length])
+        # an entry takes its window's gradient when it equals the maximum and no earlier entry does
+        even, odd = np.ascontiguousarray(xa[:, :, 0::2]), np.ascontiguousarray(xa[:, :, 1::2])
+        first = np.empty(od.shape, dtype=bool)
+        first[:, :, 0] = od[:, :, 0] == 0
+        np.equal(odd[:, :, :t_out - 1], od[:, :, 1:], out=first[:, :, 1:])
+        middle = even == od
+        middle &= ~first
+        last = odd == od[:, :, :n_odd]
+        last &= ~(first[:, :, :n_odd] | middle[:, :, :n_odd])
+        gx = np.empty_like(xa)
+        np.multiply(g, middle, out=gx[:, :, 0::2])
+        g_odd = g[:, :, :n_odd] * last
+        g_odd[:, :, :t_out - 1] += g[:, :, 1:] * first[:, :, 1:]
+        gx[:, :, 1::2] = g_odd
+        x.accumulate_grad(gx)
 
     return _output("maxpool_halve", od, (x,), pull)
 
@@ -280,20 +339,24 @@ def kmax_pool(x: Tensor, k: int) -> Tensor:
 
 
 def adaptive_avg_pool(x: Tensor, out_len: int) -> Tensor:
-    """Mean over contiguous equal bins per channel of ``x [B, C, L]``; L must divide evenly."""
+    """Mean over contiguous equal bins per channel of ``x [B, C, L]``; L must divide evenly.
+
+    Forward and backward are one matmul each with the ``[L, out_len]`` bin
+    matrix, which holds ``1 / (L // out_len)`` where time step t falls in bin j.
+    """
     xa = _checked(x, "[B, C, L]", "adaptive_avg_pool")
-    batch, channels, length = xa.shape
+    length = xa.shape[2]
     if out_len < 1:
         raise ValueError(f"output length must be positive, got {out_len}")
     if length % out_len != 0:
         raise ValueError(f"temporal length {length} is not divisible by output length {out_len}")
     binsize = length // out_len
+    bins = np.repeat(np.eye(out_len, dtype=xa.dtype), binsize, axis=0) / binsize
 
     def pull(g):
-        gx = np.broadcast_to((g / binsize)[..., None], (batch, channels, out_len, binsize))
-        x.accumulate_grad(gx.reshape(batch, channels, length))
+        x.accumulate_grad(g @ bins.T)
 
-    return _output("adaptive_avg_pool", xa.reshape(batch, channels, out_len, binsize).mean(axis=3), (x,), pull)
+    return _output("adaptive_avg_pool", xa @ bins, (x,), pull)
 
 
 def flatten_features(x: Tensor) -> Tensor:
@@ -343,8 +406,8 @@ def _batch_norm(op: str, x: Tensor, xc: np.ndarray, gamma: Tensor, beta: Tensor,
     od += beta.data[None, :, None]
 
     def pull(g):
-        g_sum = g.sum(axis=(0, 2))
-        gx_sum = (g * xhat).sum(axis=(0, 2))
+        g_sum = _channel_sum(g)
+        gx_sum = _channel_sum(g, xhat)
         if gamma.requires_grad:
             gamma.accumulate_grad(gx_sum)
         if beta.requires_grad:
@@ -376,9 +439,9 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
         raise DegenerateStatisticsError(
             f"need at least 2 values per channel for batch statistics, got {count}"
         )
-    mean = xa.mean(axis=(0, 2))
+    mean = _channel_sum(xa) / count
     xc = xa - mean[None, :, None]
-    var = np.square(xc).mean(axis=(0, 2))
+    var = _channel_sum(xc, xc) / count
     out = _batch_norm("batch_norm_train", x, xc, gamma, beta, var, eps, batch_stats=True)
     return out, mean, var, count
 

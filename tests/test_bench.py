@@ -142,6 +142,27 @@ class TestRecords:
             load_stats(path)
         assert str(exc.value) == f"{path}: field {field} must be {kind}, got {json.dumps(value)}"
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("mean_ms", float("nan"), "field mean_ms must be positive, got NaN"),
+        ("mean_ms", 0.0, "field mean_ms must be positive, got 0.0"),
+        ("mean_ms", -1.0, "field mean_ms must be positive, got -1.0"),
+        ("mean_ms", float("inf"), "field mean_ms must be finite and non-negative, got inf"),
+        ("std_ms", float("nan"), "field std_ms must be finite and non-negative, got nan"),
+        ("std_ms", float("inf"), "field std_ms must be finite and non-negative, got inf"),
+        ("std_ms", -0.5, "field std_ms must be finite and non-negative, got -0.5"),
+    ], ids=["mean-nan", "mean-zero", "mean-negative", "mean-inf", "std-nan", "std-inf", "std-negative"])
+    def test_out_of_range_value_names_path_and_field(self, tmp_path, field, value, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"mean_ms": 1.0, "std_ms": 0.1, "reps": 10, "warmup": 0} | {field: value}))
+        with pytest.raises(ValueError) as exc:
+            load_stats(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("mean,std", [(float("nan"), 0.1), (float("inf"), 0.1), (-1.0, 0.1), (1.0, float("nan"))])
+    def test_stats_reject_non_finite_and_negative_values(self, mean, std):
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
+            LatencyStats(mean_ms=mean, std_ms=std, reps=5, warmup=0)
+
     def test_row_format_mentions_reps(self):
         stats = LatencyStats(mean_ms=3.25, std_ms=0.5, reps=100, warmup=10)
         row = format_stats_row("svdcnn", 9, stats)

@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
+import platform
 
+import numpy as np
 import pytest
 
 from svdcnn.cli import main
@@ -252,6 +255,20 @@ class TestBench:
         assert out == ""
         assert err == f'error: {bad}: field reps must be an integer, got "10"\n'
 
+    @pytest.mark.parametrize("position", ["A", "B"])
+    @pytest.mark.parametrize("field,value", [("mean_ms", float("nan")), ("mean_ms", -1.0), ("std_ms", float("inf"))],
+                             ids=["mean-nan", "mean-negative", "std-inf"])
+    def test_compare_rejects_out_of_range_value(self, capsys, tmp_path, position, field, value):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"mean_ms": 5.0, "std_ms": 0.1, "reps": 10, "warmup": 0}))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"mean_ms": 5.0, "std_ms": 0.1, "reps": 10, "warmup": 0} | {field: value}))
+        pair = (bad, good) if position == "A" else (good, bad)
+        code, out, err = run(capsys, "bench", "--compare", *map(str, pair))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {bad}: field {field} must be ")
+
     def test_json_record_written(self, capsys, tmp_path):
         record = tmp_path / "run.json"
         code, _out, _err = run(
@@ -262,3 +279,14 @@ class TestBench:
         assert code == 0
         payload = json.loads(record.read_text())
         assert payload["reps"] == 3
+
+    def test_json_record_names_the_environment_unless_given(self, capsys, tmp_path):
+        flags = ["bench", "--family", "svdcnn", "--depth", "9", "--s", "16", "--pooled-len", "2",
+                 "--classes", "2", "--fc-hidden", "8", "--reps", "2", "--warmup", "0", "--json"]
+        record = tmp_path / "run.json"
+        assert run(capsys, *flags, str(record))[0] == 0
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert json.loads(record.read_text())["environment"] == (
+            f"{cores} vCPU {platform.machine()}, numpy {np.__version__}, Python {platform.python_version()}")
+        assert run(capsys, *flags, str(record), "--environment", "hostA")[0] == 0
+        assert json.loads(record.read_text())["environment"] == "hostA"

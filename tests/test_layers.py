@@ -121,20 +121,31 @@ class TestBatchNorm:
     def test_large_offset_statistics_stay_accurate(self):
         # Per-channel mean 1e4, std 1: E[x^2] - E[x]^2 in float32 would
         # cancel to noise (and go negative); centered variance does not.
-        x = (1e4 + RNG(12).normal(size=(8, 4, 32))).astype(np.float32)
-        ones, zeros = Tensor(np.ones(4, dtype=np.float32)), Tensor(np.zeros(4, dtype=np.float32))
-        out, _mean, var, _count = F.batch_norm_train(Tensor(x), ones, zeros, 1e-5)
-        x64 = x.astype(np.float64)
-        var64 = x64.var(axis=(0, 2))
-        np.testing.assert_allclose(var, var64, rtol=1e-5, atol=0)
-        xhat64 = (x64 - x64.mean(axis=(0, 2), keepdims=True)) / np.sqrt(var64[None, :, None] + 1e-5)
-        np.testing.assert_allclose(out.data, xhat64, rtol=0, atol=5e-3)
+        _assert_float32_statistics_near_float64(1e4, 1.0, var_rtol=1e-5, out_atol=5e-3)
+
+    def test_tiny_spread_at_large_offset_stays_within_float32_resolution(self):
+        # At mean 1e3, std 1e-2 one float32 step of the mean (6.1e-5) is 0.6%
+        # of a standard deviation, so the float32 mean, and every normalized
+        # value with it, may be off by a few such steps.
+        _assert_float32_statistics_near_float64(1e3, 1e-2, var_rtol=2e-4, out_atol=2e-2)
 
     def test_running_stats_are_not_parameters(self):
         bn = BatchNorm(4)
         names = {n for n, _t, _c in bn.named_params()}
         assert names == {"gamma", "beta"}
         assert {n for n, _b in bn.named_buffers()} == {"running_mean", "running_var"}
+
+
+def _assert_float32_statistics_near_float64(offset, std, var_rtol, out_atol):
+    """float32 ``batch_norm_train`` on ``offset + std * N(0, 1)`` against float64 statistics of the same values."""
+    x = (offset + std * RNG(12).normal(size=(8, 4, 32))).astype(np.float32)
+    ones, zeros = Tensor(np.ones(4, dtype=np.float32)), Tensor(np.zeros(4, dtype=np.float32))
+    out, _mean, var, _count = F.batch_norm_train(Tensor(x), ones, zeros, 1e-5)
+    x64 = x.astype(np.float64)
+    var64 = x64.var(axis=(0, 2))
+    np.testing.assert_allclose(var, var64, rtol=var_rtol, atol=0)
+    xhat64 = (x64 - x64.mean(axis=(0, 2), keepdims=True)) / np.sqrt(var64[None, :, None] + 1e-5)
+    np.testing.assert_allclose(out.data, xhat64, rtol=0, atol=out_atol)
 
 
 def _randomized_eval_layer(layer_cls):
@@ -244,6 +255,21 @@ class TestPools:
                     if 0 <= p < length:
                         expected[p] += weights[b, c, t]
                 np.testing.assert_array_equal(grad[b, c], expected)
+
+    @pytest.mark.parametrize("length", [2, 3, 4, 5, 6])
+    def test_maxpool_every_small_row_matches_direct_oracle(self, length):
+        # Every row over {-1, 0, 1}: ties with the zero pad at both ends, on
+        # odd and even lengths, in every arrangement.
+        rows = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * length, indexing="ij"), -1).reshape(-1, length)
+        out, grad, weights = _pool_output_and_grad(F.maxpool_halve, rows[None].astype(np.float32))
+        for r, row in enumerate(rows):
+            values, positions = maxpool_direct(row)
+            np.testing.assert_array_equal(out[0, r], values)
+            expected = np.zeros(length)
+            for t, p in enumerate(positions):
+                if 0 <= p < length:
+                    expected[p] += weights[0, r, t]
+            np.testing.assert_array_equal(grad[0, r], expected)
 
     @pytest.mark.parametrize("length", [7, 8, 16])
     def test_kmax_batched_rows_match_sort_oracle(self, length):

@@ -118,6 +118,46 @@ class TestDepthwise:
                 conv = F.conv1d(Tensor(x[None]), Tensor(full), padding=1)
                 np.testing.assert_allclose(dw.data, conv.data, rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize("k,padding", [(k, p) for k in (1, 3, 5) for p in range(k + 1)])
+    def test_every_kernel_and_padding_matches_direct_oracle_and_grad_check(self, k, padding):
+        rng = np.random.default_rng(100 * k + padding)
+        for length in sorted({max(1, k - 2 * padding), 6}):
+            x = rng.normal(size=(2, 3, length))
+            w = rng.normal(size=(3, k))
+            ours = F.depthwise_conv1d(Tensor(x), Tensor(w), padding=padding).data
+            for b in range(2):
+                np.testing.assert_allclose(ours[b], depthwise_conv1d_direct(x[b], w, padding), rtol=1e-12, atol=1e-12)
+            xt = Tensor(x, requires_grad=True, dtype=np.float64)
+            wt = Tensor(w, requires_grad=True, dtype=np.float64)
+            assert grad_check(lambda a, f: F.tensor_sum(F.mul(F.depthwise_conv1d(a, f, padding),
+                                                               F.depthwise_conv1d(a, f, padding))), [xt, wt]) <= 1e-6
+
+    @pytest.mark.parametrize("k,padding", [(3, 0), (3, 1), (3, 3), (5, 2), (5, 4)])
+    @pytest.mark.parametrize("value", [1e6, np.inf, np.nan])
+    def test_neighbouring_channels_do_not_leak_into_a_channel(self, k, padding, value):
+        # Perturb channel c-1's last and channel c+1's first time step, in the
+        # input and in the upstream gradient: channel c is bit-identical.
+        rng = np.random.default_rng(11)
+        x, w = rng.normal(size=(2, 3, 7)), rng.normal(size=(3, k))
+
+        def run(x, upstream):
+            xt = Tensor(x, requires_grad=True, dtype=np.float64)
+            with np.errstate(invalid="ignore"):  # the perturbed channels' inf and NaN reach the loss
+                with Tape() as tape:
+                    out = F.depthwise_conv1d(xt, Tensor(w), padding)
+                    loss = F.tensor_sum(F.mul(out, Tensor(upstream)))
+                backward(loss, tape)
+            return out.data, xt.grad
+
+        t_out = 7 + 2 * padding - k + 1
+        out, grad = run(x, np.ones((2, 3, t_out)))
+        perturbed_x, upstream = x.copy(), np.ones((2, 3, t_out))
+        perturbed_x[:, 0, -1] = perturbed_x[:, 2, 0] = upstream[:, 0, -1] = upstream[:, 2, 0] = value
+        out_p, _ = run(perturbed_x, np.ones((2, 3, t_out)))
+        _, grad_p = run(x, upstream)
+        assert out_p[:, 1].tobytes() == out[:, 1].tobytes()
+        assert grad_p[:, 1].tobytes() == grad[:, 1].tobytes()
+
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError, match="3 channels.*weight has 2"):
             F.depthwise_conv1d(Tensor(np.zeros((1, 3, 4))), Tensor(np.zeros((2, 3))), padding=1)
@@ -261,6 +301,40 @@ class TestBackward:
         backward(loss, tape)
         assert all(out.grad is None for out in recorded)
         np.testing.assert_array_equal(x.grad, 2 * x.data)
+
+
+class _Recorded(Tensor):
+    """A tensor that keeps the first array its backward hands to ``accumulate_grad``."""
+
+    __slots__ = ("handed",)
+
+    def accumulate_grad(self, g):
+        if self.grad is None:
+            self.handed = g
+        super().accumulate_grad(g)
+
+
+class TestGradientHandOver:
+    """Each backward below hands over a fresh array that ``accumulate_grad`` keeps without a copy."""
+
+    @pytest.mark.parametrize("op,call,shapes", [
+        ("depthwise_conv1d", lambda x, w: F.depthwise_conv1d(x, w, padding=1), [(2, 3, 6), (3, 3)]),
+        ("depthwise_conv1d_k5", lambda x, w: F.depthwise_conv1d(x, w, padding=2), [(2, 3, 6), (3, 5)]),
+        ("maxpool_halve_even", F.maxpool_halve, [(2, 3, 6)]),
+        ("maxpool_halve_odd", F.maxpool_halve, [(2, 3, 7)]),
+        ("adaptive_avg_pool", lambda x: F.adaptive_avg_pool(x, 3), [(2, 3, 6)]),
+        ("batch_norm_train", lambda x, g, b: F.batch_norm_train(x, g, b, 1e-5)[0], [(2, 3, 4), (3,), (3,)]),
+        ("conv1d_bias", lambda x, w, b: F.conv1d(x, w, b, padding=1), [(2, 3, 5), (4, 3, 3), (4,)]),
+    ])
+    def test_every_gradient_is_kept_without_a_copy(self, op, call, shapes):
+        rng = np.random.default_rng(zlib.crc32(op.encode()))
+        inputs = [_Recorded(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in shapes]
+        with Tape() as tape:
+            out = call(*inputs)
+            loss = F.tensor_sum(F.mul(out, Tensor(rng.normal(size=out.shape))))
+        backward(loss, tape)
+        for t in inputs:
+            assert t.grad is t.handed and t.grad.flags.owndata
 
 
 class TestGradCheck:
