@@ -42,32 +42,38 @@ def _output(name: str, od: np.ndarray, inputs, pull) -> Tensor:
     return out
 
 
-def _tap_slices(length: int, t_out: int, padding: int, k: int) -> list[tuple[slice, slice]]:
-    """Per tap ``kk``, the output and input time slices it connects: ``out[t]`` reads ``x[t + kk - padding]``."""
+def _tap_slices(n: int, k: int) -> list[tuple[slice, slice]]:
+    """Per tap ``kk``, the output and input slices of a length-n axis it connects: ``out[t]`` reads ``x[t + kk - k//2]``."""
     slices = []
-    for kk in range(k):
-        lo = max(0, padding - kk)
-        hi = max(lo, min(t_out, length + padding - kk))
-        slices.append((slice(lo, hi), slice(lo + kk - padding, hi + kk - padding)))
+    for shift in range(-(k // 2), k // 2 + 1):
+        lo = max(0, -shift)
+        hi = max(lo, min(n, n - shift))
+        slices.append((slice(lo, hi), slice(lo + shift, hi + shift)))
     return slices
 
 
-def _tap_sum(n: int, slices, term) -> np.ndarray:
-    """Sum over taps of ``term(kk, read)`` added into the ``write`` slice of a ``[..., n]`` array.
+def _shifted_sum(shape: tuple, dtype, k: int, product) -> np.ndarray:
+    """``out[..., t] = sum_kk P_kk[..., t + kk - k//2]`` over rows of length ``shape[-1]``, zero outside a row.
 
-    ``slices[kk]`` is tap kk's ``(write, read)`` pair. The centre tap goes
-    first, and its term becomes the result when it covers all n positions;
-    otherwise the result starts at zero. The other taps follow in order.
+    ``product(kk, dst)`` writes tap kk's product ``P_kk`` over the whole input
+    into ``dst``. The centre tap's product is the result. Every other tap's
+    goes into one reused temporary, whose positions the shift would carry into
+    a neighbouring row are zeroed, and is then added at its shift over the
+    flattened array: one long inner loop per tap, and no value (NaN included)
+    crosses a row. The result owns its data.
     """
-    c = len(slices) // 2
-    write, read = slices[c]
-    out = term(c, read)
-    if out.shape[-1] != n:
-        first, out = out, np.zeros(out.shape[:-1] + (n,), dtype=out.dtype)
-        out[..., write] = first
-    for kk, (write, read) in enumerate(slices):
-        if kk != c:
-            out[..., write] += term(kk, read)
+    out = np.empty(shape, dtype)
+    product(k // 2, out)
+    if k == 1:
+        return out
+    tmp = np.empty_like(out)
+    flat_out, flat_tmp = out.reshape(-1), tmp.reshape(-1)
+    for kk, ((_, valid), (write, read)) in enumerate(zip(_tap_slices(shape[-1], k), _tap_slices(out.size, k))):
+        if kk != k // 2:
+            product(kk, tmp)
+            tmp[..., :valid.start] = 0
+            tmp[..., valid.stop:] = 0
+            flat_out[write] += flat_tmp[read]
     return out
 
 
@@ -90,73 +96,59 @@ def _reframe(a: np.ndarray, n: int) -> np.ndarray:
     return a[:, :, -d:a.shape[2] + d] if d < 0 else a
 
 
-def _same_taps(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``out[b, c, t] = sum_kk rows[kk, c*L + t] * a[b, c, t + kk - k//2]`` for ``a [B, C, L]``, zero outside ``[0, L)``.
+def _conv_frame(length: int, k: int, padding: int) -> tuple[int, int]:
+    """``(L_out, frame)`` of a convolution after checking its kernel size, padding and input length.
 
-    Each tap is one shifted multiply over whole flattened ``[B, C*L]`` rows
-    into a single reused temporary. One strided write then zeroes the
-    positions where the shift read from a neighbouring channel, so no value
-    (NaN included) crosses a channel boundary. The result owns its data.
+    In a frame of ``max(L, L_out)`` steps the convolution keeps the length; see ``_reframe``.
     """
-    batch, _channels, length = a.shape
-    k, n = rows.shape
-    flat = a.reshape(batch, n)
-    out = np.empty(a.shape, dtype=np.result_type(a, rows))
-    np.multiply(flat, rows[k // 2], out=out.reshape(batch, n))
-    tmp = np.empty_like(out)
-    for kk, ((write, read), (valid, _)) in enumerate(zip(_tap_slices(n, n, k // 2, k),
-                                                         _tap_slices(length, length, k // 2, k))):
-        if kk != k // 2:
-            np.multiply(flat[:, read], rows[kk, write], out=tmp.reshape(batch, n)[:, write])
-            tmp[:, :, :valid.start] = 0
-            tmp[:, :, valid.stop:] = 0
-            out += tmp
-    return out
+    if k % 2 == 0:
+        raise ShapeError(f"kernel size must be odd, got {k}")
+    if padding < 0:
+        raise ValueError(f"padding must be non-negative, got {padding}")
+    if length + 2 * padding < k:
+        raise ShapeError(f"length {length} with padding {padding} is shorter than kernel {k}")
+    t_out = length + 2 * padding - k + 1
+    return t_out, max(length, t_out)
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: int = 0) -> Tensor:
     """Temporal convolution: ``x [B, C_in, L]``, ``weight [C_out, C_in, K]``.
 
-    Output is ``[B, C_out, L + 2*padding - K + 1]``. The kernel size must be
-    odd. Each tap is one batched ``[C_out, C_in]`` matmul over a shifted
-    time slice of the input, summed into the output's valid slice, so no
-    padded or re-laid-out copy of the input is made.
+    Output is ``[B, C_out, L + 2*padding - K + 1]``; the kernel size must be
+    odd. Each tap's product is one batched ``[C_out, C_in]`` matmul over the
+    whole input, and ``_shifted_sum`` adds the taps at their shifts. The
+    weight gradient is one contraction per tap.
     """
     xa = _checked(x, "[B, C, L]", "conv1d")
     w = weight.data
     if w.ndim != 3:
         raise ShapeError(f"conv1d weight must be [C_out, C_in, K], got shape {weight.shape}")
     out_ch, w_in_ch, k = w.shape
-    if k % 2 == 0:
-        raise ShapeError(f"kernel size must be odd, got {k}")
-    if padding < 0:
-        raise ValueError(f"padding must be non-negative, got {padding}")
-    _batch, in_ch, length = xa.shape
-    if in_ch != w_in_ch:
-        raise ShapeError(f"input has {in_ch} channels but weight expects {w_in_ch}")
-    if length + 2 * padding < k:
-        raise ShapeError(f"length {length} with padding {padding} is shorter than kernel {k}")
+    t_out, frame = _conv_frame(xa.shape[2], k, padding)
+    if xa.shape[1] != w_in_ch:
+        raise ShapeError(f"input has {xa.shape[1]} channels but weight expects {w_in_ch}")
     if bias is not None and bias.data.shape != (out_ch,):
         raise ShapeError(f"bias shape {bias.shape} does not match {out_ch} output channels")
 
     # contiguous [K, C_out, C_in]: a strided w[:, :, kk] view would keep matmul off BLAS
     taps = np.ascontiguousarray(w.transpose(2, 0, 1))
-    t_out = length + 2 * padding - k + 1
-    slices = _tap_slices(length, t_out, padding, k)
-    od = _tap_sum(t_out, slices, lambda kk, src: np.matmul(taps[kk], xa[:, :, src]))
+    xf = _reframe(xa, frame)
+    of = _shifted_sum((len(xa), out_ch, frame), np.result_type(xa, w), k, lambda kk, o: np.matmul(taps[kk], xf, out=o))
+    od = _reframe(of, t_out)
     if bias is not None:
         od += bias.data[:, None]
 
     def pull(g):
+        gf = _reframe(g, frame)
         if weight.requires_grad:
-            weight.accumulate_grad(
-                np.stack([np.tensordot(g[:, :, dst], xa[:, :, src], axes=([0, 2], [0, 2])) for dst, src in slices], 2)
-            )
+            weight.accumulate_grad(np.stack([np.tensordot(gf[:, :, dst], xf[:, :, src], axes=([0, 2], [0, 2]))
+                                             for dst, src in _tap_slices(frame, k)], 2))
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(_channel_sum(g))
         if x.requires_grad:
-            back = [(src, dst) for dst, src in slices]
-            x.accumulate_grad(_tap_sum(length, back, lambda kk, dst: np.matmul(taps[kk].T, g[:, :, dst])))
+            # the taps reversed; each .T is a view that BLAS reads through its transpose flag
+            gx = _shifted_sum(xf.shape, np.result_type(gf, w), k, lambda kk, o: np.matmul(taps[k - 1 - kk].T, gf, out=o))
+            x.accumulate_grad(_reframe(gx, xa.shape[2]))
 
     return _output("conv1d", od, (x, weight, bias), pull)
 
@@ -164,41 +156,36 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
 def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
     """Per-channel temporal convolution of ``x [B, C, L]``: ``weight [C, K]`` filters channel c alone.
 
-    Forward and input gradient run in a frame of ``max(L, L_out)`` time
-    steps, where the convolution keeps the length: every tap is a shifted
-    multiply over whole flattened rows (see ``_same_taps``), with per-position
-    weight rows built once per call. Only a padding other than ``K // 2``
-    zero-extends or crops into that frame. The weight gradient is one
-    per-channel contraction per tap.
+    The same tap engine as ``conv1d``: each tap's product is one multiply of
+    the flattened ``[B, C*L]`` rows by a per-position weight row built once
+    per call, and ``_shifted_sum`` adds the taps at their shifts. The weight
+    gradient is one per-channel contraction per tap.
     """
     xa = _checked(x, "[B, C, L]", "depthwise_conv1d")
     w = weight.data
     if w.ndim != 2:
         raise ShapeError(f"depthwise weight must be [C, K], got shape {weight.shape}")
     channels, k = w.shape
-    if k % 2 == 0:
-        raise ShapeError(f"kernel size must be odd, got {k}")
-    if padding < 0:
-        raise ValueError(f"padding must be non-negative, got {padding}")
-    _batch, in_ch, length = xa.shape
-    if in_ch != channels:
-        raise ShapeError(f"input has {in_ch} channels but weight has {channels}")
-    if length + 2 * padding < k:
-        raise ShapeError(f"length {length} with padding {padding} is shorter than kernel {k}")
+    t_out, frame = _conv_frame(xa.shape[2], k, padding)
+    if xa.shape[1] != channels:
+        raise ShapeError(f"input has {xa.shape[1]} channels but weight has {channels}")
 
-    t_out = length + 2 * padding - k + 1
-    frame = max(length, t_out)
     rows = np.repeat(w.T, frame, axis=1)  # rows[kk, c*frame + t] = w[c, kk]
-    od = _reframe(_same_taps(_reframe(xa, frame), rows), t_out)
+    xf = _reframe(xa, frame)
+
+    def shifted(a, rows):
+        flat = a.reshape(len(a), -1)
+        return _shifted_sum(a.shape, np.result_type(a, rows), k,
+                            lambda kk, o: np.multiply(flat, rows[kk], out=o.reshape(flat.shape)))
 
     def pull(g):
+        gf = _reframe(g, frame)
         if weight.requires_grad:
-            slices = _tap_slices(length, t_out, padding, k)
-            weight.accumulate_grad(np.stack([_channel_sum(g[:, :, dst], xa[:, :, src]) for dst, src in slices], 1))
+            weight.accumulate_grad(np.stack([_channel_sum(gf[:, :, dst], xf[:, :, src]) for dst, src in _tap_slices(frame, k)], 1))
         if x.requires_grad:
-            x.accumulate_grad(_reframe(_same_taps(_reframe(g, frame), rows[::-1]), length))
+            x.accumulate_grad(_reframe(shifted(gf, rows[::-1]), xa.shape[2]))
 
-    return _output("depthwise_conv1d", od, (x, weight), pull)
+    return _output("depthwise_conv1d", _reframe(shifted(xf, rows), t_out), (x, weight), pull)
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
 import struct
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,6 +211,7 @@ def _model_arrays(model: Model) -> list[tuple[str, np.ndarray]]:
 
 
 def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
+    """Write ``model`` to a synced temporary file renamed onto ``path``: a failed write leaves the old file intact."""
     spec = model.spec
     fields = (
         FAMILIES.index(spec.family),
@@ -221,13 +224,22 @@ def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
         spec.pooled_len,
         int(epoch),
     )
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<H", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<9I", *fields))
-        for _name, arr in _model_arrays(model):
-            fh.write(struct.pack("<Q", arr.size))
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<H", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<9I", *fields))
+            for _name, arr in _model_arrays(model):
+                fh.write(struct.pack("<Q", arr.size))
+                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Model:

@@ -118,46 +118,6 @@ class TestDepthwise:
                 conv = F.conv1d(Tensor(x[None]), Tensor(full), padding=1)
                 np.testing.assert_allclose(dw.data, conv.data, rtol=1e-5, atol=1e-6)
 
-    @pytest.mark.parametrize("k,padding", [(k, p) for k in (1, 3, 5) for p in range(k + 1)])
-    def test_every_kernel_and_padding_matches_direct_oracle_and_grad_check(self, k, padding):
-        rng = np.random.default_rng(100 * k + padding)
-        for length in sorted({max(1, k - 2 * padding), 6}):
-            x = rng.normal(size=(2, 3, length))
-            w = rng.normal(size=(3, k))
-            ours = F.depthwise_conv1d(Tensor(x), Tensor(w), padding=padding).data
-            for b in range(2):
-                np.testing.assert_allclose(ours[b], depthwise_conv1d_direct(x[b], w, padding), rtol=1e-12, atol=1e-12)
-            xt = Tensor(x, requires_grad=True, dtype=np.float64)
-            wt = Tensor(w, requires_grad=True, dtype=np.float64)
-            assert grad_check(lambda a, f: F.tensor_sum(F.mul(F.depthwise_conv1d(a, f, padding),
-                                                               F.depthwise_conv1d(a, f, padding))), [xt, wt]) <= 1e-6
-
-    @pytest.mark.parametrize("k,padding", [(3, 0), (3, 1), (3, 3), (5, 2), (5, 4)])
-    @pytest.mark.parametrize("value", [1e6, np.inf, np.nan])
-    def test_neighbouring_channels_do_not_leak_into_a_channel(self, k, padding, value):
-        # Perturb channel c-1's last and channel c+1's first time step, in the
-        # input and in the upstream gradient: channel c is bit-identical.
-        rng = np.random.default_rng(11)
-        x, w = rng.normal(size=(2, 3, 7)), rng.normal(size=(3, k))
-
-        def run(x, upstream):
-            xt = Tensor(x, requires_grad=True, dtype=np.float64)
-            with np.errstate(invalid="ignore"):  # the perturbed channels' inf and NaN reach the loss
-                with Tape() as tape:
-                    out = F.depthwise_conv1d(xt, Tensor(w), padding)
-                    loss = F.tensor_sum(F.mul(out, Tensor(upstream)))
-                backward(loss, tape)
-            return out.data, xt.grad
-
-        t_out = 7 + 2 * padding - k + 1
-        out, grad = run(x, np.ones((2, 3, t_out)))
-        perturbed_x, upstream = x.copy(), np.ones((2, 3, t_out))
-        perturbed_x[:, 0, -1] = perturbed_x[:, 2, 0] = upstream[:, 0, -1] = upstream[:, 2, 0] = value
-        out_p, _ = run(perturbed_x, np.ones((2, 3, t_out)))
-        _, grad_p = run(x, upstream)
-        assert out_p[:, 1].tobytes() == out[:, 1].tobytes()
-        assert grad_p[:, 1].tobytes() == grad[:, 1].tobytes()
-
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError, match="3 channels.*weight has 2"):
             F.depthwise_conv1d(Tensor(np.zeros((1, 3, 4))), Tensor(np.zeros((2, 3))), padding=1)
@@ -166,6 +126,62 @@ class TestDepthwise:
         # a negative padding would crop the input instead of padding it
         with pytest.raises(ValueError, match="padding must be non-negative, got -1"):
             F.depthwise_conv1d(Tensor(np.arange(10.0).reshape(1, 2, 5)), Tensor(np.ones((2, 3))), padding=-1)
+
+
+# Per convolution: a random weight of kernel size k for a 3-channel input
+# (conv1d maps it to 4 channels), the op, and its brute-force oracle.
+CONVOLUTIONS = {
+    "conv1d": (lambda rng, k: rng.normal(size=(4, 3, k)), F.conv1d, lambda x, w, p: conv1d_direct(x, w, None, p)),
+    "depthwise_conv1d": (lambda rng, k: rng.normal(size=(3, k)), F.depthwise_conv1d, depthwise_conv1d_direct),
+}
+
+
+class TestTapEngine:
+    @pytest.mark.parametrize("op", CONVOLUTIONS)
+    @pytest.mark.parametrize("k,padding", [(k, p) for k in (1, 3, 5) for p in range(k + 1)])
+    def test_every_kernel_and_padding_matches_direct_oracle_and_grad_check(self, op, k, padding):
+        make_weight, conv, oracle = CONVOLUTIONS[op]
+        rng = np.random.default_rng(100 * k + padding)
+        for length in sorted({max(1, k - 2 * padding), 6}):
+            x = rng.normal(size=(2, 3, length))
+            w = make_weight(rng, k)
+            ours = conv(Tensor(x), Tensor(w), padding=padding).data
+            for b in range(2):
+                np.testing.assert_allclose(ours[b], oracle(x[b], w, padding), rtol=1e-12, atol=1e-12)
+            xt = Tensor(x, requires_grad=True, dtype=np.float64)
+            wt = Tensor(w, requires_grad=True, dtype=np.float64)
+            assert grad_check(lambda a, f: F.tensor_sum(F.mul(conv(a, f, padding=padding),
+                                                               conv(a, f, padding=padding))), [xt, wt]) <= 1e-6
+
+    @pytest.mark.parametrize("op,axis", [("conv1d", 0), ("depthwise_conv1d", 0), ("depthwise_conv1d", 1)])
+    @pytest.mark.parametrize("k,padding", [(3, 0), (3, 1), (3, 3), (5, 2), (5, 4)])
+    @pytest.mark.parametrize("value", [1e6, np.inf, np.nan])
+    def test_neighbouring_rows_do_not_leak_into_a_row(self, op, axis, k, padding, value):
+        # Perturb row 0's last and row 2's first time step along the batch
+        # (axis 0) or channel (axis 1) axis, in the input and in the upstream
+        # gradient: row 1 is bit-identical. Only depthwise keeps channels apart.
+        make_weight, conv, _oracle = CONVOLUTIONS[op]
+        rng = np.random.default_rng(11)
+        x, w = rng.normal(size=(3, 3, 7)), make_weight(rng, k)
+
+        def run(x, upstream):
+            xt = Tensor(x, requires_grad=True, dtype=np.float64)
+            with np.errstate(invalid="ignore"):  # the perturbed rows' inf and NaN reach the loss
+                with Tape() as tape:
+                    out = conv(xt, Tensor(w), padding=padding)
+                    loss = F.tensor_sum(F.mul(out, Tensor(upstream)))
+                backward(loss, tape)
+            return out.data, xt.grad
+
+        out_shape = conv(Tensor(x), Tensor(w), padding=padding).shape
+        out, grad = run(x, np.ones(out_shape))
+        perturbed_x, upstream = x.copy(), np.ones(out_shape)
+        for a in (np.moveaxis(perturbed_x, axis, 0), np.moveaxis(upstream, axis, 0)):
+            a[0, ..., -1] = a[2, ..., 0] = value
+        out_p, _ = run(perturbed_x, np.ones(out_shape))
+        _, grad_p = run(x, upstream)
+        assert out_p.take(1, axis).tobytes() == out.take(1, axis).tobytes()
+        assert grad_p.take(1, axis).tobytes() == grad.take(1, axis).tobytes()
 
 
 class TestAffine:
@@ -325,6 +341,7 @@ class TestGradientHandOver:
         ("adaptive_avg_pool", lambda x: F.adaptive_avg_pool(x, 3), [(2, 3, 6)]),
         ("batch_norm_train", lambda x, g, b: F.batch_norm_train(x, g, b, 1e-5)[0], [(2, 3, 4), (3,), (3,)]),
         ("conv1d_bias", lambda x, w, b: F.conv1d(x, w, b, padding=1), [(2, 3, 5), (4, 3, 3), (4,)]),
+        ("conv1d_k1", F.conv1d, [(2, 3, 5), (4, 3, 1)]),
     ])
     def test_every_gradient_is_kept_without_a_copy(self, op, call, shapes):
         rng = np.random.default_rng(zlib.crc32(op.encode()))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from svdcnn import training
 from svdcnn.architecture import ArchitectureSpec, build_model, count_params
 from svdcnn.autograd import Tape, Tensor, backward
 from svdcnn.data import Dataset, synth_dataset
@@ -286,6 +287,25 @@ class TestCheckpoint:
         assert loaded.checkpoint_epoch == 3
         after = loaded.forward(inputs).data
         assert before.tobytes() == after.tobytes()
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_write_leaves_the_previous_checkpoint_in_place(self, tmp_path, monkeypatch, error):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(tiny_spec(), seed=0), path)
+        before = path.read_bytes()
+        arrays = training._model_arrays
+
+        def fail_partway(model):
+            yield from arrays(model)[:3]
+            raise error("write failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "_model_arrays", fail_partway)
+            with pytest.raises(error):
+                save_checkpoint(build_model(tiny_spec(), seed=1), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        load_checkpoint(path)
 
     def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
         model = build_model(tiny_spec(), seed=8)
