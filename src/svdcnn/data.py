@@ -15,6 +15,8 @@ import numpy as np
 # one more row than there are symbols.
 ALPHABET = string.ascii_lowercase + string.digits + string.punctuation + " "
 
+SYNTH_SIGNAL = 0.4  # per-position probability of a synthetic text's class letter
+
 
 class IngestionError(ValueError):
     """A dataset file could not be parsed."""
@@ -158,11 +160,11 @@ def split_dataset(dataset: Dataset, val_fraction: float, seed: int) -> tuple[Dat
     )
 
 
-def synth_dataset(n: int, n_classes: int, seq_len: int, seed: int, signal: float = 0.4) -> Dataset:
+def synth_dataset(n: int, n_classes: int, seq_len: int, seed: int) -> Dataset:
     """Synthetic class-tagged text, linearly learnable from character counts.
 
     Class ``c`` texts over-represent the letter ``chr(ord('a') + c)`` with
-    probability ``signal`` per position; the rest is uniform over the
+    probability ``SYNTH_SIGNAL`` per position; the rest is uniform over the
     alphabet. Labels are assigned round-robin, so class counts are exact.
     """
     if n_classes < 1 or n_classes > 26:
@@ -174,7 +176,7 @@ def synth_dataset(n: int, n_classes: int, seq_len: int, seed: int, signal: float
     indices = np.empty((n, seq_len), dtype=np.uint8)
     for i, label in enumerate(labels):
         base = rng.integers(0, len(ALPHABET), size=seq_len)
-        mask = rng.random(seq_len) < signal
+        mask = rng.random(seq_len) < SYNTH_SIGNAL
         # ALPHABET[j] has index j + 1; it starts with a-z, so letter c has index c + 1
         indices[i] = np.where(mask, label + 1, base + 1)
     return Dataset(indices, labels, n_classes, source=f"synthetic(seed={seed})")

@@ -1,9 +1,11 @@
 """Primitive numeric operations with taped gradients.
 
 Every operation is batched. Temporal operations take channel-major feature
-maps ``[B, C, L]``; stride is always 1 and padding is zero-fill. Dense
-operations take rows ``[B, N]``, and the embedding takes index rows
-``[B, s]``. A single instance is a batch of one (``x[None]``).
+maps ``[B, C, L]``. The convolutions keep the length: stride 1, an odd
+kernel K and zero padding ``K // 2``, the only padding they accept; only
+pooling changes L. Dense operations take rows ``[B, N]``, and the embedding
+takes index rows ``[B, s]``. A single instance is a batch of one
+(``x[None]``).
 
 An output needs a gradient exactly when one of its inputs does, and only
 such an output's backward is recorded, onto the innermost open tape.
@@ -88,34 +90,19 @@ def _channel_sum(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
     return np.einsum("bcl,bcl->c", a, b)
 
 
-def _reframe(a: np.ndarray, n: int) -> np.ndarray:
-    """``a [B, C, L]`` with its time axis centred in length ``n``: zero-extended, cropped (a view), or ``a`` itself."""
-    d = (n - a.shape[2]) // 2
-    if d > 0:
-        return np.pad(a, ((0, 0), (0, 0), (d, d)))
-    return a[:, :, -d:a.shape[2] + d] if d < 0 else a
-
-
-def _conv_frame(length: int, k: int, padding: int) -> tuple[int, int]:
-    """``(L_out, frame)`` of a convolution after checking its kernel size, padding and input length.
-
-    In a frame of ``max(L, L_out)`` steps the convolution keeps the length; see ``_reframe``.
-    """
+def _check_kernel(op: str, k: int, padding: int) -> None:
+    """Check that a convolution keeps the length: an odd kernel ``k`` and ``padding == k // 2``."""
     if k % 2 == 0:
         raise ShapeError(f"kernel size must be odd, got {k}")
-    if padding < 0:
-        raise ValueError(f"padding must be non-negative, got {padding}")
-    if length + 2 * padding < k:
-        raise ShapeError(f"length {length} with padding {padding} is shorter than kernel {k}")
-    t_out = length + 2 * padding - k + 1
-    return t_out, max(length, t_out)
+    if padding != k // 2:
+        raise ValueError(f"{op} padding must be k // 2 = {k // 2}, got {padding}")
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: int = 0) -> Tensor:
     """Temporal convolution: ``x [B, C_in, L]``, ``weight [C_out, C_in, K]``.
 
-    Output is ``[B, C_out, L + 2*padding - K + 1]``; the kernel size must be
-    odd. Each tap's product is one batched ``[C_out, C_in]`` matmul over the
+    Output is ``[B, C_out, L]``: K must be odd and ``padding`` must be K // 2.
+    Each tap's product is one batched ``[C_out, C_in]`` matmul over the
     whole input, and ``_shifted_sum`` adds the taps at their shifts. The
     weight gradient is one contraction per tap.
     """
@@ -124,7 +111,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
     if w.ndim != 3:
         raise ShapeError(f"conv1d weight must be [C_out, C_in, K], got shape {weight.shape}")
     out_ch, w_in_ch, k = w.shape
-    t_out, frame = _conv_frame(xa.shape[2], k, padding)
+    _check_kernel("conv1d", k, padding)
     if xa.shape[1] != w_in_ch:
         raise ShapeError(f"input has {xa.shape[1]} channels but weight expects {w_in_ch}")
     if bias is not None and bias.data.shape != (out_ch,):
@@ -132,23 +119,20 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
 
     # contiguous [K, C_out, C_in]: a strided w[:, :, kk] view would keep matmul off BLAS
     taps = np.ascontiguousarray(w.transpose(2, 0, 1))
-    xf = _reframe(xa, frame)
-    of = _shifted_sum((len(xa), out_ch, frame), np.result_type(xa, w), k, lambda kk, o: np.matmul(taps[kk], xf, out=o))
-    od = _reframe(of, t_out)
+    od = _shifted_sum((len(xa), out_ch, xa.shape[2]), np.result_type(xa, w), k, lambda kk, o: np.matmul(taps[kk], xa, out=o))
     if bias is not None:
         od += bias.data[:, None]
 
     def pull(g):
-        gf = _reframe(g, frame)
         if weight.requires_grad:
-            weight.accumulate_grad(np.stack([np.tensordot(gf[:, :, dst], xf[:, :, src], axes=([0, 2], [0, 2]))
-                                             for dst, src in _tap_slices(frame, k)], 2))
+            weight.accumulate_grad(np.stack([np.tensordot(g[:, :, dst], xa[:, :, src], axes=([0, 2], [0, 2]))
+                                             for dst, src in _tap_slices(xa.shape[2], k)], 2))
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(_channel_sum(g))
         if x.requires_grad:
             # the taps reversed; each .T is a view that BLAS reads through its transpose flag
-            gx = _shifted_sum(xf.shape, np.result_type(gf, w), k, lambda kk, o: np.matmul(taps[k - 1 - kk].T, gf, out=o))
-            x.accumulate_grad(_reframe(gx, xa.shape[2]))
+            gx = _shifted_sum(xa.shape, np.result_type(g, w), k, lambda kk, o: np.matmul(taps[k - 1 - kk].T, g, out=o))
+            x.accumulate_grad(gx)
 
     return _output("conv1d", od, (x, weight, bias), pull)
 
@@ -156,22 +140,23 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
 def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
     """Per-channel temporal convolution of ``x [B, C, L]``: ``weight [C, K]`` filters channel c alone.
 
-    The same tap engine as ``conv1d``: each tap's product is one multiply of
-    the flattened ``[B, C*L]`` rows by a per-position weight row built once
-    per call, and ``_shifted_sum`` adds the taps at their shifts. The weight
-    gradient is one per-channel contraction per tap.
+    The same tap engine, kernel and padding rule as ``conv1d``: each tap's
+    product is one multiply of the flattened ``[B, C*L]`` rows by a
+    per-position weight row built once per call, and ``_shifted_sum`` adds
+    the taps at their shifts. The weight gradient is one per-channel
+    contraction per tap.
     """
     xa = _checked(x, "[B, C, L]", "depthwise_conv1d")
     w = weight.data
     if w.ndim != 2:
         raise ShapeError(f"depthwise weight must be [C, K], got shape {weight.shape}")
     channels, k = w.shape
-    t_out, frame = _conv_frame(xa.shape[2], k, padding)
+    _check_kernel("depthwise_conv1d", k, padding)
     if xa.shape[1] != channels:
         raise ShapeError(f"input has {xa.shape[1]} channels but weight has {channels}")
 
-    rows = np.repeat(w.T, frame, axis=1)  # rows[kk, c*frame + t] = w[c, kk]
-    xf = _reframe(xa, frame)
+    length = xa.shape[2]
+    rows = np.repeat(w.T, length, axis=1)  # rows[kk, c*L + t] = w[c, kk]
 
     def shifted(a, rows):
         flat = a.reshape(len(a), -1)
@@ -179,13 +164,12 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
                             lambda kk, o: np.multiply(flat, rows[kk], out=o.reshape(flat.shape)))
 
     def pull(g):
-        gf = _reframe(g, frame)
         if weight.requires_grad:
-            weight.accumulate_grad(np.stack([_channel_sum(gf[:, :, dst], xf[:, :, src]) for dst, src in _tap_slices(frame, k)], 1))
+            weight.accumulate_grad(np.stack([_channel_sum(g[:, :, dst], xa[:, :, src]) for dst, src in _tap_slices(length, k)], 1))
         if x.requires_grad:
-            x.accumulate_grad(_reframe(shifted(gf, rows[::-1]), xa.shape[2]))
+            x.accumulate_grad(shifted(g, rows[::-1]))
 
-    return _output("depthwise_conv1d", _reframe(shifted(xf, rows), t_out), (x, weight), pull)
+    return _output("depthwise_conv1d", shifted(xa, rows), (x, weight), pull)
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

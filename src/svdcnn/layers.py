@@ -102,21 +102,14 @@ class BatchNorm(Module):
     """
 
     category = "batchnorm"
+    momentum = 0.1  # weight of each batch's statistics in the running averages
+    eps = 1e-5
 
-    def __init__(
-        self,
-        channels: int,
-        momentum: float = 0.1,
-        eps: float = 1e-5,
-        dtype=DEFAULT_DTYPE,
-        scale_init: float = 1.0,
-    ):
+    def __init__(self, channels: int, dtype=DEFAULT_DTYPE, scale_init: float = 1.0):
         self.gamma = Tensor(np.full(channels, scale_init, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.momentum = momentum
-        self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
         if self.mode == "train":

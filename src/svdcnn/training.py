@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .architecture import FAMILIES, ArchitectureSpec, Model
+from .architecture import FAMILIES, ArchitectureSpec, Model, closed_form_params
 from .autograd import StateError, Tape, Tensor, backward
 from .data import Dataset, make_batches
 from .functional import cross_entropy
@@ -27,6 +27,8 @@ __all__ = [
     "load_checkpoint",
     "cross_entropy",
 ]
+
+PREDICT_BATCH = 256  # rows per eval forward in predict_logits and evaluate
 
 
 @dataclass(frozen=True)
@@ -104,18 +106,19 @@ class TrainingDivergedError(RuntimeError):
         self.loss_value = loss_value
 
 
-def predict_logits(model: Model, indices, batch_size: int = 256) -> np.ndarray:
-    """Eval-mode logits ``[N, classes]`` of index rows ``[N, s]``, ``batch_size`` rows per forward."""
+def predict_logits(model: Model, indices) -> np.ndarray:
+    """Eval-mode logits ``[N, classes]`` of index rows ``[N, s]``, ``PREDICT_BATCH`` rows per forward."""
     model.eval()
-    batches = [model.forward(indices[start:start + batch_size]).data for start in range(0, len(indices), batch_size)]
+    batches = [model.forward(indices[start:start + PREDICT_BATCH]).data
+               for start in range(0, len(indices), PREDICT_BATCH)]
     if not batches:
         return np.zeros((0, model.spec.n_classes), dtype=model.embedding.table.dtype)
     return np.concatenate(batches)
 
 
-def evaluate(model: Model, dataset: Dataset, batch_size: int = 256) -> float:
+def evaluate(model: Model, dataset: Dataset) -> float:
     """Eval-mode accuracy; argmax ties resolve to the lowest class index."""
-    logits = predict_logits(model, dataset.indices, batch_size)
+    logits = predict_logits(model, dataset.indices)
     return int((logits.argmax(axis=1) == dataset.labels).sum()) / len(dataset)
 
 
@@ -273,6 +276,9 @@ def load_checkpoint(path) -> Model:
         )
     except ValueError as exc:
         raise CheckpointError(f"{path}: invalid architecture fields: {exc}") from None
+    needed = header_end + 4 * closed_form_params(spec).total  # checked before the model is allocated
+    if needed > len(blob):
+        raise CheckpointTruncatedError(f"{path}: its header needs at least {needed:,} bytes, the file has {len(blob):,}")
     model = Model(spec, seed=None)
     offset = header_end
     for name, arr in _model_arrays(model):

@@ -143,6 +143,16 @@ class TestPredict:
         assert code == 1
         assert "no.ckpt" in err
 
+    def test_oversized_header_field_is_one_error_line(self, trained, capsys, tmp_path):
+        blob = bytearray(trained.read_bytes())
+        blob[22:26] = (2**31).to_bytes(4, "little")  # the vocabulary size field
+        path = tmp_path / "corrupt.ckpt"
+        path.write_bytes(bytes(blob))
+        code, out, err = run(capsys, "predict", "--checkpoint", str(path), "--text", "x")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "corrupt.ckpt" in err and "Traceback" not in err
+
 
 class TestPredictFile:
     TEXTS = ["hello world", "", "Zebra crossing at 5pm!", "abc abc abc", "\u00e9t\u00e9 caf\u00e9"]

@@ -39,8 +39,7 @@ class TestConv1d:
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(3)
         cases = [
-            (1, 1, 1, 4, 3, 1), (1, 2, 3, 5, 3, 1), (1, 3, 2, 6, 1, 0), (1, 2, 2, 4, 3, 0),
-            (3, 4, 5, 6, 1, 0), (2, 2, 3, 4, 3, 2), (2, 2, 2, 1, 7, 4),
+            (1, 1, 1, 4, 3, 1), (1, 2, 3, 5, 3, 1), (1, 3, 2, 6, 1, 0), (3, 4, 5, 6, 1, 0),
         ]
         for batch, in_ch, out_ch, length, k, pad in cases:
             x = rng.normal(size=(batch, in_ch, length))
@@ -66,10 +65,6 @@ class TestConv1d:
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError, match="odd"):
             F.conv1d(Tensor(np.zeros((1, 1, 4))), Tensor(np.zeros((1, 1, 2))))
-
-    def test_negative_padding_rejected(self):
-        with pytest.raises(ValueError, match="padding must be non-negative, got -1"):
-            F.conv1d(Tensor(np.arange(10.0).reshape(1, 2, 5)), Tensor(np.ones((1, 2, 3))), padding=-1)
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
@@ -97,7 +92,7 @@ class TestDepthwise:
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(6)
-        for channels, length, pad in [(1, 4, 1), (2, 5, 1), (4, 8, 1), (3, 5, 0), (3, 4, 2)]:
+        for channels, length, pad in [(1, 4, 1), (2, 5, 1), (4, 8, 1)]:
             x = rng.normal(size=(channels, length))
             w = rng.normal(size=(channels, 3))
             ours = F.depthwise_conv1d(Tensor(x[None]), Tensor(w), padding=pad)
@@ -122,11 +117,6 @@ class TestDepthwise:
         with pytest.raises(ShapeError, match="3 channels.*weight has 2"):
             F.depthwise_conv1d(Tensor(np.zeros((1, 3, 4))), Tensor(np.zeros((2, 3))), padding=1)
 
-    def test_negative_padding_rejected(self):
-        # a negative padding would crop the input instead of padding it
-        with pytest.raises(ValueError, match="padding must be non-negative, got -1"):
-            F.depthwise_conv1d(Tensor(np.arange(10.0).reshape(1, 2, 5)), Tensor(np.ones((2, 3))), padding=-1)
-
 
 # Per convolution: a random weight of kernel size k for a 3-channel input
 # (conv1d maps it to 4 channels), the op, and its brute-force oracle.
@@ -138,11 +128,12 @@ CONVOLUTIONS = {
 
 class TestTapEngine:
     @pytest.mark.parametrize("op", CONVOLUTIONS)
-    @pytest.mark.parametrize("k,padding", [(k, p) for k in (1, 3, 5) for p in range(k + 1)])
-    def test_every_kernel_and_padding_matches_direct_oracle_and_grad_check(self, op, k, padding):
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_every_kernel_matches_direct_oracle_and_grad_check(self, op, k):
         make_weight, conv, oracle = CONVOLUTIONS[op]
+        padding = k // 2
         rng = np.random.default_rng(100 * k + padding)
-        for length in sorted({max(1, k - 2 * padding), 6}):
+        for length in (1, 6):
             x = rng.normal(size=(2, 3, length))
             w = make_weight(rng, k)
             ours = conv(Tensor(x), Tensor(w), padding=padding).data
@@ -153,8 +144,16 @@ class TestTapEngine:
             assert grad_check(lambda a, f: F.tensor_sum(F.mul(conv(a, f, padding=padding),
                                                                conv(a, f, padding=padding))), [xt, wt]) <= 1e-6
 
+    @pytest.mark.parametrize("op", CONVOLUTIONS)
+    @pytest.mark.parametrize("padding", [-1, 0, 2])
+    def test_padding_other_than_half_the_kernel_rejected(self, op, padding):
+        make_weight, conv, _oracle = CONVOLUTIONS[op]
+        w = make_weight(np.random.default_rng(0), 3)
+        with pytest.raises(ValueError, match=rf"^{op} padding must be k // 2 = 1, got {padding}$"):
+            conv(Tensor(np.zeros((1, 3, 5))), Tensor(w), padding=padding)
+
     @pytest.mark.parametrize("op,axis", [("conv1d", 0), ("depthwise_conv1d", 0), ("depthwise_conv1d", 1)])
-    @pytest.mark.parametrize("k,padding", [(3, 0), (3, 1), (3, 3), (5, 2), (5, 4)])
+    @pytest.mark.parametrize("k,padding", [(3, 1), (5, 2)])
     @pytest.mark.parametrize("value", [1e6, np.inf, np.nan])
     def test_neighbouring_rows_do_not_leak_into_a_row(self, op, axis, k, padding, value):
         # Perturb row 0's last and row 2's first time step along the batch
@@ -379,26 +378,6 @@ class TestGradCheck:
                 [Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True, dtype=np.float64),
                  Tensor(rng.normal(size=(4, 3, 1)), requires_grad=True, dtype=np.float64),
                  Tensor(rng.normal(size=4), requires_grad=True, dtype=np.float64)],
-            )),
-            ("conv1d_k3_pad0", lambda rng: (
-                lambda x, w: F.tensor_sum(F.mul(F.conv1d(x, w, padding=0), F.conv1d(x, w, padding=0))),
-                [Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True, dtype=np.float64),
-                 Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True, dtype=np.float64)],
-            )),
-            ("conv1d_k3_pad2", lambda rng: (
-                lambda x, w: F.tensor_sum(F.mul(F.conv1d(x, w, padding=2), F.conv1d(x, w, padding=2))),
-                [Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True, dtype=np.float64),
-                 Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True, dtype=np.float64)],
-            )),
-            ("depthwise_pad0", lambda rng: (
-                lambda x, w: F.tensor_sum(F.mul(F.depthwise_conv1d(x, w, padding=0), F.depthwise_conv1d(x, w, padding=0))),
-                [Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True, dtype=np.float64),
-                 Tensor(rng.normal(size=(3, 3)), requires_grad=True, dtype=np.float64)],
-            )),
-            ("depthwise_pad2", lambda rng: (
-                lambda x, w: F.tensor_sum(F.mul(F.depthwise_conv1d(x, w, padding=2), F.depthwise_conv1d(x, w, padding=2))),
-                [Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True, dtype=np.float64),
-                 Tensor(rng.normal(size=(3, 3)), requires_grad=True, dtype=np.float64)],
             )),
             ("depthwise", lambda rng: (
                 lambda x, w: F.tensor_sum(F.mul(F.depthwise_conv1d(x, w, padding=1), F.depthwise_conv1d(x, w, padding=1))),

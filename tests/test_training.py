@@ -359,15 +359,28 @@ class TestCheckpoint:
         with pytest.raises(CheckpointLengthError):
             load_checkpoint(path)
 
-    def test_file_size_tracks_storage_accounting(self, tmp_path):
-        spec = ArchitectureSpec("svdcnn", depth=9, seq_len=64)
-        model = build_model(spec, seed=0)
+    @pytest.mark.parametrize("field", [6, 4], ids=["fc_hidden", "vocab_size"])
+    def test_oversized_header_field_rejected_before_the_model_is_built(self, tmp_path, field):
+        # 2**31 hidden units or characters would need terabytes; the file holds kilobytes
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(tiny_spec(family="vdcnn"), seed=0), path)
+        blob = bytearray(path.read_bytes())
+        blob[6 + 4 * field:10 + 4 * field] = (2**31).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointTruncatedError, match=rf"model\.ckpt: its header needs at least [\d,]+ bytes, the file has {len(blob):,}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("family", ["vdcnn", "svdcnn"])
+    @pytest.mark.parametrize("depth", [9, 17, 29, 49])
+    def test_file_size_tracks_storage_accounting(self, tmp_path, family, depth):
+        # running statistics, lengths and header add well under 1% to the 4 bytes per parameter
+        model = build_model(ArchitectureSpec(family, depth=depth), seed=None)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         learned_bytes = count_params(model).total * 4
         buffer_bytes = sum(b.size for _n, b in model.named_buffers()) * 4
         actual = path.stat().st_size
-        assert abs(actual - learned_bytes) / learned_bytes < 0.05
+        assert 0 < actual - learned_bytes < 0.01 * learned_bytes
         n_arrays = len(model.named_params()) + len(model.named_buffers())
         header = 4 + 2 + 9 * 4
         assert actual == header + 8 * n_arrays + learned_bytes + buffer_bytes
