@@ -152,8 +152,39 @@ class TestTapEngine:
         with pytest.raises(ValueError, match=rf"^{op} padding must be k // 2 = 1, got {padding}$"):
             conv(Tensor(np.zeros((1, 3, 5))), Tensor(w), padding=padding)
 
+    @pytest.mark.parametrize("op", CONVOLUTIONS)
+    @pytest.mark.parametrize("k", [1, 5, 7])
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_padding_one_off_half_the_kernel_rejected(self, op, k, offset):
+        make_weight, conv, _oracle = CONVOLUTIONS[op]
+        padding = k // 2 + offset
+        with pytest.raises(ValueError, match=rf"^{op} padding must be k // 2 = {k // 2}, got {padding}$"):
+            conv(Tensor(np.zeros((1, 3, 5))), Tensor(make_weight(np.random.default_rng(0), k)), padding=padding)
+
+    @pytest.mark.parametrize("op", CONVOLUTIONS)
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_even_kernel_rejected_before_padding(self, op, k):
+        make_weight, conv, _oracle = CONVOLUTIONS[op]
+        with pytest.raises(ShapeError, match=rf"^kernel size must be odd, got {k}$"):
+            conv(Tensor(np.zeros((1, 3, 5))), Tensor(make_weight(np.random.default_rng(0), k)), padding=k // 2)
+
+    @pytest.mark.parametrize("op", CONVOLUTIONS)
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_zero_length_input_gives_empty_output_and_zero_gradients(self, op, k):
+        make_weight, conv, _oracle = CONVOLUTIONS[op]
+        w = make_weight(np.random.default_rng(k), k)
+        xt = Tensor(np.zeros((2, 3, 0)), requires_grad=True, dtype=np.float64)
+        wt = Tensor(w, requires_grad=True, dtype=np.float64)
+        with Tape() as tape:
+            out = conv(xt, wt, padding=k // 2)
+            loss = F.tensor_sum(out)
+        backward(loss, tape)
+        assert out.shape == (2, 4 if op == "conv1d" else 3, 0)
+        assert xt.grad.shape == (2, 3, 0)
+        np.testing.assert_array_equal(wt.grad, np.zeros_like(w))
+
     @pytest.mark.parametrize("op,axis", [("conv1d", 0), ("depthwise_conv1d", 0), ("depthwise_conv1d", 1)])
-    @pytest.mark.parametrize("k,padding", [(3, 1), (5, 2)])
+    @pytest.mark.parametrize("k,padding", [(1, 0), (3, 1), (5, 2), (7, 3)])
     @pytest.mark.parametrize("value", [1e6, np.inf, np.nan])
     def test_neighbouring_rows_do_not_leak_into_a_row(self, op, axis, k, padding, value):
         # Perturb row 0's last and row 2's first time step along the batch
