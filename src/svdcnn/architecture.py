@@ -16,13 +16,14 @@ layer layout. Reported storage assumes 4 bytes per parameter.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 import numpy as np
 
-from .autograd import DEFAULT_DTYPE, ShapeError, Tensor
+from .autograd import ShapeError, Tensor
 from .data import DEFAULT_VOCAB_SIZE
 from .functional import DegenerateStatisticsError, maxpool_halve
 from .layers import (
@@ -69,7 +70,10 @@ def depth_layout(depth: int) -> tuple[int, int, int, int]:
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
-    """Declarative description of one network."""
+    """Declarative description of one network.
+
+    A checkpoint header stores the fields in declaration order; a CLI flag not given keeps its field's default.
+    """
 
     family: str
     depth: int = 9
@@ -120,26 +124,24 @@ class Model(Module):
     every value next (see ``load_checkpoint``).
     """
 
-    def __init__(self, spec: ArchitectureSpec, seed: int | None = 0, dtype=DEFAULT_DTYPE):
+    def __init__(self, spec: ArchitectureSpec, seed: int | None = 0):
         rng = None if seed is None else np.random.default_rng(seed)
         self.spec = spec
-        self.embedding = EmbeddingTable(spec.vocab_size, spec.embed_dim, rng, dtype)
-        self.first_conv = TemporalConvLayer(
-            spec.embed_dim, FIRST_CONV_CHANNELS, rng, dtype, bn_scale_init=STEM_BN_SCALE
-        )
+        self.embedding = EmbeddingTable(spec.vocab_size, spec.embed_dim, rng)
+        self.first_conv = TemporalConvLayer(spec.embed_dim, FIRST_CONV_CHANNELS, rng, bn_scale_init=STEM_BN_SCALE)
         layer_cls = TemporalConvLayer if spec.family == "vdcnn" else TdscLayer
         self.levels: list[list[ConvBlock]] = []
         in_ch = FIRST_CONV_CHANNELS
         for channels, n_layers in zip(LEVEL_CHANNELS, depth_layout(spec.depth)):
             blocks = []
             for b in range(n_layers // 2):
-                blocks.append(ConvBlock(layer_cls, in_ch if b == 0 else channels, channels, rng, dtype))
+                blocks.append(ConvBlock(layer_cls, in_ch if b == 0 else channels, channels, rng))
             self.levels.append(blocks)
             in_ch = channels
         if spec.family == "vdcnn":
-            self.head = KmaxLinearHead(LEVEL_CHANNELS[-1], spec.pooled_len, spec.fc_hidden, spec.n_classes, rng, dtype)
+            self.head = KmaxLinearHead(LEVEL_CHANNELS[-1], spec.pooled_len, spec.fc_hidden, spec.n_classes, rng)
         else:
-            self.head = AvgPoolLinearHead(LEVEL_CHANNELS[-1], spec.pooled_len, spec.n_classes, rng, dtype)
+            self.head = AvgPoolLinearHead(LEVEL_CHANNELS[-1], spec.pooled_len, spec.n_classes, rng)
 
     def _members(self):
         for name, value in vars(self).items():
@@ -178,19 +180,15 @@ class Model(Module):
         return [t for _n, t, _c in self.named_params()]
 
 
-def build_model(spec: ArchitectureSpec, seed: int | None = 0, dtype=DEFAULT_DTYPE) -> Model:
-    return Model(spec, seed=seed, dtype=dtype)
+def build_model(spec: ArchitectureSpec, seed: int | None = 0) -> Model:
+    return Model(spec, seed=seed)
 
 
-def storage_size(params) -> float:
-    """Storage in binary megabytes at 4 bytes per parameter.
-
-    Accepts a raw count or a :class:`ParamReport`.
-    """
-    total = params.total if isinstance(params, ParamReport) else int(params)
-    if total < 0:
-        raise ValueError(f"parameter count must be non-negative, got {total}")
-    return total * BYTES_PER_PARAM / (1024 ** 2)
+def storage_size(count: int) -> float:
+    """Storage in binary megabytes of ``count`` parameters at 4 bytes each."""
+    if count < 0:
+        raise ValueError(f"parameter count must be non-negative, got {count}")
+    return count * BYTES_PER_PARAM / (1024 ** 2)
 
 
 def round2(x: float) -> float:
@@ -293,9 +291,18 @@ class GoldenRow:
     total_m: float
     storage_mb: float
 
+    def __post_init__(self):
+        values = (self.conv_m, self.fc_m, self.total_m, self.storage_mb)
+        if not all(math.isfinite(v) and v >= 0 for v in values):
+            raise ValueError(f"counts must be finite and non-negative, got {' '.join(map(str, values))}")
+
 
 def load_golden_table(path=None) -> dict[tuple[str, int], GoldenRow]:
-    """Parse the shipped (or a given) reference table."""
+    """Parse the shipped (or a given) reference table.
+
+    A malformed or negative cell, an unsupported ``(family, depth)`` or a repeated row raises ``ValueError``
+    naming the line.
+    """
     if path is None:
         text = importlib.resources.files("svdcnn").joinpath("golden_params.tsv").read_text()
         label = "packaged golden table"
@@ -313,7 +320,13 @@ def load_golden_table(path=None) -> dict[tuple[str, int], GoldenRow]:
         parts = line.split()
         if len(parts) != 6:
             raise ValueError(f"{label}, line {lineno}: expected 6 columns, got {len(parts)}")
-        row = GoldenRow(parts[0], int(parts[1]), *(float(v) for v in parts[2:]))
+        try:
+            row = GoldenRow(parts[0], int(parts[1]), *(float(v) for v in parts[2:]))
+            ArchitectureSpec(row.family, depth=row.depth)
+        except ValueError as exc:
+            raise ValueError(f"{label}, line {lineno}: {exc}") from None
+        if (row.family, row.depth) in rows:
+            raise ValueError(f"{label}, line {lineno}: repeats the row for ({row.family}, {row.depth})")
         rows[(row.family, row.depth)] = row
     if not rows:
         raise ValueError(f"{label}: no rows found")

@@ -70,12 +70,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._not_scalar()
-
-    def _not_scalar(self):
-        raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         """Add ``g`` to ``grad``.
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -27,25 +28,21 @@ DEPTH_CHOICES = sorted(arch._LAYER_LAYOUT)
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags that set ``ArchitectureSpec`` fields; a flag not given leaves its field at the spec's default."""
     parser.add_argument("--family", choices=arch.FAMILIES, default="svdcnn")
-    parser.add_argument("--depth", type=int, choices=DEPTH_CHOICES, default=9)
-    parser.add_argument("--classes", type=int, default=4, help="number of target classes")
-    parser.add_argument("--seq-len", "--s", dest="seq_len", type=int, default=1024)
-    parser.add_argument("--embed-dim", type=int, default=16)
-    parser.add_argument("--pooled-len", type=int, default=8)
-    parser.add_argument("--fc-hidden", type=int, default=2048)
+    unset = argparse.SUPPRESS
+    parser.add_argument("--depth", type=int, choices=DEPTH_CHOICES, default=unset)
+    parser.add_argument("--classes", dest="n_classes", metavar="CLASSES", type=int, default=unset,
+                        help="number of target classes")
+    parser.add_argument("--seq-len", "--s", dest="seq_len", type=int, default=unset)
+    parser.add_argument("--embed-dim", type=int, default=unset)
+    parser.add_argument("--pooled-len", type=int, default=unset)
+    parser.add_argument("--fc-hidden", type=int, default=unset)
 
 
 def _spec_from_args(args) -> ArchitectureSpec:
-    return ArchitectureSpec(
-        family=args.family,
-        depth=args.depth,
-        seq_len=args.seq_len,
-        embed_dim=args.embed_dim,
-        n_classes=args.classes,
-        fc_hidden=args.fc_hidden,
-        pooled_len=args.pooled_len,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(ArchitectureSpec) if hasattr(args, f.name)}
+    return ArchitectureSpec(**given)
 
 
 def cmd_describe(args) -> int:
@@ -165,11 +162,7 @@ def cmd_train(args) -> int:
     history_path = args.history or f"{args.out}.history.jsonl"
     with open(history_path, "w", encoding="utf-8") as fh:
         for stats in history:
-            fh.write(json.dumps({
-                "epoch": stats.epoch,
-                "train_loss": stats.train_loss,
-                "val_accuracy": stats.val_accuracy,
-            }) + "\n")
+            fh.write(json.dumps(asdict(stats)) + "\n")
     save_checkpoint(model, args.out, epoch=model.checkpoint_epoch)
     final_acc = evaluate(model, val_set)
     print(f"best epoch {model.checkpoint_epoch}; checkpoint val accuracy {final_acc:.4f}")

@@ -31,15 +31,15 @@ from .functional import (
 KERNEL_SIZE = 3
 
 
-def _normal(rng, std: float, shape, dtype) -> np.ndarray:
+def _normal(rng, std: float, shape) -> np.ndarray:
     """Seeded normal draws; zeros with no draw when ``rng`` is None (the values are about to be loaded)."""
     if rng is None:
-        return np.zeros(shape, dtype=dtype)
-    return rng.normal(0.0, std, shape).astype(dtype)
+        return np.zeros(shape, dtype=DEFAULT_DTYPE)
+    return rng.normal(0.0, std, shape).astype(DEFAULT_DTYPE)
 
 
-def _fan_in_normal(rng, shape, fan_in, dtype, gain: float = 2.0):
-    return Tensor(_normal(rng, math.sqrt(gain / fan_in), shape, dtype), requires_grad=True)
+def _fan_in_normal(rng, shape, fan_in, gain: float = 2.0):
+    return Tensor(_normal(rng, math.sqrt(gain / fan_in), shape), requires_grad=True)
 
 
 class Module:
@@ -105,19 +105,19 @@ class BatchNorm(Module):
     momentum = 0.1  # weight of each batch's statistics in the running averages
     eps = 1e-5
 
-    def __init__(self, channels: int, dtype=DEFAULT_DTYPE, scale_init: float = 1.0):
-        self.gamma = Tensor(np.full(channels, scale_init, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-        self.running_mean = np.zeros(channels, dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
+    def __init__(self, channels: int, scale_init: float = 1.0):
+        self.gamma = Tensor(np.full(channels, scale_init, dtype=DEFAULT_DTYPE), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels, dtype=DEFAULT_DTYPE), requires_grad=True)
+        self.running_mean = np.zeros(channels, dtype=DEFAULT_DTYPE)
+        self.running_var = np.ones(channels, dtype=DEFAULT_DTYPE)
 
     def forward(self, x: Tensor) -> Tensor:
         if self.mode == "train":
             out, mean, var, count = batch_norm_train(x, self.gamma, self.beta, self.eps)
             m = self.momentum
-            self.running_mean += (m * (mean - self.running_mean)).astype(self.running_mean.dtype)
+            self.running_mean += m * (mean - self.running_mean)
             unbiased = var * (count / (count - 1))
-            self.running_var += (m * (unbiased - self.running_var)).astype(self.running_var.dtype)
+            self.running_var += m * (unbiased - self.running_var)
             return out
         return batch_norm_eval(x, self.gamma, self.beta, self.running_mean, self.running_var, self.eps)
 
@@ -127,8 +127,8 @@ class EmbeddingTable(Module):
 
     category = "embedding"
 
-    def __init__(self, vocab_size: int, dim: int, rng, dtype=DEFAULT_DTYPE):
-        table = _normal(rng, 0.25, (vocab_size, dim), dtype)
+    def __init__(self, vocab_size: int, dim: int, rng):
+        table = _normal(rng, 0.25, (vocab_size, dim))
         table[0] = 0.0
         self.table = Tensor(table, requires_grad=True)
 
@@ -170,11 +170,11 @@ class ConvLayer(Module):
 class TemporalConvLayer(ConvLayer):
     """Kernel-3 temporal convolution + batch norm + ReLU."""
 
-    def __init__(self, in_channels: int, out_channels: int, rng, dtype=DEFAULT_DTYPE, bn_scale_init: float = 1.0):
+    def __init__(self, in_channels: int, out_channels: int, rng, bn_scale_init: float = 1.0):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.weight = _fan_in_normal(rng, (out_channels, in_channels, KERNEL_SIZE), in_channels * KERNEL_SIZE, dtype)
-        self.bn = BatchNorm(out_channels, dtype=dtype, scale_init=bn_scale_init)
+        self.weight = _fan_in_normal(rng, (out_channels, in_channels, KERNEL_SIZE), in_channels * KERNEL_SIZE)
+        self.bn = BatchNorm(out_channels, scale_init=bn_scale_init)
 
     @property
     def last_weight(self) -> Tensor:
@@ -191,12 +191,12 @@ class TdscLayer(ConvLayer):
     network depth. A batch-norm fold scales the pointwise mix only.
     """
 
-    def __init__(self, in_channels: int, out_channels: int, rng, dtype=DEFAULT_DTYPE, bn_scale_init: float = 1.0):
+    def __init__(self, in_channels: int, out_channels: int, rng, bn_scale_init: float = 1.0):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.depthwise = _fan_in_normal(rng, (in_channels, KERNEL_SIZE), KERNEL_SIZE, dtype)
-        self.pointwise = _fan_in_normal(rng, (out_channels, in_channels, 1), in_channels, dtype)
-        self.bn = BatchNorm(out_channels, dtype=dtype, scale_init=bn_scale_init)
+        self.depthwise = _fan_in_normal(rng, (in_channels, KERNEL_SIZE), KERNEL_SIZE)
+        self.pointwise = _fan_in_normal(rng, (out_channels, in_channels, 1), in_channels)
+        self.bn = BatchNorm(out_channels, scale_init=bn_scale_init)
 
     @property
     def last_weight(self) -> Tensor:
@@ -216,17 +216,17 @@ class ConvBlock(Module):
 
     category = "conv"
 
-    def __init__(self, layer_cls: type[ConvLayer], in_channels: int, out_channels: int, rng, dtype=DEFAULT_DTYPE):
+    def __init__(self, layer_cls: type[ConvLayer], in_channels: int, out_channels: int, rng):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.layer1 = layer_cls(in_channels, out_channels, rng, dtype)
+        self.layer1 = layer_cls(in_channels, out_channels, rng)
         # Zero scale on the closing normalization makes a fresh block the
         # identity, so activation variance cannot grow with depth at init.
-        self.layer2 = layer_cls(out_channels, out_channels, rng, dtype, bn_scale_init=0.0)
+        self.layer2 = layer_cls(out_channels, out_channels, rng, bn_scale_init=0.0)
         if in_channels != out_channels:
             # The projection is linear (no activation follows), so gain 1
             # keeps the shortcut variance-preserving.
-            self.projection = _fan_in_normal(rng, (out_channels, in_channels, 1), in_channels, dtype, gain=1.0)
+            self.projection = _fan_in_normal(rng, (out_channels, in_channels, 1), in_channels, gain=1.0)
         else:
             self.projection = None
 
@@ -255,12 +255,12 @@ class KmaxLinearHead(Module):
     The logit layer starts at zero so untrained logits are exactly zero.
     """
 
-    def __init__(self, channels: int, k: int, hidden: int, n_classes: int, rng, dtype=DEFAULT_DTYPE):
+    def __init__(self, channels: int, k: int, hidden: int, n_classes: int, rng):
         self.k = k
         flat = channels * k
-        self.fc1 = Linear(_fan_in_normal(rng, (hidden, flat), flat, dtype))
-        self.fc2 = Linear(_fan_in_normal(rng, (hidden, hidden), hidden, dtype))
-        self.fc3 = Linear(Tensor(np.zeros((n_classes, hidden), dtype=dtype), requires_grad=True))
+        self.fc1 = Linear(_fan_in_normal(rng, (hidden, flat), flat))
+        self.fc2 = Linear(_fan_in_normal(rng, (hidden, hidden), hidden))
+        self.fc3 = Linear(Tensor(np.zeros((n_classes, hidden), dtype=DEFAULT_DTYPE), requires_grad=True))
 
     def forward(self, x: Tensor) -> Tensor:
         h = flatten_features(kmax_pool(x, self.k))
@@ -275,10 +275,10 @@ class AvgPoolLinearHead(Module):
     The logit layer starts at zero so untrained logits are exactly zero.
     """
 
-    def __init__(self, channels: int, pooled_len: int, n_classes: int, rng, dtype=DEFAULT_DTYPE):
+    def __init__(self, channels: int, pooled_len: int, n_classes: int, rng):
         self.pooled_len = pooled_len
         flat = channels * pooled_len
-        self.fc = Linear(Tensor(np.zeros((n_classes, flat), dtype=dtype), requires_grad=True))
+        self.fc = Linear(Tensor(np.zeros((n_classes, flat), dtype=DEFAULT_DTYPE), requires_grad=True))
 
     def forward(self, x: Tensor) -> Tensor:
         return self.fc.forward(flatten_features(adaptive_avg_pool(x, self.pooled_len)))

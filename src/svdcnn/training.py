@@ -6,7 +6,7 @@ import math
 import os
 import struct
 import uuid
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -179,10 +179,10 @@ def train(model: Model, train_set: Dataset, val_set: Dataset, cfg: TrainConfig) 
 
 
 # Checkpoint layout: magic "SVDC", version u16, then nine little-endian u32
-# fields (family code, depth, seq_len, embed_dim, vocab_size, n_classes,
-# fc_hidden, pooled_len, epoch), then every parameter array followed by every
-# buffer array in model order, each as a u64 length plus raw little-endian
-# float32 values.
+# fields: the ArchitectureSpec fields in declaration order (the family as its
+# index in FAMILIES), then the epoch. Every parameter array follows, then
+# every buffer array, in model order, each as a u64 length plus raw
+# little-endian float32 values.
 CHECKPOINT_MAGIC = b"SVDC"
 CHECKPOINT_VERSION = 1
 
@@ -216,17 +216,7 @@ def _model_arrays(model: Model) -> list[tuple[str, np.ndarray]]:
 def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
     """Write ``model`` to a synced temporary file renamed onto ``path``: a failed write leaves the old file intact."""
     spec = model.spec
-    fields = (
-        FAMILIES.index(spec.family),
-        spec.depth,
-        spec.seq_len,
-        spec.embed_dim,
-        spec.vocab_size,
-        spec.n_classes,
-        spec.fc_hidden,
-        spec.pooled_len,
-        int(epoch),
-    )
+    fields = (FAMILIES.index(spec.family), *astuple(spec)[1:], int(epoch))
     tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
     try:
         with open(tmp, "xb") as fh:
@@ -259,21 +249,11 @@ def load_checkpoint(path) -> Model:
     header_end = 6 + 9 * 4
     if len(blob) < header_end:
         raise CheckpointTruncatedError(f"{path}: truncated header")
-    fields = struct.unpack_from("<9I", blob, 6)
-    family_code, depth, seq_len, embed_dim, vocab_size, n_classes, fc_hidden, pooled_len, epoch = fields
+    family_code, *values, epoch = struct.unpack_from("<9I", blob, 6)
     if family_code >= len(FAMILIES):
         raise CheckpointError(f"{path}: unknown family code {family_code}")
     try:
-        spec = ArchitectureSpec(
-            family=FAMILIES[family_code],
-            depth=depth,
-            seq_len=seq_len,
-            embed_dim=embed_dim,
-            vocab_size=vocab_size,
-            n_classes=n_classes,
-            fc_hidden=fc_hidden,
-            pooled_len=pooled_len,
-        )
+        spec = ArchitectureSpec(FAMILIES[family_code], *values)
     except ValueError as exc:
         raise CheckpointError(f"{path}: invalid architecture fields: {exc}") from None
     needed = header_end + 4 * closed_form_params(spec).total  # checked before the model is allocated

@@ -127,3 +127,19 @@ def level_shapes(model, indices):
         for blocks in model.levels:
             del blocks[-1].forward
     return shapes
+
+
+def as_float64(module):
+    """Cast every parameter and buffer of ``module`` and the modules below it to float64; returns ``module``.
+
+    The package builds float32 modules; float64 keeps finite differences and
+    tight comparisons clean. A parameter keeps its identity (its ``data`` is
+    replaced); a buffer attribute is replaced by a float64 copy.
+    """
+    for m in module.modules():
+        for name, value in list(vars(m).items()):
+            if isinstance(value, np.ndarray):
+                setattr(m, name, value.astype(np.float64))
+            elif isinstance(getattr(value, "data", None), np.ndarray):
+                value.data = value.data.astype(np.float64)
+    return module

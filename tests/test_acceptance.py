@@ -33,7 +33,7 @@ from svdcnn.data import synth_dataset
 from svdcnn.functional import cross_entropy
 from svdcnn.training import TrainConfig, train
 
-from oracles import level_shapes
+from oracles import as_float64, level_shapes
 
 ALL_CONFIGS = [(family, depth) for family in ("vdcnn", "svdcnn") for depth in (9, 17, 29, 49)]
 
@@ -167,7 +167,7 @@ def test_criterion_08_gradient_suite():
     # Residual scales and head weights are moved off their zero init so the
     # check exercises every path; float64 keeps the difference quotient clean.
     spec = ArchitectureSpec("svdcnn", depth=9, seq_len=32, pooled_len=4, n_classes=4)
-    model = build_model(spec, seed=1, dtype=np.float64)
+    model = as_float64(build_model(spec, seed=1))
     rng = np.random.default_rng(101)
     for name, t, _c in model.named_params():
         if name.endswith("bn.gamma"):

@@ -1,5 +1,6 @@
 """Builders, shape traces, parameter accounting and table reconciliation."""
 
+import re
 import sys
 import threading
 
@@ -360,11 +361,26 @@ class TestStorage:
 
     def test_accepts_report_or_count(self):
         report = ParamReport(embedding=0, conv=1_048_576, batchnorm=0, fc=0)
-        assert storage_size(report) == storage_size(1_048_576) == 4.0
+        assert report.storage_mb == storage_size(1_048_576) == 4.0
 
     def test_squeezed_deep_model_fits_in_6mb(self):
         report = closed_form_params(ArchitectureSpec("svdcnn", depth=29))
         assert report.storage_mb <= 6.1
+
+
+_GOLDEN_ROW = "svdcnn\t9\t0.71\t0.02\t0.73\t2.80\n"
+
+# Reference tables load_golden_table rejects: (text, line number, message pattern).
+MALFORMED_GOLDEN_TABLES = {
+    "int-cell": (_GOLDEN_ROW + "svdcnn\tnine\t1.43\t0.02\t1.45\t5.52\n", 2,
+                 r"invalid literal for int\(\) with base 10: 'nine'"),
+    "float-cell": ("svdcnn\t9\t0.71\tx\t0.73\t2.80\n", 1, "could not convert string to float: 'x'"),
+    "family": ("cnn\t9\t0.71\t0.02\t0.73\t2.80\n", 1, "unknown family 'cnn'"),
+    "depth": ("svdcnn\t11\t0.71\t0.02\t0.73\t2.80\n", 1, "unsupported depth 11"),
+    "negative": ("svdcnn\t9\t0.71\t0.02\t-0.73\t2.80\n", 1, "counts must be finite and non-negative"),
+    "nan": ("svdcnn\t9\tnan\t0.02\t0.73\t2.80\n", 1, "counts must be finite and non-negative"),
+    "duplicate": (_GOLDEN_ROW + "# again\n" + _GOLDEN_ROW, 3, r"repeats the row for \(svdcnn, 9\)"),
+}
 
 
 class TestReconcile:
@@ -411,6 +427,13 @@ class TestReconcile:
     def test_golden_file_missing(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_golden_table(tmp_path / "nope.tsv")
+
+    @pytest.mark.parametrize("text,line,message", MALFORMED_GOLDEN_TABLES.values(), ids=MALFORMED_GOLDEN_TABLES)
+    def test_malformed_golden_table_names_the_file_and_line(self, tmp_path, text, line, message):
+        path = tmp_path / "golden.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}, line {line}: {message}"):
+            load_golden_table(path)
 
 
 class TestConstantProduct:

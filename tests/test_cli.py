@@ -4,12 +4,16 @@ import io
 import json
 import os
 import platform
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from svdcnn.cli import main
+from svdcnn.architecture import ArchitectureSpec
+from svdcnn.cli import _spec_from_args, build_parser, main
 from svdcnn.training import load_checkpoint
+
+from test_architecture import MALFORMED_GOLDEN_TABLES
 
 
 def run(capsys, *argv):
@@ -36,6 +40,26 @@ class TestDescribe:
         assert "9, 17, 29, 49" in err
 
 
+class TestSpecFlags:
+    @pytest.mark.parametrize("command", ["describe", "train", "bench"])
+    def test_no_flags_give_the_spec_defaults(self, command):
+        assert _spec_from_args(build_parser().parse_args([command])) == ArchitectureSpec("svdcnn")
+
+    @pytest.mark.parametrize("flag,field,value", [
+        ("--family", "family", "vdcnn"),
+        ("--depth", "depth", 17),
+        ("--classes", "n_classes", 7),
+        ("--seq-len", "seq_len", 256),
+        ("--s", "seq_len", 256),
+        ("--embed-dim", "embed_dim", 8),
+        ("--pooled-len", "pooled_len", 4),
+        ("--fc-hidden", "fc_hidden", 64),
+    ])
+    def test_each_flag_sets_its_own_field(self, flag, field, value):
+        args = build_parser().parse_args(["describe", flag, str(value)])
+        assert _spec_from_args(args) == replace(ArchitectureSpec("svdcnn"), **{field: value})
+
+
 class TestVerify:
     def test_default_run_passes(self, capsys):
         code, out, _err = run(capsys, "verify")
@@ -50,6 +74,17 @@ class TestVerify:
         code, out, _err = run(capsys, "verify", "--golden", str(bad))
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("text,line", [v[:2] for v in MALFORMED_GOLDEN_TABLES.values()],
+                             ids=MALFORMED_GOLDEN_TABLES)
+    def test_malformed_golden_table_is_one_error_line(self, capsys, tmp_path, text, line):
+        bad = tmp_path / "golden.tsv"
+        bad.write_text(text)
+        code, out, err = run(capsys, "verify", "--golden", str(bad))
+        assert code == 1
+        assert "PASS" not in out
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {bad}, line {line}: ")
 
     def test_missing_golden_file(self, capsys, tmp_path):
         code, _out, err = run(capsys, "verify", "--golden", str(tmp_path / "none.tsv"))

@@ -11,7 +11,7 @@ from svdcnn.data import Vocabulary
 from svdcnn.functional import DegenerateStatisticsError
 from svdcnn.layers import BatchNorm, ConvBlock, ConvLayer, EmbeddingTable, TdscLayer, TemporalConvLayer
 
-from oracles import kmax_direct, maxpool_direct
+from oracles import as_float64, kmax_direct, maxpool_direct
 
 RNG = np.random.default_rng
 
@@ -150,7 +150,7 @@ def _assert_float32_statistics_near_float64(offset, std, var_rtol, out_atol):
 
 def _randomized_eval_layer(layer_cls):
     """A float64 layer 4 -> 6 channels in eval mode with random batch-norm scale, shift and running statistics."""
-    layer = layer_cls(4, 6, RNG(30), dtype=np.float64)
+    layer = as_float64(layer_cls(4, 6, RNG(30)))
     rng, bn = RNG(31), layer.bn
     bn.gamma.data[...] = rng.uniform(0.2, 1.5, 6)
     bn.beta.data[...] = rng.normal(0.0, 0.3, 6)
@@ -389,7 +389,7 @@ class TestConvBlock:
 
     @pytest.mark.parametrize("layer_cls", [TemporalConvLayer, TdscLayer], ids=["standard", "tdsc"])
     def test_identity_shortcut_input_gets_both_gradients(self, layer_cls):
-        block = ConvBlock(layer_cls, 3, 3, RNG(20), dtype=np.float64)
+        block = as_float64(ConvBlock(layer_cls, 3, 3, RNG(20)))
         block.layer2.bn.gamma.data[...] = 1.0  # a fresh block's main path passes no gradient
         x = RNG(21).normal(size=(2, 3, 6))
         c = Tensor(RNG(22).normal(size=(2, 3, 6)))

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -287,6 +288,15 @@ class TestCheckpoint:
         assert loaded.checkpoint_epoch == 3
         after = loaded.forward(inputs).data
         assert before.tobytes() == after.tobytes()
+
+    def test_header_holds_the_spec_fields_in_declaration_order_then_the_epoch(self, tmp_path):
+        spec = ArchitectureSpec("svdcnn", depth=17, seq_len=64, embed_dim=3, vocab_size=5, n_classes=6,
+                                fc_hidden=7, pooled_len=2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(spec, seed=None), path, epoch=11)
+        assert struct.unpack_from("<4sH9I", path.read_bytes()) == (b"SVDC", 1, 1, 17, 64, 3, 5, 6, 7, 2, 11)
+        loaded = load_checkpoint(path)
+        assert (loaded.spec, loaded.checkpoint_epoch) == (spec, 11)
 
     @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
     def test_failed_write_leaves_the_previous_checkpoint_in_place(self, tmp_path, monkeypatch, error):
