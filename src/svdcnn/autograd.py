@@ -38,8 +38,10 @@ class NonFiniteError(RuntimeError):
 class Tensor:
     """N-dimensional array with an optional gradient buffer.
 
-    The data buffer is row-major and is treated as immutable once an
-    operation has consumed it; only ``grad`` accumulates in place. After
+    The data buffer keeps the memory order it is given (temporal feature
+    maps of logical shape ``[B, C, L]`` are stored channels-last, see
+    ``functional``) and is treated as immutable once an operation has
+    consumed it; only ``grad`` accumulates in place. After
     :func:`backward`, leaves (tensors no recorded operation produced) keep
     their ``grad``; recorded operation outputs have ``grad`` None, because
     each output's gradient is handed to its operation's pull, which may
@@ -54,7 +56,7 @@ class Tensor:
             arr = arr.astype(dtype, copy=False)
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
-        self.data = np.ascontiguousarray(arr)
+        self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
 
@@ -74,10 +76,10 @@ class Tensor:
         """Add ``g`` to ``grad``.
 
         The first gradient is kept without a copy when it is writeable, owns
-        its data and matches ``data`` in dtype and shape; otherwise it is
-        copied. A caller hands such an array over: it must hold no other
-        reference to it that it reads or writes later, and must not pass it
-        to a second tensor.
+        its data and matches ``data`` in dtype and shape, in any memory
+        order; otherwise it is copied, keeping its memory order. A caller
+        hands such an array over: it must hold no other reference to it that
+        it reads or writes later, and must not pass it to a second tensor.
         """
         if self.grad is not None:
             self.grad += g
@@ -198,24 +200,25 @@ def grad_check(
     rng = np.random.default_rng(seed)
     worst = 0.0
     for t in inputs:
-        flat = t.data.reshape(-1)
-        analytic = t.grad.reshape(-1) if t.grad is not None else np.zeros_like(flat)
-        n = flat.size
+        data = t.data
+        analytic = t.grad if t.grad is not None else np.zeros_like(data)
+        n = data.size
         if max_entries_per_input is not None and n > max_entries_per_input:
             positions = rng.choice(n, size=max_entries_per_input, replace=False)
         else:
             positions = np.arange(n)
         for j in positions:
-            saved = flat[j]
-            flat[j] = saved + eps
+            at = np.unravel_index(j, data.shape)  # an entry of data itself, whatever its memory order
+            saved = data[at]
+            data[at] = saved + eps
             hi = f(*inputs).data.item()
-            x_hi = float(flat[j])
-            flat[j] = saved - eps
+            x_hi = float(data[at])
+            data[at] = saved - eps
             lo = f(*inputs).data.item()
-            x_lo = float(flat[j])
-            flat[j] = saved
+            x_lo = float(data[at])
+            data[at] = saved
             numeric = (hi - lo) / (x_hi - x_lo)
-            a = float(analytic[j])
+            a = float(analytic[at])
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, rel)
     return worst

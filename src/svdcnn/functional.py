@@ -1,11 +1,14 @@
 """Primitive numeric operations with taped gradients.
 
-Every operation is batched. Temporal operations take channel-major feature
-maps ``[B, C, L]``. The convolutions keep the length: stride 1, an odd
-kernel K and zero padding ``K // 2``, the only padding they accept; only
-pooling changes L. Dense operations take rows ``[B, N]``, and the embedding
-takes index rows ``[B, s]``. A single instance is a batch of one
-(``x[None]``).
+Every operation is batched. Temporal operations take feature maps of
+logical shape ``[B, C, L]``, stored channels-last: strides ``(L*C, 1, C)``
+in items, so the ``[B, L, C]`` view is C-contiguous and each time step's
+channels are one contiguous chunk. Every temporal output and input gradient
+is stored that way; an input in another memory order is copied into it on
+entry. The convolutions keep the length: stride 1, an odd kernel K and zero
+padding ``K // 2``, the only padding they accept; only pooling changes L.
+Dense operations take rows ``[B, N]``, and the embedding takes index rows
+``[B, s]``. A single instance is a batch of one (``x[None]``).
 
 An output needs a gradient exactly when one of its inputs does, and only
 such an output's backward is recorded, onto the innermost open tape.
@@ -24,15 +27,53 @@ class DegenerateStatisticsError(ValueError):
     """Batch statistics requested over too few values."""
 
 
+def _empty(shape: tuple, dtype) -> np.ndarray:
+    """An uninitialised ``[B, C, L]`` array stored channels-last that owns its data."""
+    _batch, channels, length = shape
+    item = np.dtype(dtype).itemsize
+    return np.ndarray(shape, dtype, strides=(length * channels * item, item, channels * item))
+
+
+def _channels_last(a: np.ndarray) -> np.ndarray:
+    """``a [B, C, L]`` itself when it is stored channels-last, else a channels-last copy."""
+    if a.transpose(0, 2, 1).flags.c_contiguous:
+        return a
+    out = _empty(a.shape, a.dtype)
+    out[...] = a
+    return out
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The ``[B*L, C]`` view of a channels-last ``a [B, C, L]``, one row per time step (never a copy)."""
+    batch, channels, length = a.shape
+    return a.transpose(0, 2, 1).reshape(batch * length, channels)
+
+
+def _by_channel(ufunc, a: np.ndarray, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``ufunc(a, v[:, None])`` for a channels-last ``a [B, C, L]`` and per-channel values ``v [C]``; ``out`` may be ``a``.
+
+    It runs over each sample's ``[L*C]`` row against ``v`` tiled to one value
+    per row position: one long inner loop per sample, where a ``v[:, None]``
+    broadcast gets one loop of C per time step. The result is channels-last.
+    """
+    batch, channels, length = a.shape
+    if out is None:
+        out = _empty(a.shape, np.result_type(a, v))
+    ufunc(a.transpose(0, 2, 1).reshape(batch, length * channels), np.tile(v, length),
+          out=out.transpose(0, 2, 1).reshape(batch, length * channels))
+    return out
+
+
 def _checked(t: Tensor, layout: str, op: str, **per_channel) -> np.ndarray:
     """``t.data`` after checking that its rank matches ``layout``, e.g. "[B, C, L]", and that
-    each ``per_channel`` array (Tensor or ndarray) has shape ``(C,)``."""
+    each ``per_channel`` array (Tensor or ndarray) has shape ``(C,)``; a ``[B, C, L]`` input is
+    returned channels-last."""
     if t.data.ndim != layout.count(",") + 1:
         raise ShapeError(f"{op} input must be {layout}, got shape {t.shape}")
     for name, a in per_channel.items():
         if a.shape != t.shape[1:2]:
             raise ShapeError(f"{op} {name} has shape {a.shape}, but the input has {t.shape[1]} channels")
-    return t.data
+    return _channels_last(t.data) if layout == "[B, C, L]" else t.data
 
 
 def _output(name: str, od: np.ndarray, inputs, pull) -> Tensor:
@@ -55,39 +96,42 @@ def _tap_slices(n: int, k: int) -> list[tuple[slice, slice]]:
 
 
 def _shifted_sum(shape: tuple, dtype, k: int, product) -> np.ndarray:
-    """``out[..., t] = sum_kk P_kk[..., t + kk - k//2]`` over rows of length ``shape[-1]``, zero outside a row.
+    """``out[:, :, t] = sum_kk P_kk[:, :, t + kk - k//2]`` over sequences of length ``shape[2]``, zero outside a sequence.
 
     ``product(kk, dst)`` writes tap kk's product ``P_kk`` over the whole input
-    into ``dst``. The centre tap's product is the result. Every other tap's
-    goes into one reused temporary, whose positions the shift would carry into
-    a neighbouring row are zeroed, and is then added at its shift over the
-    flattened array: one long inner loop per tap, and no value (NaN included)
-    crosses a row. The result owns its data.
+    into the channels-last ``dst``. The centre tap's product is the result.
+    Every other tap's goes into one reused temporary and is added at its
+    shift along time. In channels-last order the time steps a tap connects
+    are one contiguous run of whole C-chunks per sequence, so each add is
+    one long inner loop per sequence and never reads a neighbouring
+    sequence: no value (NaN included) crosses one. The result is
+    channels-last and owns its data.
     """
-    out = np.empty(shape, dtype)
+    out = _empty(shape, dtype)
     product(k // 2, out)
     if k == 1:
         return out
     tmp = np.empty_like(out)
-    flat_out, flat_tmp = out.reshape(-1), tmp.reshape(-1)
-    for kk, ((_, valid), (write, read)) in enumerate(zip(_tap_slices(shape[-1], k), _tap_slices(out.size, k))):
+    for kk, (dst, src) in enumerate(_tap_slices(shape[2], k)):
         if kk != k // 2:
             product(kk, tmp)
-            tmp[..., :valid.start] = 0
-            tmp[..., valid.stop:] = 0
-            flat_out[write] += flat_tmp[read]
+            out[:, :, dst] += tmp[:, :, src]
     return out
 
 
 def _channel_sum(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-channel sum of ``a [B, C, L]`` (or of ``a * b``) over batch and time, as one contraction.
+    """Per-channel sum of ``a [B, C, L]`` (or of ``a * b``) over batch and time: an ``einsum`` over time, then a sum over batch.
 
-    A matrix-vector product with ones, or one ``einsum``, runs a long inner
-    loop over time; ``sum(axis=(0, 2))`` is several times slower at layer shapes.
+    The ``einsum`` follows the operands' memory order, so on channels-last
+    maps (or slices of them along time) its inner loop runs along the
+    contiguous channels. It adds time step after time step, so summing each
+    sequence apart first keeps float32 sums of long rows accurate. A
+    matrix-vector product with ones over the ``[B*L, C]`` rows is no faster,
+    and OpenBLAS's threaded one sometimes stalls for milliseconds at these shapes.
     """
     if b is None:
-        return (a @ np.ones(a.shape[2], dtype=a.dtype)).sum(axis=0)
-    return np.einsum("bcl,bcl->c", a, b)
+        return np.einsum("bcl->bc", a).sum(axis=0)
+    return np.einsum("bcl,bcl->bc", a, b).sum(axis=0)
 
 
 def _check_kernel(op: str, k: int, padding: int) -> None:
@@ -102,9 +146,12 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
     """Temporal convolution: ``x [B, C_in, L]``, ``weight [C_out, C_in, K]``.
 
     Output is ``[B, C_out, L]``: K must be odd and ``padding`` must be K // 2.
-    Each tap's product is one batched ``[C_out, C_in]`` matmul over the
-    whole input, and ``_shifted_sum`` adds the taps at their shifts. The
-    weight gradient is one contraction per tap.
+    Each tap's product is one GEMM over the ``[B*L, C_in]`` rows,
+    ``rows @ W_kk.T``, and ``_shifted_sum`` adds the taps at their shifts.
+    The weight gradient is one GEMM per tap, ``g_rows.T @ rows``, over the
+    time steps the tap connects, and the input gradient one GEMM per tap,
+    ``g_rows @ W_kk``; at K = 1 all three are single GEMMs over views, with
+    no copy.
     """
     xa = _checked(x, "[B, C, L]", "conv1d")
     w = weight.data
@@ -119,19 +166,26 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
 
     # contiguous [K, C_out, C_in]: a strided w[:, :, kk] view would keep matmul off BLAS
     taps = np.ascontiguousarray(w.transpose(2, 0, 1))
-    od = _shifted_sum((len(xa), out_ch, xa.shape[2]), np.result_type(xa, w), k, lambda kk, o: np.matmul(taps[kk], xa, out=o))
+    x_rows = _rows(xa)
+    od = _shifted_sum((len(xa), out_ch, xa.shape[2]), np.result_type(xa, w), k,
+                      lambda kk, o: np.matmul(x_rows, taps[kk].T, out=_rows(o)))
     if bias is not None:
-        od += bias.data[:, None]
+        _by_channel(np.add, od, bias.data, out=od)
 
     def pull(g):
+        g = _channels_last(g)
         if weight.requires_grad:
-            weight.accumulate_grad(np.stack([np.tensordot(g[:, :, dst], xa[:, :, src], axes=([0, 2], [0, 2]))
+            # per tap, g_rows.T @ x_rows over the time steps it connects; a full-length tap (K = 1) copies nothing
+            gt, xt = g.transpose(0, 2, 1), xa.transpose(0, 2, 1)
+            weight.accumulate_grad(np.stack([np.ascontiguousarray(gt[:, dst]).reshape(-1, out_ch).T
+                                             @ np.ascontiguousarray(xt[:, src]).reshape(-1, w_in_ch)
                                              for dst, src in _tap_slices(xa.shape[2], k)], 2))
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(_channel_sum(g))
         if x.requires_grad:
-            # the taps reversed; each .T is a view that BLAS reads through its transpose flag
-            gx = _shifted_sum(xa.shape, np.result_type(g, w), k, lambda kk, o: np.matmul(taps[k - 1 - kk].T, g, out=o))
+            g_rows = _rows(g)
+            # the taps reversed
+            gx = _shifted_sum(xa.shape, np.result_type(g, w), k, lambda kk, o: np.matmul(g_rows, taps[k - 1 - kk], out=_rows(o)))
             x.accumulate_grad(gx)
 
     return _output("conv1d", od, (x, weight, bias), pull)
@@ -141,10 +195,9 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
     """Per-channel temporal convolution of ``x [B, C, L]``: ``weight [C, K]`` filters channel c alone.
 
     The same tap engine, kernel and padding rule as ``conv1d``: each tap's
-    product is one multiply of the flattened ``[B, C*L]`` rows by a
-    per-position weight row built once per call, and ``_shifted_sum`` adds
-    the taps at their shifts. The weight gradient is one per-channel
-    contraction per tap.
+    product is one multiply of ``x`` by that tap's per-channel weights
+    (``_by_channel``), and ``_shifted_sum`` adds the taps at their shifts.
+    The weight gradient is one per-channel contraction per tap.
     """
     xa = _checked(x, "[B, C, L]", "depthwise_conv1d")
     w = weight.data
@@ -156,20 +209,19 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
         raise ShapeError(f"input has {xa.shape[1]} channels but weight has {channels}")
 
     length = xa.shape[2]
-    rows = np.repeat(w.T, length, axis=1)  # rows[kk, c*L + t] = w[c, kk]
+    taps = w.T  # taps[kk, c] = w[c, kk]
 
-    def shifted(a, rows):
-        flat = a.reshape(len(a), -1)
-        return _shifted_sum(a.shape, np.result_type(a, rows), k,
-                            lambda kk, o: np.multiply(flat, rows[kk], out=o.reshape(flat.shape)))
+    def shifted(a, taps):
+        return _shifted_sum(a.shape, np.result_type(a, taps), k, lambda kk, o: _by_channel(np.multiply, a, taps[kk], out=o))
 
     def pull(g):
+        g = _channels_last(g)
         if weight.requires_grad:
             weight.accumulate_grad(np.stack([_channel_sum(g[:, :, dst], xa[:, :, src]) for dst, src in _tap_slices(length, k)], 1))
         if x.requires_grad:
-            x.accumulate_grad(shifted(g, rows[::-1]))
+            x.accumulate_grad(shifted(g, taps[::-1]))
 
-    return _output("depthwise_conv1d", shifted(xa, rows), (x, weight), pull)
+    return _output("depthwise_conv1d", shifted(xa, taps), (x, weight), pull)
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -212,7 +264,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g)
         if b.requires_grad:
-            b.accumulate_grad(g.copy())
+            b.accumulate_grad(g.copy(order="K"))  # in g's memory order
 
     return _output("add", a.data + b.data, (a, b), pull)
 
@@ -242,39 +294,42 @@ def tensor_sum(x: Tensor) -> Tensor:
 def maxpool_halve(x: Tensor) -> Tensor:
     """Max pooling of ``x [B, C, L]`` with kernel 3, stride 2, zero padding 1: L -> ceil(L/2).
 
-    Window t holds ``x[2t - 1], x[2t], x[2t + 1]``: its entries are read from
-    contiguous copies of the even and odd time steps of ``x``, with no padded
+    Window t holds ``x[2t - 1], x[2t], x[2t + 1]``: its entries are read as
+    whole C-chunks of the even and odd time steps of ``x``, with no padded
     copy. The first window's first entry and, for odd L, the last window's
     last entry are the zero pad. Ties within a window (the zero pad included)
     send the whole gradient to the earliest position.
     """
     xa = _checked(x, "[B, C, L]", "maxpool_halve")
-    length = xa.shape[2]
+    batch, channels, length = xa.shape
     if length < 2:
         raise ShapeError(f"temporal length must be at least 2 to halve, got {length}")
     t_out, n_odd = (length + 1) // 2, length // 2
-    od = xa[:, :, 0::2].copy()  # x[2t], the middle entry of every window
-    odd = np.ascontiguousarray(xa[:, :, 1::2])  # x[2t + 1]: last entry of window t, first of window t + 1
-    np.maximum(od[:, :, :n_odd], odd, out=od[:, :, :n_odd])
-    np.maximum(od[:, :, 1:], odd[:, :, :t_out - 1], out=od[:, :, 1:])
-    np.maximum(od[:, :, :1], 0, out=od[:, :, :1])
-    np.maximum(od[:, :, n_odd:], 0, out=od[:, :, n_odd:])
+    xt = xa.transpose(0, 2, 1)  # [B, L, C]: one contiguous chunk of channels per time step
+    even, odd = xt[:, 0::2], xt[:, 1::2]  # x[2t], the middle entry of window t; x[2t + 1], its last and window t + 1's first
+    od = _empty((batch, channels, t_out), xa.dtype)
+    ot = od.transpose(0, 2, 1)
+    np.maximum(even[:, :n_odd], odd, out=ot[:, :n_odd])
+    np.maximum(even[:, n_odd:], 0, out=ot[:, n_odd:])
+    np.maximum(ot[:, 1:], odd[:, :t_out - 1], out=ot[:, 1:])
+    np.maximum(ot[:, :1], 0, out=ot[:, :1])
 
     def pull(g):
         # an entry takes its window's gradient when it equals the maximum and no earlier entry does
-        even, odd = np.ascontiguousarray(xa[:, :, 0::2]), np.ascontiguousarray(xa[:, :, 1::2])
-        first = np.empty(od.shape, dtype=bool)
-        first[:, :, 0] = od[:, :, 0] == 0
-        np.equal(odd[:, :, :t_out - 1], od[:, :, 1:], out=first[:, :, 1:])
-        middle = even == od
+        gt = _channels_last(g).transpose(0, 2, 1)
+        first = np.empty(ot.shape, dtype=bool)
+        np.equal(ot[:, :1], 0, out=first[:, :1])
+        np.equal(odd[:, :t_out - 1], ot[:, 1:], out=first[:, 1:])
+        middle = even == ot
         middle &= ~first
-        last = odd == od[:, :, :n_odd]
-        last &= ~(first[:, :, :n_odd] | middle[:, :, :n_odd])
+        last = odd == ot[:, :n_odd]
+        last &= ~(first[:, :n_odd] | middle[:, :n_odd])
         gx = np.empty_like(xa)
-        np.multiply(g, middle, out=gx[:, :, 0::2])
-        g_odd = g[:, :, :n_odd] * last
-        g_odd[:, :, :t_out - 1] += g[:, :, 1:] * first[:, :, 1:]
-        gx[:, :, 1::2] = g_odd
+        gxt = gx.transpose(0, 2, 1)
+        np.multiply(gt, middle, out=gxt[:, 0::2])
+        g_odd = gxt[:, 1::2]
+        np.multiply(gt[:, :n_odd], last, out=g_odd)
+        g_odd[:, :t_out - 1] += gt[:, 1:] * first[:, 1:]
         x.accumulate_grad(gx)
 
     return _output("maxpool_halve", od, (x,), pull)
@@ -285,7 +340,10 @@ def kmax_pool(x: Tensor, k: int) -> Tensor:
 
     ``np.partition`` finds the k-th largest value of each row. Every value
     above it is kept; values equal to it are kept earliest position first
-    until the row holds k, so ties go to the earlier position.
+    until the row holds k, so ties go to the earlier position. The ranking
+    runs on a row-major negated copy, where each row's L values are
+    contiguous for the partition and the running count; the kept values are
+    gathered from ``x`` into a channels-last output.
     """
     xa = _checked(x, "[B, C, L]", "kmax_pool")
     batch, channels, length = xa.shape
@@ -293,27 +351,30 @@ def kmax_pool(x: Tensor, k: int) -> Tensor:
         raise ValueError(f"k must be positive, got {k}")
     if k > length:
         raise ValueError(f"k={k} exceeds temporal length {length}")
-    neg = np.negative(xa)
+    neg = np.negative(xa, order="C")
     np.fmin(neg, np.inf, out=neg)  # NaN -> +inf: NaN ranks below every number and each row still keeps k
     kth = np.partition(neg, k - 1, axis=2)[:, :, k - 1:k]
     above = neg < kth
     tied = neg == kth
     keep = above | (tied & (np.cumsum(tied, axis=2, dtype=np.int32) <= k - above.sum(axis=2, keepdims=True)))
-    flat = np.flatnonzero(keep)  # row-major: each row's k kept positions, in temporal order
+    # row-major: each row's k kept time steps, in temporal order; stored [B, k, C] so that the
+    # values gathered with them come out channels-last
+    steps = np.ascontiguousarray((np.flatnonzero(keep) % length).reshape(batch, channels, k).transpose(0, 2, 1))
 
     def pull(g):
         gx = np.zeros_like(xa)
-        gx.reshape(-1)[flat] = g.reshape(-1)
+        np.put_along_axis(gx.transpose(0, 2, 1), steps, _channels_last(g).transpose(0, 2, 1), axis=1)
         x.accumulate_grad(gx)
 
-    return _output("kmax_pool", xa.reshape(-1)[flat].reshape(batch, channels, k), (x,), pull)
+    return _output("kmax_pool", np.take_along_axis(xa.transpose(0, 2, 1), steps, axis=1).transpose(0, 2, 1), (x,), pull)
 
 
 def adaptive_avg_pool(x: Tensor, out_len: int) -> Tensor:
     """Mean over contiguous equal bins per channel of ``x [B, C, L]``; L must divide evenly.
 
-    Forward and backward are one matmul each with the ``[L, out_len]`` bin
-    matrix, which holds ``1 / (L // out_len)`` where time step t falls in bin j.
+    Forward and backward are one matmul each of the ``[B, L, C]`` view with
+    the ``[L, out_len]`` bin matrix, which holds ``1 / (L // out_len)`` where
+    time step t falls in bin j.
     """
     xa = _checked(x, "[B, C, L]", "adaptive_avg_pool")
     length = xa.shape[2]
@@ -325,24 +386,26 @@ def adaptive_avg_pool(x: Tensor, out_len: int) -> Tensor:
     bins = np.repeat(np.eye(out_len, dtype=xa.dtype), binsize, axis=0) / binsize
 
     def pull(g):
-        x.accumulate_grad(g @ bins.T)
+        gx = _empty(xa.shape, np.result_type(g, bins))
+        np.matmul(bins, _channels_last(g).transpose(0, 2, 1), out=gx.transpose(0, 2, 1))
+        x.accumulate_grad(gx)
 
-    return _output("adaptive_avg_pool", xa @ bins, (x,), pull)
+    return _output("adaptive_avg_pool", np.matmul(bins.T, xa.transpose(0, 2, 1)).transpose(0, 2, 1), (x,), pull)
 
 
 def flatten_features(x: Tensor) -> Tensor:
-    """Collapse ``[B, C, L]`` feature maps to ``[B, C*L]`` rows."""
+    """Collapse ``[B, C, L]`` feature maps to channel-major ``[B, C*L]`` rows, the one copy out of channels-last."""
     xa = _checked(x, "[B, C, L]", "flatten_features")
     batch, channels, length = xa.shape
 
     def pull(g):
-        x.accumulate_grad(g.reshape(batch, channels, length))
+        x.accumulate_grad(_channels_last(g.reshape(batch, channels, length)))
 
     return _output("flatten", xa.reshape(batch, channels * length), (x,), pull)
 
 
 def embedding(indices, table: Tensor) -> Tensor:
-    """Look up rows of ``table [V, E]`` for index rows ``[B, s]``; returns channel-major maps ``[B, E, s]``."""
+    """Look up rows of ``table [V, E]`` for index rows ``[B, s]``; returns maps ``[B, E, s]``, channels-last with no copy."""
     idx = np.asarray(indices)
     if idx.ndim != 2:
         raise ShapeError(f"embedding indices must be [B, s], got shape {idx.shape}")
@@ -354,29 +417,30 @@ def embedding(indices, table: Tensor) -> Tensor:
 
     def pull(g):
         acc = np.zeros_like(table.data)
-        np.add.at(acc, idx.reshape(-1), g.transpose(0, 2, 1).reshape(-1, dim))
+        np.add.at(acc, idx.reshape(-1), _rows(_channels_last(g)))
         table.accumulate_grad(acc)
 
-    return _output("embedding", np.ascontiguousarray(table.data[idx].transpose(0, 2, 1)), (table,), pull)
+    return _output("embedding", table.data[idx].transpose(0, 2, 1), (table,), pull)
 
 
 def _batch_norm(op: str, x: Tensor, xc: np.ndarray, gamma: Tensor, beta: Tensor, var, eps: float, batch_stats: bool) -> Tensor:
     """Per-channel ``gamma * xc / sqrt(var + eps) + beta`` for the centered input ``xc = x - mean``.
 
-    ``xc`` is scaled in place into the normalized values. The backward
-    reduces ``g`` and ``g * xhat`` once per channel, which are also the beta
-    and gamma gradients, then writes the input gradient into ``g`` (and, with
-    batch statistics, ``xhat``): the tape runs each pull once. With
+    ``xc`` is scaled in place into the normalized values; every per-channel
+    value is applied with ``_by_channel``. The backward reduces ``g`` and
+    ``g * xhat`` once per channel, which are also the beta and gamma
+    gradients, then writes the input gradient into ``g`` (and, with batch
+    statistics, ``xhat``): the tape runs each pull once. With
     ``batch_stats`` the statistics were computed from ``x`` itself, so the
     gradient also flows through them.
     """
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc
-    xhat *= inv[None, :, None]
-    od = gamma.data[None, :, None] * xhat
-    od += beta.data[None, :, None]
+    xhat = _by_channel(np.multiply, xc, inv, out=xc)
+    od = _by_channel(np.multiply, xhat, gamma.data)
+    _by_channel(np.add, od, beta.data, out=od)
 
     def pull(g):
+        g = _channels_last(g)
         g_sum = _channel_sum(g)
         gx_sum = _channel_sum(g, xhat)
         if gamma.requires_grad:
@@ -386,10 +450,9 @@ def _batch_norm(op: str, x: Tensor, xc: np.ndarray, gamma: Tensor, beta: Tensor,
         if x.requires_grad:
             if batch_stats:
                 count = g.size // g.shape[1]
-                g += np.multiply(xhat, (-gx_sum / count)[None, :, None], out=xhat)
-                g -= (g_sum / count)[None, :, None]
-            g *= (gamma.data * inv)[None, :, None]
-            x.accumulate_grad(g)
+                g += _by_channel(np.multiply, xhat, -gx_sum / count, out=xhat)
+                _by_channel(np.subtract, g, g_sum / count, out=g)
+            x.accumulate_grad(_by_channel(np.multiply, g, gamma.data * inv, out=g))
 
     return _output(op, od, (x, gamma, beta), pull)
 
@@ -411,7 +474,7 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
             f"need at least 2 values per channel for batch statistics, got {count}"
         )
     mean = _channel_sum(xa) / count
-    xc = xa - mean[None, :, None]
+    xc = _by_channel(np.subtract, xa, mean)
     var = _channel_sum(xc, xc) / count
     out = _batch_norm("batch_norm_train", x, xc, gamma, beta, var, eps, batch_stats=True)
     return out, mean, var, count
@@ -428,7 +491,7 @@ def batch_norm_eval(
     """Normalize ``x [B, C, L]`` per channel with fixed running statistics."""
     xa = _checked(x, "[B, C, L]", "batch_norm_eval",
                   gamma=gamma, beta=beta, running_mean=running_mean, running_var=running_var)
-    xc = xa - running_mean[None, :, None]
+    xc = _by_channel(np.subtract, xa, running_mean)
     return _batch_norm("batch_norm_eval", x, xc, gamma, beta, running_var, eps, batch_stats=False)
 
 

@@ -129,6 +129,16 @@ def level_shapes(model, indices):
     return shapes
 
 
+MEMORY_ORDERS = ("c_contiguous", "channels_last")
+
+
+def in_memory_order(a, order):
+    """A copy of ``a [B, C, L]`` stored C-contiguous, or channels-last (strides ``(L*C, 1, C)`` in items)."""
+    if order == "c_contiguous":
+        return np.ascontiguousarray(a)
+    return np.ascontiguousarray(np.swapaxes(a, 1, 2)).swapaxes(1, 2)
+
+
 def as_float64(module):
     """Cast every parameter and buffer of ``module`` and the modules below it to float64; returns ``module``.
 

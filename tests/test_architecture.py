@@ -28,7 +28,8 @@ from svdcnn.architecture import (
     tdsc_block_weights,
     tdsc_layer_weights,
 )
-from svdcnn.autograd import ShapeError, Tape, backward
+from svdcnn import functional as F
+from svdcnn.autograd import ShapeError, Tape, Tensor, backward
 from svdcnn.functional import DegenerateStatisticsError, cross_entropy
 from svdcnn.layers import ConvLayer
 from svdcnn.training import save_checkpoint
@@ -282,6 +283,58 @@ class TestConcurrentEvalForwards:
         serial = [model.forward(idx).data for idx in inputs]
         for got, want in zip(run_in_threads(lambda idx: model.forward(idx).data, inputs), serial):
             assert [logits.tobytes() for logits in got] == [want.tobytes()] * 3
+
+
+def record_maps(monkeypatch, params):
+    """A list that collects ``(op, array)`` for every ``[B, C, L]`` primitive output and every
+    ``[B, C, L]`` gradient handed to a tensor not in ``params``."""
+    maps = []
+    output, accumulate = F._output, Tensor.accumulate_grad
+
+    def recording_output(name, od, inputs, pull):
+        if od.ndim == 3:
+            maps.append((name, od))
+        return output(name, od, inputs, pull)
+
+    def recording_accumulate(tensor, g):
+        if g.ndim == 3 and id(tensor) not in params:
+            maps.append(("gradient", g))
+        accumulate(tensor, g)
+
+    monkeypatch.setattr(F, "_output", recording_output)
+    monkeypatch.setattr(Tensor, "accumulate_grad", recording_accumulate)
+    return maps
+
+
+@pytest.mark.parametrize("family", ["vdcnn", "svdcnn"])
+class TestOneMemoryOrder:
+    """Every ``[B, C, L]`` map a forward makes, and every such gradient its backward hands over, is
+    channels-last: stride ``itemsize`` on the C axis and ``C * itemsize`` on L. A fallback copy into
+    a second memory order anywhere in the network fails this."""
+
+    @staticmethod
+    def assert_channels_last(maps, min_count):
+        assert len(maps) >= min_count
+        for name, a in maps:
+            assert a.strides[1:] == (a.itemsize, a.shape[1] * a.itemsize), f"{name} {a.shape} strides {a.strides}"
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_taped_forward_and_backward(self, family, mode, monkeypatch):
+        model = randomized_eval_model(family)
+        getattr(model, mode)()
+        maps = record_maps(monkeypatch, {id(p) for p in model.parameters()})
+        with Tape() as tape:
+            loss = cross_entropy(model.forward(FOLD_INPUTS), np.arange(3) % 4)
+        backward(loss, tape)
+        n_forward = sum(name != "gradient" for name, _a in maps)
+        assert n_forward == sum(out.data.ndim == 3 for _name, out, _pull in tape.entries)
+        self.assert_channels_last(maps, min_count=2 * n_forward)
+
+    def test_tapeless_eval_forward(self, family, monkeypatch):
+        model = randomized_eval_model(family)
+        maps = record_maps(monkeypatch, set())
+        model.forward(FOLD_INPUTS)
+        self.assert_channels_last(maps, min_count=20)
 
 
 class TestHeadCounts:

@@ -11,7 +11,7 @@ from svdcnn.data import Vocabulary
 from svdcnn.functional import DegenerateStatisticsError
 from svdcnn.layers import BatchNorm, ConvBlock, ConvLayer, EmbeddingTable, TdscLayer, TemporalConvLayer
 
-from oracles import as_float64, kmax_direct, maxpool_direct
+from oracles import MEMORY_ORDERS, as_float64, in_memory_order, kmax_direct, maxpool_direct
 
 RNG = np.random.default_rng
 
@@ -159,17 +159,18 @@ def _randomized_eval_layer(layer_cls):
     return layer.eval()
 
 
+@pytest.mark.parametrize("order", MEMORY_ORDERS)
 @pytest.mark.parametrize("layer_cls", [TemporalConvLayer, TdscLayer], ids=["standard", "tdsc"])
 class TestBatchNormFold:
-    def test_tapeless_eval_equals_conv_then_batch_norm(self, layer_cls):
+    def test_tapeless_eval_equals_conv_then_batch_norm(self, layer_cls, order):
         layer = _randomized_eval_layer(layer_cls)
-        x = Tensor(RNG(32).normal(size=(3, 4, 10)))
+        x = Tensor(in_memory_order(RNG(32).normal(size=(3, 4, 10)), order))
         bn = layer.bn
         unfolded = F.batch_norm_eval(layer.conv(x, layer.last_weight), bn.gamma, bn.beta,
                                      bn.running_mean, bn.running_var, bn.eps)
         np.testing.assert_allclose(layer.forward(x).data, np.maximum(unfolded.data, 0), rtol=1e-12, atol=1e-12)
 
-    def test_tapeless_eval_is_one_biased_conv1d_and_no_batch_norm(self, layer_cls, monkeypatch):
+    def test_tapeless_eval_is_one_biased_conv1d_and_no_batch_norm(self, layer_cls, order, monkeypatch):
         layer = _randomized_eval_layer(layer_cls)
         biases = []
 
@@ -182,13 +183,13 @@ class TestBatchNormFold:
 
         monkeypatch.setattr(layers, "conv1d", conv1d)
         monkeypatch.setattr(layers, "batch_norm_eval", batch_norm_eval)
-        layer.forward(Tensor(RNG(33).normal(size=(2, 4, 5))))
+        layer.forward(Tensor(in_memory_order(RNG(33).normal(size=(2, 4, 5)), order)))
         assert len(biases) == 1 and biases[0] is not None
 
-    def test_taped_eval_runs_batch_norm_and_keeps_weights_unfolded(self, layer_cls):
+    def test_taped_eval_runs_batch_norm_and_keeps_weights_unfolded(self, layer_cls, order):
         layer = _randomized_eval_layer(layer_cls)
         weight = layer.last_weight.data.copy()
-        x = Tensor(RNG(34).normal(size=(2, 4, 5)))
+        x = Tensor(in_memory_order(RNG(34).normal(size=(2, 4, 5)), order))
         with Tape() as tape:
             taped = layer.forward(x)
         assert [name for name, _out, _pull in tape.entries].count("batch_norm_eval") == 1
@@ -241,11 +242,12 @@ class TestPools:
         np.testing.assert_array_equal(out.data, [[[0, -2]]])
         np.testing.assert_array_equal(x.grad, [[[0, 10, 0, 0]]])
 
+    @pytest.mark.parametrize("order", MEMORY_ORDERS)
     @pytest.mark.parametrize("length", [7, 8, 16])
-    def test_maxpool_batched_rows_match_direct_oracle(self, length):
+    def test_maxpool_batched_rows_match_direct_oracle(self, length, order):
         # Small integers force ties, including with the zero padding.
         x = RNG(length).integers(-2, 3, size=(3, 5, length)).astype(np.float32)
-        out, grad, weights = _pool_output_and_grad(F.maxpool_halve, x)
+        out, grad, weights = _pool_output_and_grad(F.maxpool_halve, in_memory_order(x, order))
         for b in range(3):
             for c in range(5):
                 values, positions = maxpool_direct(x[b, c])
@@ -256,12 +258,13 @@ class TestPools:
                         expected[p] += weights[b, c, t]
                 np.testing.assert_array_equal(grad[b, c], expected)
 
+    @pytest.mark.parametrize("order", MEMORY_ORDERS)
     @pytest.mark.parametrize("length", [2, 3, 4, 5, 6])
-    def test_maxpool_every_small_row_matches_direct_oracle(self, length):
+    def test_maxpool_every_small_row_matches_direct_oracle(self, length, order):
         # Every row over {-1, 0, 1}: ties with the zero pad at both ends, on
         # odd and even lengths, in every arrangement.
         rows = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * length, indexing="ij"), -1).reshape(-1, length)
-        out, grad, weights = _pool_output_and_grad(F.maxpool_halve, rows[None].astype(np.float32))
+        out, grad, weights = _pool_output_and_grad(F.maxpool_halve, in_memory_order(rows[None].astype(np.float32), order))
         for r, row in enumerate(rows):
             values, positions = maxpool_direct(row)
             np.testing.assert_array_equal(out[0, r], values)

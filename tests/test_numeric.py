@@ -18,7 +18,14 @@ from svdcnn.autograd import (
 )
 from svdcnn import functional as F
 
-from oracles import central_difference, conv1d_direct, depthwise_conv1d_direct, matvec_direct
+from oracles import (
+    MEMORY_ORDERS,
+    central_difference,
+    conv1d_direct,
+    depthwise_conv1d_direct,
+    in_memory_order,
+    matvec_direct,
+)
 
 
 class TestConv1d:
@@ -127,14 +134,15 @@ CONVOLUTIONS = {
 
 
 class TestTapEngine:
+    @pytest.mark.parametrize("order", MEMORY_ORDERS)
     @pytest.mark.parametrize("op", CONVOLUTIONS)
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
-    def test_every_kernel_matches_direct_oracle_and_grad_check(self, op, k):
+    def test_every_kernel_matches_direct_oracle_and_grad_check(self, op, k, order):
         make_weight, conv, oracle = CONVOLUTIONS[op]
         padding = k // 2
         rng = np.random.default_rng(100 * k + padding)
         for length in (1, 6):
-            x = rng.normal(size=(2, 3, length))
+            x = in_memory_order(rng.normal(size=(2, 3, length)), order)
             w = make_weight(rng, k)
             ours = conv(Tensor(x), Tensor(w), padding=padding).data
             for b in range(2):
@@ -183,10 +191,11 @@ class TestTapEngine:
         assert xt.grad.shape == (2, 3, 0)
         np.testing.assert_array_equal(wt.grad, np.zeros_like(w))
 
+    @pytest.mark.parametrize("order", MEMORY_ORDERS)
     @pytest.mark.parametrize("op,axis", [("conv1d", 0), ("depthwise_conv1d", 0), ("depthwise_conv1d", 1)])
     @pytest.mark.parametrize("k,padding", [(1, 0), (3, 1), (5, 2), (7, 3)])
     @pytest.mark.parametrize("value", [1e6, np.inf, np.nan])
-    def test_neighbouring_rows_do_not_leak_into_a_row(self, op, axis, k, padding, value):
+    def test_neighbouring_rows_do_not_leak_into_a_row(self, op, axis, k, padding, value, order):
         # Perturb row 0's last and row 2's first time step along the batch
         # (axis 0) or channel (axis 1) axis, in the input and in the upstream
         # gradient: row 1 is bit-identical. Only depthwise keeps channels apart.
@@ -195,11 +204,11 @@ class TestTapEngine:
         x, w = rng.normal(size=(3, 3, 7)), make_weight(rng, k)
 
         def run(x, upstream):
-            xt = Tensor(x, requires_grad=True, dtype=np.float64)
+            xt = Tensor(in_memory_order(x, order), requires_grad=True, dtype=np.float64)
             with np.errstate(invalid="ignore"):  # the perturbed rows' inf and NaN reach the loss
                 with Tape() as tape:
                     out = conv(xt, Tensor(w), padding=padding)
-                    loss = F.tensor_sum(F.mul(out, Tensor(upstream)))
+                    loss = F.tensor_sum(F.mul(out, Tensor(in_memory_order(upstream, order))))
                 backward(loss, tape)
             return out.data, xt.grad
 
@@ -361,8 +370,10 @@ class _Recorded(Tensor):
 
 
 class TestGradientHandOver:
-    """Each backward below hands over a fresh array that ``accumulate_grad`` keeps without a copy."""
+    """Each backward below hands over a fresh array that ``accumulate_grad`` keeps without a copy,
+    whichever memory order the ``[B, C, L]`` input has; that input's gradient is channels-last."""
 
+    @pytest.mark.parametrize("order", MEMORY_ORDERS)
     @pytest.mark.parametrize("op,call,shapes", [
         ("depthwise_conv1d", lambda x, w: F.depthwise_conv1d(x, w, padding=1), [(2, 3, 6), (3, 3)]),
         ("depthwise_conv1d_k5", lambda x, w: F.depthwise_conv1d(x, w, padding=2), [(2, 3, 6), (3, 5)]),
@@ -373,15 +384,18 @@ class TestGradientHandOver:
         ("conv1d_bias", lambda x, w, b: F.conv1d(x, w, b, padding=1), [(2, 3, 5), (4, 3, 3), (4,)]),
         ("conv1d_k1", F.conv1d, [(2, 3, 5), (4, 3, 1)]),
     ])
-    def test_every_gradient_is_kept_without_a_copy(self, op, call, shapes):
+    def test_every_gradient_is_kept_without_a_copy(self, op, call, shapes, order):
         rng = np.random.default_rng(zlib.crc32(op.encode()))
-        inputs = [_Recorded(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in shapes]
+        arrays = [rng.normal(size=s).astype(np.float32) for s in shapes]
+        inputs = [_Recorded(a, requires_grad=True) for a in [in_memory_order(arrays[0], order), *arrays[1:]]]
         with Tape() as tape:
             out = call(*inputs)
             loss = F.tensor_sum(F.mul(out, Tensor(rng.normal(size=out.shape))))
         backward(loss, tape)
         for t in inputs:
             assert t.grad is t.handed and t.grad.flags.owndata
+        gx = inputs[0].grad
+        assert gx.strides[1:] == (gx.itemsize, gx.shape[1] * gx.itemsize)
 
 
 class TestGradCheck:
@@ -474,6 +488,22 @@ class TestGradCheck:
     def test_primitive_gradients(self, name, builder):
         f, inputs = builder(np.random.default_rng(zlib.crc32(name.encode())))
         assert grad_check(f, inputs) <= 1e-3
+
+    @pytest.mark.parametrize("op", CONVOLUTIONS)
+    def test_channels_last_input_checks_like_a_c_contiguous_one(self, op):
+        # The perturbations must reach t.data itself: a flat reshape of a
+        # channels-last array is a copy, and perturbing it would read as a zero
+        # numeric gradient.
+        make_weight, conv, _oracle = CONVOLUTIONS[op]
+        rng = np.random.default_rng(12)
+        x, w = rng.normal(size=(2, 3, 6)), Tensor(make_weight(rng, 3), dtype=np.float64)
+
+        def f(a):
+            return F.tensor_sum(F.mul(conv(a, w, padding=1), conv(a, w, padding=1)))
+
+        worst = [grad_check(f, [Tensor(in_memory_order(x, order), requires_grad=True, dtype=np.float64)])
+                 for order in MEMORY_ORDERS]
+        assert worst[0] == worst[1] <= 1e-6
 
     def test_non_finite_reports_op_index(self):
         x = Tensor([1.0], requires_grad=True)
