@@ -48,7 +48,7 @@ class Tensor:
     write into it and pass it on.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -112,7 +112,9 @@ class Tape:
 
     Operations append themselves in execution order, which is a valid
     topological order of the value graph; one reverse sweep over the record
-    populates every reachable gradient.
+    populates every reachable gradient. An entry ``(name, out, pull)`` holds
+    the output and, in ``pull``'s closure, what its backward reads; the sweep
+    releases both (see :func:`backward`), keeping the names and the length.
     """
 
     def __init__(self):
@@ -151,6 +153,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
     Each recorded output's ``grad`` is dropped before its pull runs, so the
     pull holds the only reference to the array it receives: it may write
     into it and hand it to :meth:`Tensor.accumulate_grad` of one input.
+    Once its pull has run, each entry becomes ``(name, None, None)``, so an
+    activation no caller holds is freed as soon as the sweep has passed the
+    last pull that reads it, while the tape is still alive.
     """
     if tape.consumed:
         raise TapeConsumedError("tape was already consumed by a previous backward pass")
@@ -160,10 +165,13 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise ValueError("tape is empty: the loss was not produced by recorded operations")
     tape.consumed = True
     loss.accumulate_grad(np.ones_like(loss.data))
-    for _name, out, pull in reversed(tape._entries):
+    entries = tape._entries
+    for i in reversed(range(len(entries))):
+        name, out, pull = entries[i]
         g, out.grad = out.grad, None
         if g is not None:
             pull(g)
+        entries[i] = (name, None, None)
 
 
 def grad_check(

@@ -423,24 +423,32 @@ def embedding(indices, table: Tensor) -> Tensor:
     return _output("embedding", table.data[idx].transpose(0, 2, 1), (table,), pull)
 
 
-def _batch_norm(op: str, x: Tensor, xc: np.ndarray, gamma: Tensor, beta: Tensor, var, eps: float, batch_stats: bool) -> Tensor:
-    """Per-channel ``gamma * xc / sqrt(var + eps) + beta`` for the centered input ``xc = x - mean``.
+def _batch_norm(op: str, x: Tensor, xc: np.ndarray, shift, gamma: Tensor, beta: Tensor, var, eps: float,
+                batch_stats: bool) -> Tensor:
+    """Per-channel ``relu(gamma * xhat + beta)`` with ``xhat = (x - shift) / sqrt(var + eps)``, for ``xc = x - shift``.
 
-    ``xc`` is scaled in place into the normalized values; every per-channel
-    value is applied with ``_by_channel``. The backward reduces ``g`` and
-    ``g * xhat`` once per channel, which are also the beta and gamma
-    gradients, then writes the input gradient into ``g`` (and, with batch
-    statistics, ``xhat``): the tape runs each pull once. With
+    ``xc`` is the one output buffer: it is normalized, scaled, shifted and
+    clipped in place, with every per-channel value applied by
+    ``_by_channel``. The tape keeps only the input ``x`` and that output.
+    The backward masks ``g`` with ``out > 0``, recomputes ``xhat`` from
+    ``x`` with the same operations as the forward (bit for bit), then
+    reduces ``g`` and ``g * xhat`` once per channel, which are also the beta
+    and gamma gradients, and writes the input gradient into ``g`` (and, with
+    batch statistics, ``xhat``): the tape runs each pull once. With
     ``batch_stats`` the statistics were computed from ``x`` itself, so the
     gradient also flows through them.
     """
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = _by_channel(np.multiply, xc, inv, out=xc)
-    od = _by_channel(np.multiply, xhat, gamma.data)
+    od = _by_channel(np.multiply, xc, inv, out=xc)
+    _by_channel(np.multiply, od, gamma.data, out=od)
     _by_channel(np.add, od, beta.data, out=od)
+    np.maximum(od, 0, out=od)
 
     def pull(g):
         g = _channels_last(g)
+        g *= od > 0
+        xhat = _by_channel(np.subtract, x.data, shift)
+        _by_channel(np.multiply, xhat, inv, out=xhat)
         g_sum = _channel_sum(g)
         gx_sum = _channel_sum(g, xhat)
         if gamma.requires_grad:
@@ -458,7 +466,7 @@ def _batch_norm(op: str, x: Tensor, xc: np.ndarray, gamma: Tensor, beta: Tensor,
 
 
 def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
-    """Normalize ``x [B, C, L]`` per channel with statistics over the batch and time axes.
+    """Normalize ``x [B, C, L]`` per channel with statistics over the batch and time axes, then ReLU.
 
     The mean is one reduction; the variance is the mean square of the
     centered input ``x - mean``, which stays accurate when the mean is far
@@ -476,7 +484,7 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
     mean = _channel_sum(xa) / count
     xc = _by_channel(np.subtract, xa, mean)
     var = _channel_sum(xc, xc) / count
-    out = _batch_norm("batch_norm_train", x, xc, gamma, beta, var, eps, batch_stats=True)
+    out = _batch_norm("batch_norm_train", x, xc, mean, gamma, beta, var, eps, batch_stats=True)
     return out, mean, var, count
 
 
@@ -488,11 +496,12 @@ def batch_norm_eval(
     running_var: np.ndarray,
     eps: float,
 ) -> Tensor:
-    """Normalize ``x [B, C, L]`` per channel with fixed running statistics."""
+    """Normalize ``x [B, C, L]`` per channel with fixed running statistics, then ReLU."""
     xa = _checked(x, "[B, C, L]", "batch_norm_eval",
                   gamma=gamma, beta=beta, running_mean=running_mean, running_var=running_var)
-    xc = _by_channel(np.subtract, xa, running_mean)
-    return _batch_norm("batch_norm_eval", x, xc, gamma, beta, running_var, eps, batch_stats=False)
+    shift = running_mean.copy()  # the backward recomputes xhat from it; the buffer may move before then
+    xc = _by_channel(np.subtract, xa, shift)
+    return _batch_norm("batch_norm_eval", x, xc, shift, gamma, beta, running_var, eps, batch_stats=False)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Every temporal layer preserves the sequence length (kernel 3, padding 1);
 only pooling changes it. Convolutions have no bias parameter because each
-one is followed by a batch normalization whose shift subsumes it; an eval
+one is followed by a batch normalization whose shift subsumes it; the batch
+norm primitives end in the ReLU that follows every one of them. An eval
 forward with no tape open folds that normalization into the convolution's
 weight and passes its shift as the ``conv1d`` bias (see ``ConvLayer``).
 """
@@ -93,7 +94,7 @@ class Module:
 
 
 class BatchNorm(Module):
-    """Per-channel normalization over batch and time, with running statistics.
+    """Per-channel normalization over batch and time, with running statistics, then ReLU.
 
     ``mode`` is "train" (batch statistics, running stats updated by an
     exponential moving average) or "eval" (running statistics only).
@@ -155,12 +156,12 @@ class ConvLayer(Module):
         ``conv1d`` then ``batch_norm_eval``. It is computed from the live
         arrays on every call and never stored, so parameters, buffers and
         checkpoints stay unfolded and in-place writes to them show at the
-        next forward. With a tape open, the batch norm runs unfolded and its
-        gradients are recorded.
+        next forward. With a tape open, the batch norm runs unfolded, ending
+        in the ReLU, and its gradients are recorded.
         """
         weight = self.last_weight
         if self.mode == "train" or active_tape() is not None:
-            return relu(self.bn.forward(self.conv(x, weight)))
+            return self.bn.forward(self.conv(x, weight))
         bn = self.bn
         scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
         folded = Tensor(weight.data * scale[:, None, None])

@@ -3,6 +3,7 @@
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from svdcnn.architecture import (
 from svdcnn import functional as F
 from svdcnn.autograd import ShapeError, Tape, Tensor, backward
 from svdcnn.functional import DegenerateStatisticsError, cross_entropy
-from svdcnn.layers import ConvLayer
+from svdcnn.layers import ConvLayer, TdscLayer
 from svdcnn.training import save_checkpoint
 
 from oracles import level_shapes
@@ -325,9 +326,10 @@ class TestOneMemoryOrder:
         maps = record_maps(monkeypatch, {id(p) for p in model.parameters()})
         with Tape() as tape:
             loss = cross_entropy(model.forward(FOLD_INPUTS), np.arange(3) % 4)
+        n_taped_maps = sum(out.data.ndim == 3 for _name, out, _pull in tape.entries)  # backward releases them
         backward(loss, tape)
         n_forward = sum(name != "gradient" for name, _a in maps)
-        assert n_forward == sum(out.data.ndim == 3 for _name, out, _pull in tape.entries)
+        assert n_forward == n_taped_maps
         self.assert_channels_last(maps, min_count=2 * n_forward)
 
     def test_tapeless_eval_forward(self, family, monkeypatch):
@@ -335,6 +337,59 @@ class TestOneMemoryOrder:
         maps = record_maps(monkeypatch, set())
         model.forward(FOLD_INPUTS)
         self.assert_channels_last(maps, min_count=20)
+
+
+def kept_map_elements(model, batch):
+    """Elements of the ``[B, C, L]`` maps a taped train forward of ``model`` keeps for its backward.
+
+    Each layer keeps its convolution's outputs (a ``TdscLayer`` its depthwise
+    and pointwise maps, a standard layer its one map) and the output of its
+    batch norm + ReLU; each block its shortcut projection, if any, and the
+    sum; then the embedding, each max-pool and the head's pooled and
+    flattened maps.
+    """
+    length = model.spec.seq_len
+
+    def layer(conv_layer):
+        conv_maps = conv_layer.in_channels if isinstance(conv_layer, TdscLayer) else 0
+        return (conv_maps + 2 * conv_layer.out_channels) * length
+
+    n = model.spec.embed_dim * length + layer(model.first_conv)
+    for i, blocks in enumerate(model.levels):
+        for block in blocks:
+            n += layer(block.layer1) + layer(block.layer2)
+            n += (1 + (block.projection is not None)) * block.out_channels * length
+        if i < len(model.levels) - 1:
+            length = (length + 1) // 2
+            n += blocks[-1].out_channels * length
+    return batch * (n + 2 * blocks[-1].out_channels * model.spec.pooled_len)
+
+
+class TestTrainStepMemory:
+    """tracemalloc counts numpy's buffers, to the byte from run to run. A taped svdcnn-9 train step
+    (s=64, B=8) holds only the maps ``kept_map_elements`` counts, plus under 5% of small arrays and
+    Python objects; a stored normalized input or pre-ReLU map puts 9 maps of 128 KiB back. The
+    backward releases each map once the sweep has passed it, which leaves room for its transient
+    gradient maps: its peak stays within the kept maps plus the parameter gradients. Storing the
+    maps again, or keeping the tape's entries through the sweep, breaks these bounds."""
+
+    def test_forward_keeps_only_what_backward_reads_and_backward_frees_it(self):
+        model = Model(ArchitectureSpec("svdcnn", depth=9, seq_len=64), seed=0).train()
+        idx = np.random.default_rng(0).integers(0, 70, size=(8, 64))
+        kept = kept_map_elements(model, batch=8) * np.dtype(np.float32).itemsize
+        grads = sum(p.data.nbytes for p in model.parameters())
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = cross_entropy(model.forward(idx), np.arange(8) % 4)
+            retained = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept <= retained <= 1.05 * kept
+        assert peak <= kept + grads
 
 
 class TestHeadCounts:

@@ -96,15 +96,24 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.data, 0.0, atol=1e-6)
 
     def test_two_point_channel(self):
+        # normalized to [-1, 1]; the shift 2 keeps both values above the ReLU's clip
         bn = BatchNorm(1)
+        bn.beta.data[...] = 2.0
         out = bn.forward(Tensor(np.array([[1.0, 3.0]])[None]))
-        np.testing.assert_allclose(out.data[0], [[-1.0, 1.0]], atol=1e-4)
+        np.testing.assert_allclose(out.data[0], [[1.0, 3.0]], atol=1e-4)
 
     def test_eval_identity_with_unit_stats(self):
+        # the shift 1 keeps every value above the ReLU's clip
         bn = BatchNorm(3).eval()
+        bn.beta.data[...] = 1.0
         x = Tensor(RNG(5).normal(size=(2, 3, 4)).astype(np.float32) * 0.1)
         out = bn.forward(x)
-        np.testing.assert_allclose(out.data, x.data, atol=1e-6)
+        np.testing.assert_allclose(out.data, x.data + 1.0, atol=1e-6)
+
+    def test_output_is_clipped_at_zero(self):
+        bn = BatchNorm(1)
+        out = bn.forward(Tensor(np.array([[1.0, 3.0]])[None]))
+        np.testing.assert_allclose(out.data[0], [[0.0, 1.0]], atol=1e-4)
 
     def test_single_element_rejected_in_train_mode(self):
         bn = BatchNorm(2)
@@ -137,15 +146,20 @@ class TestBatchNorm:
 
 
 def _assert_float32_statistics_near_float64(offset, std, var_rtol, out_atol):
-    """float32 ``batch_norm_train`` on ``offset + std * N(0, 1)`` against float64 statistics of the same values."""
+    """float32 ``batch_norm_train`` on ``offset + std * N(0, 1)`` against float64 statistics of the same values.
+
+    The shift 8 keeps every normalized value above the ReLU's clip, so each
+    one is compared.
+    """
     x = (offset + std * RNG(12).normal(size=(8, 4, 32))).astype(np.float32)
-    ones, zeros = Tensor(np.ones(4, dtype=np.float32)), Tensor(np.zeros(4, dtype=np.float32))
-    out, _mean, var, _count = F.batch_norm_train(Tensor(x), ones, zeros, 1e-5)
+    ones, eights = Tensor(np.ones(4, dtype=np.float32)), Tensor(np.full(4, 8.0, dtype=np.float32))
+    out, _mean, var, _count = F.batch_norm_train(Tensor(x), ones, eights, 1e-5)
     x64 = x.astype(np.float64)
     var64 = x64.var(axis=(0, 2))
     np.testing.assert_allclose(var, var64, rtol=var_rtol, atol=0)
     xhat64 = (x64 - x64.mean(axis=(0, 2), keepdims=True)) / np.sqrt(var64[None, :, None] + 1e-5)
-    np.testing.assert_allclose(out.data, xhat64, rtol=0, atol=out_atol)
+    assert xhat64.min() > -8.0
+    np.testing.assert_allclose(out.data, xhat64 + 8.0, rtol=0, atol=out_atol)
 
 
 def _randomized_eval_layer(layer_cls):

@@ -2,6 +2,7 @@
 finite-difference checks and determinism."""
 
 import inspect
+import weakref
 import zlib
 
 import numpy as np
@@ -356,6 +357,25 @@ class TestBackward:
         backward(loss, tape)
         assert all(out.grad is None for out in recorded)
         np.testing.assert_array_equal(x.grad, 2 * x.data)
+
+    def test_backward_releases_each_entry_and_keeps_names_and_length(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True, dtype=np.float64)
+        w = Tensor(rng.normal(size=(3, 3)), requires_grad=True, dtype=np.float64)
+        gamma = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+        beta = Tensor(np.zeros(3), requires_grad=True, dtype=np.float64)
+        with Tape() as tape:
+            hidden = F.depthwise_conv1d(x, w, padding=1)
+            loss = F.tensor_sum(F.batch_norm_train(hidden, gamma, beta, 1e-5)[0])
+        names = [name for name, _out, _pull in tape.entries]
+        alive = [weakref.ref(hidden), weakref.ref(hidden.data)]
+        del hidden
+        assert all(ref() is not None for ref in alive)  # the tape holds the intermediate
+        backward(loss, tape)
+        assert len(tape) == len(names) == 3
+        assert tape.entries == tuple((name, None, None) for name in names)
+        assert all(ref() is None for ref in alive)  # freed while the tape is still held
+        assert all(t.grad is not None for t in (x, w, gamma, beta))
 
 
 class _Recorded(Tensor):
