@@ -12,7 +12,6 @@ from .architecture import (
     GoldenRow,
     Model,
     ParamReport,
-    build_model,
     closed_form_params,
     count_params,
     depth_layout,
@@ -62,9 +61,7 @@ from .functional import (
     embedding,
     kmax_pool,
     maxpool_halve,
-    mul,
     relu,
-    tensor_sum,
 )
 from .training import (
     SGD,

@@ -180,10 +180,6 @@ class Model(Module):
         return [t for _n, t, _c in self.named_params()]
 
 
-def build_model(spec: ArchitectureSpec, seed: int | None = 0) -> Model:
-    return Model(spec, seed=seed)
-
-
 def storage_size(count: int) -> float:
     """Storage in binary megabytes of ``count`` parameters at 4 bytes each."""
     if count < 0:
@@ -226,14 +222,14 @@ def count_params(model: Model) -> ParamReport:
     return ParamReport(**totals)
 
 
-def standard_layer_weights(in_ch: int, out_ch: int, kernel: int = KERNEL_SIZE) -> int:
+def standard_layer_weights(in_ch: int, out_ch: int) -> int:
     """Weight count of one standard temporal convolution."""
-    return in_ch * out_ch * kernel
+    return in_ch * out_ch * KERNEL_SIZE
 
 
-def tdsc_layer_weights(in_ch: int, out_ch: int, kernel: int = KERNEL_SIZE) -> int:
+def tdsc_layer_weights(in_ch: int, out_ch: int) -> int:
     """Weight count of one depthwise-separable temporal convolution."""
-    return in_ch * kernel + in_ch * out_ch
+    return in_ch * KERNEL_SIZE + in_ch * out_ch
 
 
 def standard_block_weights(in_ch: int, out_ch: int) -> int:
@@ -300,18 +296,23 @@ class GoldenRow:
 def load_golden_table(path=None) -> dict[tuple[str, int], GoldenRow]:
     """Parse the shipped (or a given) reference table.
 
-    A malformed or negative cell, an unsupported ``(family, depth)`` or a repeated row raises ``ValueError``
-    naming the line.
+    A byte that is not UTF-8, a malformed or negative cell, an unsupported ``(family, depth)`` or a repeated row
+    raises ``ValueError`` naming the line.
     """
     if path is None:
-        text = importlib.resources.files("svdcnn").joinpath("golden_params.tsv").read_text()
+        raw = importlib.resources.files("svdcnn").joinpath("golden_params.tsv").read_bytes()
         label = "packaged golden table"
     else:
         p = Path(path)
         if not p.exists():
             raise FileNotFoundError(f"golden table not found: {p}")
-        text = p.read_text()
+        raw = p.read_bytes()
         label = str(p)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((raw[:exc.start].decode("utf-8") + "?").splitlines())  # the line the bad byte is on
+        raise ValueError(f"{label}, line {lineno}: byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
     rows = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -333,12 +334,8 @@ def load_golden_table(path=None) -> dict[tuple[str, int], GoldenRow]:
     return rows
 
 
-def golden_row(table: dict, family: str, depth: int) -> GoldenRow:
-    try:
-        return table[(family, depth)]
-    except KeyError:
-        raise KeyError(f"no reference row for ({family}, {depth})") from None
-
+# A category passes when it is within this relative difference of the reference (±5%).
+TOLERANCE = 0.05
 
 # Categories whose reference values are known not to match direct
 # enumeration; differences there are reported as flags, not failures.
@@ -374,13 +371,13 @@ class RowDiff:
         return tuple(c for c in self.categories if c.verdict == "flag")
 
 
-def reconcile(report: ParamReport, reference: GoldenRow, tolerance: float = 0.05) -> RowDiff:
+def reconcile(report: ParamReport, reference: GoldenRow) -> RowDiff:
     """Relative differences per category with a pass/flag/fail verdict each.
 
     Our counts are first rounded to the reference table's 2-decimal format so
     the comparison is not dominated by the table's own quantization.
     Categories listed in :data:`FLAGGED_CATEGORIES` for the row's family are
-    flagged instead of failed when out of tolerance, and never silently pass.
+    flagged instead of failed when outside :data:`TOLERANCE`, and never silently pass.
     """
     flags = FLAGGED_CATEGORIES.get(reference.family, frozenset())
     pairs = [
@@ -395,7 +392,7 @@ def reconcile(report: ParamReport, reference: GoldenRow, tolerance: float = 0.05
             rel = abs(ours - ref) / ref
         else:
             rel = 0.0 if ours == 0 else float("inf")
-        if rel <= tolerance:
+        if rel <= TOLERANCE:
             verdict = "pass"
         elif name in flags:
             verdict = "flag"

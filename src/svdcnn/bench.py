@@ -118,8 +118,11 @@ _RECORD_TYPES = {"float": ((int, float), "a real number"), "int": (int, "an inte
 
 def load_stats(path) -> LatencyStats:
     """Read a record written by :func:`save_stats`; ValueError names the path (and field) if it is malformed."""
-    with open(path, encoding="utf-8") as fh:
-        record = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            record = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: {exc}") from None
     names = [f.name for f in fields(LatencyStats)]
     required = [f.name for f in fields(LatencyStats) if f.default is MISSING]
     if not isinstance(record, dict) or not set(required) <= record.keys() <= set(names):

@@ -111,7 +111,7 @@ def cmd_verify(args) -> int:
         failed |= not ok
 
     for (family, depth), row in sorted(table.items()):
-        diff = arch.reconcile(closed_form_params(ArchitectureSpec(family, depth=depth)), row, args.tolerance)
+        diff = arch.reconcile(closed_form_params(ArchitectureSpec(family, depth=depth)), row)
         for cat in diff.categories:
             tag = cat.verdict.upper()
             print(
@@ -127,6 +127,15 @@ def cmd_verify(args) -> int:
 
 def cmd_train(args) -> int:
     spec = _spec_from_args(args)
+    cfg = TrainConfig(
+        lr=args.lr,
+        momentum=args.momentum,
+        weight_decay=args.weight_decay,
+        batch_size=args.batch_size,
+        max_epochs=args.epochs,
+        seed=args.seed,
+        eval_every=args.eval_every,
+    )
     if args.synthetic:
         train_set = synth_dataset(args.train_size, spec.n_classes, spec.seq_len, seed=args.seed)
         val_set = synth_dataset(args.val_size, spec.n_classes, spec.seq_len, seed=args.seed + 1)
@@ -140,15 +149,6 @@ def cmd_train(args) -> int:
             val_set = load_csv(args.val_csv, spec.n_classes, seq_len=spec.seq_len)
         else:
             train_set, val_set = split_dataset(full, args.val_fraction, seed=args.seed)
-    cfg = TrainConfig(
-        lr=args.lr,
-        momentum=args.momentum,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        seed=args.seed,
-        eval_every=args.eval_every,
-    )
     print(
         f"training {spec.family}-{spec.depth}: lr={cfg.lr} momentum={cfg.momentum} "
         f"weight_decay={cfg.weight_decay} batch_size={cfg.batch_size} epochs={cfg.max_epochs} seed={cfg.seed}"
@@ -233,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the arithmetic checks and reference-table reconciliation")
     p.add_argument("--golden", default=None, help="path to a reference table (defaults to the packaged one)")
-    p.add_argument("--tolerance", type=float, default=0.05)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("train", help="train a model on a CSV corpus or the synthetic set")

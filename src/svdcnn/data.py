@@ -53,9 +53,6 @@ class Vocabulary:
         """uint8 indices of an array of code points."""
         return self._table[np.minimum(codes, len(self._table) - 1)]
 
-    def index(self, ch: str) -> int:
-        return int(self._lookup(ord(ch)))
-
 
 DEFAULT_VOCAB_SIZE = Vocabulary().size
 

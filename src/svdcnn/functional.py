@@ -269,28 +269,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _output("add", a.data + b.data, (a, b), pull)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of two same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
-
-    def pull(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * b.data)
-        if b.requires_grad:
-            b.accumulate_grad(g * a.data)
-
-    return _output("mul", a.data * b.data, (a, b), pull)
-
-
-def tensor_sum(x: Tensor) -> Tensor:
-    """Sum of all entries, as a scalar tensor."""
-    def pull(g):
-        x.accumulate_grad(g * np.ones_like(x.data))
-
-    return _output("sum", x.data.sum(), (x,), pull)
-
-
 def maxpool_halve(x: Tensor) -> Tensor:
     """Max pooling of ``x [B, C, L]`` with kernel 3, stride 2, zero padding 1: L -> ceil(L/2).
 

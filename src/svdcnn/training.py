@@ -15,19 +15,6 @@ from .autograd import StateError, Tape, Tensor, backward
 from .data import Dataset, make_batches
 from .functional import cross_entropy
 
-__all__ = [
-    "TrainConfig",
-    "SGD",
-    "EpochStats",
-    "TrainingDivergedError",
-    "MissingGradientError",
-    "train",
-    "evaluate",
-    "save_checkpoint",
-    "load_checkpoint",
-    "cross_entropy",
-]
-
 PREDICT_BATCH = 256  # rows per eval forward in predict_logits and evaluate
 
 
@@ -42,12 +29,12 @@ class TrainConfig:
     eval_every: int = 1
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:  # NaN fails every comparison
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight decay must be non-negative, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight decay must be non-negative and finite, got {self.weight_decay}")
         if self.batch_size < 2:
             raise ValueError(f"batch size must be at least 2 for batch statistics, got {self.batch_size}")
         if self.max_epochs < 1:

@@ -13,11 +13,10 @@ import svdcnn as sv
 from svdcnn import functional as F
 from svdcnn.architecture import (
     ArchitectureSpec,
-    build_model,
+    Model,
     closed_form_params,
     count_params,
     depth_layout,
-    golden_row,
     head_weight_params,
     load_golden_table,
     millions,
@@ -34,6 +33,7 @@ from svdcnn.functional import cross_entropy
 from svdcnn.training import TrainConfig, train
 
 from oracles import as_float64, level_shapes
+from taped_ops import mul, tensor_sum
 
 ALL_CONFIGS = [(family, depth) for family in ("vdcnn", "svdcnn") for depth in (9, 17, 29, 49)]
 
@@ -72,7 +72,7 @@ def test_criterion_03_storage_formula_and_rows():
     table = load_golden_table()
     for depth, expected in ((9, 2.80), (17, 5.52), (29, 6.03)):
         ours = closed_form_params(ArchitectureSpec("svdcnn", depth=depth)).storage_mb
-        ref = golden_row(table, "svdcnn", depth).storage_mb
+        ref = table[("svdcnn", depth)].storage_mb
         assert ref == expected
         assert abs(round2(ours) - ref) / ref <= 0.05
     report(3, f"4 bytes/param: 1.58M -> {round2(mb):.2f} MB; svdcnn-29 {round2(deep.storage_mb):.2f} MB <= 6.1")
@@ -81,14 +81,14 @@ def test_criterion_03_storage_formula_and_rows():
 def test_criterion_04_reference_table_reconciliation():
     table = load_golden_table()
     for depth, conv_ref, total_ref in ((9, 0.71, 0.73), (17, 1.43, 1.45), (29, 1.56, 1.58)):
-        report_sq = count_params(build_model(ArchitectureSpec("svdcnn", depth=depth, seq_len=64), seed=0))
+        report_sq = count_params(Model(ArchitectureSpec("svdcnn", depth=depth, seq_len=64), seed=0))
         assert abs(millions(report_sq.conv) - conv_ref) / conv_ref <= 0.05
         assert abs(millions(report_sq.total) - total_ref) / total_ref <= 0.05
-        diff = reconcile(report_sq, golden_row(table, "svdcnn", depth))
+        diff = reconcile(report_sq, table[("svdcnn", depth)])
         assert not diff.failed and not diff.flagged
     for depth in (9, 17, 29):
-        report_vd = count_params(build_model(ArchitectureSpec("vdcnn", depth=depth, seq_len=64), seed=0))
-        diff = reconcile(report_vd, golden_row(table, "vdcnn", depth))
+        report_vd = count_params(Model(ArchitectureSpec("vdcnn", depth=depth, seq_len=64), seed=0))
+        diff = reconcile(report_vd, table[("vdcnn", depth)])
         assert not diff.failed
         assert any(c.category == "conv" and c.verdict == "flag" for c in diff.categories)
     report(4, "svdcnn conv/total within 5%; vdcnn conv rows flagged, not failed")
@@ -100,7 +100,7 @@ def test_criterion_05_depth_accounting():
     assert depth_layout(17) == (4, 4, 4, 4)
     assert 2 * (2 + 2 + 2 + 2) + 1 == 17
     for family, depth in ALL_CONFIGS:
-        model = build_model(ArchitectureSpec(family, depth=depth, seq_len=64), seed=0)
+        model = Model(ArchitectureSpec(family, depth=depth, seq_len=64), seed=0)
         assert model.conv_depth() == depth
     report(5, "layout sums + 1 equal 9/17/29/49; built models agree")
 
@@ -108,13 +108,13 @@ def test_criterion_05_depth_accounting():
 def test_criterion_06_enumeration_equals_closed_form():
     for family, depth in ALL_CONFIGS:
         spec = ArchitectureSpec(family, depth=depth, seq_len=64)
-        assert count_params(build_model(spec, seed=0)) == closed_form_params(spec)
+        assert count_params(Model(spec, seed=0)) == closed_form_params(spec)
     report(6, "weight enumeration equals closed-form counts on all 8 configurations")
 
 
 def test_criterion_07_constant_product_invariant():
     for family, depth in ALL_CONFIGS:
-        model = build_model(ArchitectureSpec(family, depth=depth, seq_len=1024), seed=0).eval()
+        model = Model(ArchitectureSpec(family, depth=depth, seq_len=1024), seed=0).eval()
         shapes = level_shapes(model, np.zeros((1, 1024), dtype=np.int64))
         assert [c * length for c, length in shapes] == [65_536] * 4
     report(7, "channels x length == 65,536 at all four level boundaries of every model")
@@ -123,7 +123,7 @@ def test_criterion_07_constant_product_invariant():
 def _primitive_checks():
     rng = np.random.default_rng(21)
     t64 = lambda a: Tensor(a, requires_grad=True, dtype=np.float64)
-    squared_sum = lambda t: F.tensor_sum(F.mul(t, t))
+    squared_sum = lambda t: tensor_sum(mul(t, t))
     return [
         ("conv1d", lambda x, w, b: squared_sum(F.conv1d(x, w, b, padding=1)),
          [t64(rng.normal(size=(2, 3, 6))), t64(rng.normal(size=(4, 3, 3))), t64(rng.normal(size=4))]),
@@ -135,11 +135,9 @@ def _primitive_checks():
          [t64(rng.normal(size=(2, 3, 4))), t64(rng.uniform(0.5, 1.5, size=3)), t64(rng.normal(size=3))]),
         ("batch_norm_eval", lambda x, g, b: squared_sum(F.batch_norm_eval(x, g, b, np.zeros(3), np.ones(3), 1e-5)),
          [t64(rng.normal(size=(2, 3, 4))), t64(rng.uniform(0.5, 1.5, size=3)), t64(rng.normal(size=3))]),
-        ("relu", lambda x: F.tensor_sum(F.relu(x)),
+        ("relu", lambda x: tensor_sum(F.relu(x)),
          [t64(rng.uniform(0.1, 1.0, size=12) * rng.choice([-1.0, 1.0], size=12))]),
         ("add", lambda a, b: squared_sum(F.add(a, b)),
-         [t64(rng.normal(size=(2, 3))), t64(rng.normal(size=(2, 3)))]),
-        ("mul", lambda a, b: F.tensor_sum(F.mul(a, b)),
          [t64(rng.normal(size=(2, 3))), t64(rng.normal(size=(2, 3)))]),
         ("maxpool_halve", lambda x: squared_sum(F.maxpool_halve(x)),
          [t64(rng.permutation(np.linspace(0.2, 3.0, 24)).reshape(1, 3, 8))]),
@@ -167,7 +165,7 @@ def test_criterion_08_gradient_suite():
     # Residual scales and head weights are moved off their zero init so the
     # check exercises every path; float64 keeps the difference quotient clean.
     spec = ArchitectureSpec("svdcnn", depth=9, seq_len=32, pooled_len=4, n_classes=4)
-    model = as_float64(build_model(spec, seed=1))
+    model = as_float64(Model(spec, seed=1))
     rng = np.random.default_rng(101)
     for name, t, _c in model.named_params():
         if name.endswith("bn.gamma"):
@@ -201,7 +199,7 @@ def test_criterion_09_desk_scale_training():
     train_set = synth_dataset(400, 4, 128, seed=11)
     val_set = synth_dataset(200, 4, 128, seed=12)
     spec = ArchitectureSpec("svdcnn", depth=9, seq_len=128)
-    model = build_model(spec, seed=7)
+    model = Model(spec, seed=7)
     cfg = TrainConfig(max_epochs=30, seed=7)
     history = train(model, train_set, val_set, cfg)
     assert history[0].train_loss < math.log(4)
@@ -222,7 +220,7 @@ def test_criterion_10_benchmark_protocol():
         def __call__(self):
             return self.readings.pop(0)
 
-    tiny = build_model(
+    tiny = Model(
         ArchitectureSpec("svdcnn", depth=9, seq_len=8, pooled_len=1, n_classes=2, fc_hidden=4), seed=0
     ).eval()
     stats = measure_latency(
@@ -237,7 +235,7 @@ def test_criterion_10_benchmark_protocol():
     means = {}
     for depth in (9, 17, 29):
         spec = ArchitectureSpec("svdcnn", depth=depth, seq_len=256)
-        model = build_model(spec, seed=0).eval()
+        model = Model(spec, seed=0).eval()
         idx = rng.integers(0, spec.vocab_size, size=256)
         means[depth] = measure_latency(model, idx, reps=100, warmup=10).mean_ms
     assert means[9] < means[17] < means[29]
@@ -247,7 +245,7 @@ def test_criterion_10_benchmark_protocol():
 
 def test_criterion_11_checkpoint_roundtrip(tmp_path):
     spec = ArchitectureSpec("svdcnn", depth=9, seq_len=64)
-    model = build_model(spec, seed=13).eval()
+    model = Model(spec, seed=13).eval()
     rng = np.random.default_rng(14)
     inputs = rng.integers(0, spec.vocab_size, size=(10, spec.seq_len))
     before = model.forward(inputs).data

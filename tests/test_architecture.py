@@ -13,11 +13,9 @@ from svdcnn.architecture import (
     GoldenRow,
     Model,
     ParamReport,
-    build_model,
     closed_form_params,
     count_params,
     depth_layout,
-    golden_row,
     head_weight_params,
     load_golden_table,
     millions,
@@ -84,18 +82,18 @@ class TestSpecValidation:
 
 class TestBuildAndForward:
     def test_final_feature_shape_svdcnn(self):
-        model = build_model(ArchitectureSpec("svdcnn", seq_len=1024), seed=0)
+        model = Model(ArchitectureSpec("svdcnn", seq_len=1024), seed=0)
         model.eval()
         idx = np.zeros((1, 1024), dtype=np.int64)
         assert level_shapes(model, idx) == [(64, 1024), (128, 512), (256, 256), (512, 128)]
 
     def test_logits_shape(self):
-        model = build_model(ArchitectureSpec("svdcnn", seq_len=64), seed=0).eval()
+        model = Model(ArchitectureSpec("svdcnn", seq_len=64), seed=0).eval()
         idx = np.zeros((5, 64), dtype=np.int64)
         assert model.forward(idx).shape == (5, 4)
 
     def test_eval_forward_is_deterministic(self):
-        model = build_model(ArchitectureSpec("vdcnn", seq_len=64), seed=3).eval()
+        model = Model(ArchitectureSpec("vdcnn", seq_len=64), seed=3).eval()
         idx = np.random.default_rng(0).integers(0, 70, size=(2, 64))
         a = model.forward(idx).data
         b = model.forward(idx).data
@@ -109,22 +107,22 @@ class TestBuildAndForward:
             assert ta.data.tobytes() == tb.data.tobytes()
 
     def test_train_mode_requires_batch_of_two(self):
-        model = build_model(ArchitectureSpec("svdcnn", seq_len=64), seed=0).train()
+        model = Model(ArchitectureSpec("svdcnn", seq_len=64), seed=0).train()
         with pytest.raises(DegenerateStatisticsError):
             model.forward(np.zeros((1, 64), dtype=np.int64))
 
     def test_wrong_sequence_length_rejected(self):
-        model = build_model(ArchitectureSpec("svdcnn", seq_len=64), seed=0).eval()
+        model = Model(ArchitectureSpec("svdcnn", seq_len=64), seed=0).eval()
         with pytest.raises(ShapeError, match="length 64"):
             model.forward(np.zeros((2, 32), dtype=np.int64))
 
     @pytest.mark.parametrize("family,depth", ALL_CONFIGS)
     def test_depth_accounting(self, family, depth):
-        model = build_model(ArchitectureSpec(family, depth=depth, seq_len=64), seed=0)
+        model = Model(ArchitectureSpec(family, depth=depth, seq_len=64), seed=0)
         assert model.conv_depth() == depth
 
     def test_only_pools_change_length(self):
-        model = build_model(ArchitectureSpec("svdcnn", seq_len=64), seed=0).eval()
+        model = Model(ArchitectureSpec("svdcnn", seq_len=64), seed=0).eval()
         lengths = [length for _c, length in level_shapes(model, np.zeros((1, 64), dtype=np.int64))]
         assert lengths == [64, 32, 16, 8]
 
@@ -136,7 +134,7 @@ def randomized_eval_model(family):
     The final length is 8, equal to vdcnn's k, so k-max pooling keeps every value and the logits
     are continuous in the trunk's output.
     """
-    model = build_model(ArchitectureSpec(family, seq_len=64, fc_hidden=32), seed=0)
+    model = Model(ArchitectureSpec(family, seq_len=64, fc_hidden=32), seed=0)
     rng = np.random.default_rng(7)
     for name, t, category in model.named_params():
         if name.endswith(".gamma"):
@@ -240,7 +238,7 @@ def run_in_threads(run, inputs, rounds=3):
 
 class TestConcurrentEvalForwards:
     def test_open_tape_on_another_thread_records_nothing(self):
-        model = build_model(ArchitectureSpec("svdcnn", seq_len=64), seed=0).eval()
+        model = Model(ArchitectureSpec("svdcnn", seq_len=64), seed=0).eval()
         opened, release = threading.Event(), threading.Event()
         lengths = []
 
@@ -262,7 +260,7 @@ class TestConcurrentEvalForwards:
         assert lengths == [0]
 
     def test_threads_match_serial_logits_and_tapes(self):
-        model = build_model(ArchitectureSpec("svdcnn", seq_len=64), seed=0).eval()
+        model = Model(ArchitectureSpec("svdcnn", seq_len=64), seed=0).eval()
         inputs = [np.random.default_rng(i).integers(0, 70, size=(2, 64)) for i in range(4)]
 
         def run(idx):
@@ -405,7 +403,7 @@ class TestHeadCounts:
 
     def test_enumerated_head_matches_formula_plus_biases(self):
         spec = ArchitectureSpec("svdcnn", seq_len=64)
-        report = count_params(build_model(spec, seed=0))
+        report = count_params(Model(spec, seed=0))
         assert report.fc == 16_384 + 4
         assert millions(report.fc) == 0.02
 
@@ -414,7 +412,7 @@ class TestParamAccounting:
     @pytest.mark.parametrize("family,depth", ALL_CONFIGS)
     def test_enumeration_equals_closed_form(self, family, depth):
         spec = ArchitectureSpec(family, depth=depth, seq_len=64)
-        assert count_params(build_model(spec, seed=0)) == closed_form_params(spec)
+        assert count_params(Model(spec, seed=0)) == closed_form_params(spec)
 
     def test_worked_block_examples(self):
         assert standard_block_weights(128, 256) == 294_912
@@ -426,7 +424,7 @@ class TestParamAccounting:
     def test_separable_beats_standard_for_every_built_width(self):
         pairs = set()
         for family, depth in ALL_CONFIGS:
-            model = build_model(ArchitectureSpec(family, depth=depth, seq_len=64), seed=0)
+            model = Model(ArchitectureSpec(family, depth=depth, seq_len=64), seed=0)
             pairs.add((model.first_conv.in_channels, model.first_conv.out_channels))
             for blocks in model.levels:
                 for block in blocks:
@@ -464,7 +462,7 @@ class TestStorage:
         assert round2(storage_size(14_790_000)) == 56.42
         table = load_golden_table()
         report = closed_form_params(ArchitectureSpec("vdcnn", depth=9))
-        diff = reconcile(report, golden_row(table, "vdcnn", 9))
+        diff = reconcile(report, table[("vdcnn", 9)])
         assert not diff.reference_self_consistent
 
     def test_accepts_report_or_count(self):
@@ -476,18 +474,19 @@ class TestStorage:
         assert report.storage_mb <= 6.1
 
 
-_GOLDEN_ROW = "svdcnn\t9\t0.71\t0.02\t0.73\t2.80\n"
+_GOLDEN_ROW = b"svdcnn\t9\t0.71\t0.02\t0.73\t2.80\n"
 
-# Reference tables load_golden_table rejects: (text, line number, message pattern).
+# Reference tables load_golden_table rejects: (file bytes, line number, message pattern).
 MALFORMED_GOLDEN_TABLES = {
-    "int-cell": (_GOLDEN_ROW + "svdcnn\tnine\t1.43\t0.02\t1.45\t5.52\n", 2,
+    "int-cell": (_GOLDEN_ROW + b"svdcnn\tnine\t1.43\t0.02\t1.45\t5.52\n", 2,
                  r"invalid literal for int\(\) with base 10: 'nine'"),
-    "float-cell": ("svdcnn\t9\t0.71\tx\t0.73\t2.80\n", 1, "could not convert string to float: 'x'"),
-    "family": ("cnn\t9\t0.71\t0.02\t0.73\t2.80\n", 1, "unknown family 'cnn'"),
-    "depth": ("svdcnn\t11\t0.71\t0.02\t0.73\t2.80\n", 1, "unsupported depth 11"),
-    "negative": ("svdcnn\t9\t0.71\t0.02\t-0.73\t2.80\n", 1, "counts must be finite and non-negative"),
-    "nan": ("svdcnn\t9\tnan\t0.02\t0.73\t2.80\n", 1, "counts must be finite and non-negative"),
-    "duplicate": (_GOLDEN_ROW + "# again\n" + _GOLDEN_ROW, 3, r"repeats the row for \(svdcnn, 9\)"),
+    "float-cell": (b"svdcnn\t9\t0.71\tx\t0.73\t2.80\n", 1, "could not convert string to float: 'x'"),
+    "family": (b"cnn\t9\t0.71\t0.02\t0.73\t2.80\n", 1, "unknown family 'cnn'"),
+    "depth": (b"svdcnn\t11\t0.71\t0.02\t0.73\t2.80\n", 1, "unsupported depth 11"),
+    "negative": (b"svdcnn\t9\t0.71\t0.02\t-0.73\t2.80\n", 1, "counts must be finite and non-negative"),
+    "nan": (b"svdcnn\t9\tnan\t0.02\t0.73\t2.80\n", 1, "counts must be finite and non-negative"),
+    "not-utf8": (_GOLDEN_ROW + b"# caf\xe9 (Latin-1)\n", 2, r"byte 0xe9 is not UTF-8 \(invalid continuation byte\)"),
+    "duplicate": (_GOLDEN_ROW + b"# again\n" + _GOLDEN_ROW, 3, r"repeats the row for \(svdcnn, 9\)"),
 }
 
 
@@ -496,7 +495,7 @@ class TestReconcile:
         table = load_golden_table()
         for depth in (9, 17, 29):
             spec = ArchitectureSpec("svdcnn", depth=depth)
-            diff = reconcile(count_params(build_model(spec, seed=0)), golden_row(table, "svdcnn", depth))
+            diff = reconcile(count_params(Model(spec, seed=0)), table[("svdcnn", depth)])
             assert not diff.failed
             assert all(c.verdict == "pass" for c in diff.categories)
 
@@ -504,7 +503,7 @@ class TestReconcile:
         table = load_golden_table()
         for depth in (9, 17, 29):
             spec = ArchitectureSpec("vdcnn", depth=depth)
-            diff = reconcile(count_params(build_model(spec, seed=0)), golden_row(table, "vdcnn", depth))
+            diff = reconcile(count_params(Model(spec, seed=0)), table[("vdcnn", depth)])
             assert not diff.failed
             conv = next(c for c in diff.categories if c.category == "conv")
             assert conv.verdict == "flag"
@@ -522,10 +521,14 @@ class TestReconcile:
         diff = reconcile(report, row)
         assert all(c.rel_diff == 0.0 for c in diff.categories)
 
-    def test_missing_row_is_lookup_error(self):
-        table = load_golden_table()
-        with pytest.raises(KeyError, match="vdcnn, 49"):
-            golden_row(table, "vdcnn", 49)
+    @pytest.mark.parametrize("rel,verdict", [(0.049, "pass"), (0.051, "fail")])
+    def test_tolerance_is_five_percent(self, rel, verdict):
+        report = closed_form_params(ArchitectureSpec("svdcnn", depth=9))
+        fc_ref = millions(report.fc) / (1 - rel)  # |ours - ref| / ref == rel
+        row = GoldenRow("svdcnn", 9, millions(report.conv), fc_ref, millions(report.total), round2(report.storage_mb))
+        fc = next(c for c in reconcile(report, row).categories if c.category == "fc")
+        assert fc.rel_diff == pytest.approx(rel)
+        assert fc.verdict == verdict
 
     def test_out_of_tolerance_unflagged_category_fails(self):
         report = closed_form_params(ArchitectureSpec("svdcnn", depth=9))
@@ -536,10 +539,10 @@ class TestReconcile:
         with pytest.raises(FileNotFoundError):
             load_golden_table(tmp_path / "nope.tsv")
 
-    @pytest.mark.parametrize("text,line,message", MALFORMED_GOLDEN_TABLES.values(), ids=MALFORMED_GOLDEN_TABLES)
-    def test_malformed_golden_table_names_the_file_and_line(self, tmp_path, text, line, message):
+    @pytest.mark.parametrize("content,line,message", MALFORMED_GOLDEN_TABLES.values(), ids=MALFORMED_GOLDEN_TABLES)
+    def test_malformed_golden_table_names_the_file_and_line(self, tmp_path, content, line, message):
         path = tmp_path / "golden.tsv"
-        path.write_text(text)
+        path.write_bytes(content)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}, line {line}: {message}"):
             load_golden_table(path)
 
@@ -547,6 +550,6 @@ class TestReconcile:
 class TestConstantProduct:
     @pytest.mark.parametrize("family,depth", ALL_CONFIGS)
     def test_channels_times_length_constant(self, family, depth):
-        model = build_model(ArchitectureSpec(family, depth=depth, seq_len=1024), seed=0).eval()
+        model = Model(ArchitectureSpec(family, depth=depth, seq_len=1024), seed=0).eval()
         products = [c * length for c, length in level_shapes(model, np.zeros((1, 1024), dtype=np.int64))]
         assert products == [65_536] * 4

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from svdcnn.architecture import ArchitectureSpec, build_model
+from svdcnn.architecture import ArchitectureSpec, Model
 from svdcnn.autograd import StateError
 from svdcnn.bench import (
     LatencyStats,
@@ -19,7 +19,7 @@ from svdcnn.bench import (
 
 
 def tiny_model():
-    return build_model(
+    return Model(
         ArchitectureSpec("svdcnn", depth=9, seq_len=8, pooled_len=1, n_classes=2, fc_hidden=4),
         seed=0,
     ).eval()

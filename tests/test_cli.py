@@ -75,11 +75,11 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
-    @pytest.mark.parametrize("text,line", [v[:2] for v in MALFORMED_GOLDEN_TABLES.values()],
+    @pytest.mark.parametrize("content,line", [v[:2] for v in MALFORMED_GOLDEN_TABLES.values()],
                              ids=MALFORMED_GOLDEN_TABLES)
-    def test_malformed_golden_table_is_one_error_line(self, capsys, tmp_path, text, line):
+    def test_malformed_golden_table_is_one_error_line(self, capsys, tmp_path, content, line):
         bad = tmp_path / "golden.tsv"
-        bad.write_text(text)
+        bad.write_bytes(content)
         code, out, err = run(capsys, "verify", "--golden", str(bad))
         assert code == 1
         assert "PASS" not in out
@@ -276,21 +276,25 @@ class TestBench:
         assert code == 0
         assert "0.21" in out
 
-    @pytest.mark.parametrize("record", [
-        {"mean_ms": 1.0},
-        [1, 2],
-        {"mean_ms": 1.0, "std_ms": 0.1, "reps": 10, "warmup": 0, "median_ms": 1.0},
-    ], ids=["missing-fields", "not-an-object", "unknown-field"])
-    def test_compare_rejects_malformed_record(self, capsys, tmp_path, record):
+    FIELDS = ("expected a JSON object with the fields mean_ms, std_ms, reps, warmup "
+              "(optional: environment, resolution_warning)")
+
+    @pytest.mark.parametrize("content,message", [
+        (json.dumps({"mean_ms": 1.0}).encode(), FIELDS),
+        (json.dumps([1, 2]).encode(), FIELDS),
+        (json.dumps({"mean_ms": 1.0, "std_ms": 0.1, "reps": 10, "warmup": 0, "median_ms": 1.0}).encode(), FIELDS),
+        (b'{"mean_ms": 1.0, ', "Expecting property name enclosed in double quotes: line 1 column 18 (char 17)"),
+        (b'{"environment": "caf\xe9"}', "'utf-8' codec can't decode byte 0xe9 in position 20: invalid continuation byte"),
+    ], ids=["missing-fields", "not-an-object", "unknown-field", "truncated", "not-utf8"])
+    def test_compare_rejects_malformed_record(self, capsys, tmp_path, content, message):
         good = tmp_path / "good.json"
         good.write_text(json.dumps({"mean_ms": 5.0, "std_ms": 0.1, "reps": 10, "warmup": 0}))
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(record))
+        bad.write_bytes(content)
         code, out, err = run(capsys, "bench", "--compare", str(good), str(bad))
         assert code == 1
         assert out == ""
-        assert err == (f"error: {bad}: expected a JSON object with the fields mean_ms, std_ms, reps, warmup "
-                       "(optional: environment, resolution_warning)\n")
+        assert err == f"error: {bad}: {message}\n"
 
     def test_compare_rejects_wrong_field_type(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -36,13 +36,13 @@ class TestVocabulary:
 
     def test_indices_dense_and_unique(self):
         vocab = Vocabulary()
-        indices = [vocab.index(ch) for ch in ALPHABET]
+        indices = quantize(ALPHABET, vocab, len(ALPHABET))
         assert sorted(indices) == list(range(1, 70))
 
     def test_unknown_maps_to_padding(self):
         vocab = Vocabulary()
-        assert vocab.index("é") == 0
-        assert vocab.index("A") == 0  # uppercase is not in the table
+        np.testing.assert_array_equal(quantize("é€\U0001f600", vocab, 3), [0, 0, 0])
+        assert "A" not in vocab.characters  # quantize lowercases before the lookup
 
     def test_duplicate_characters_rejected(self):
         with pytest.raises(ValueError, match="unique"):
@@ -61,13 +61,12 @@ class TestQuantize:
     def test_short_text_right_padded(self):
         vocab = Vocabulary()
         out = quantize("ab", vocab, 4)
-        np.testing.assert_array_equal(out, [vocab.index("a"), vocab.index("b"), 0, 0])
-        assert vocab.index("a") == 1 and vocab.index("b") == 2
+        np.testing.assert_array_equal(out, [1, 2, 0, 0])  # ALPHABET starts "ab"; index 0 is padding
 
     def test_long_text_truncated_to_length(self):
         out = quantize("x" * 2000, Vocabulary(), 1024)
         assert out.shape == (1024,)
-        assert (out == Vocabulary().index("x")).all()
+        assert (out == ALPHABET.index("x") + 1).all()
 
     def test_lowercased_before_lookup(self):
         vocab = Vocabulary()
@@ -261,7 +260,7 @@ class TestSynthetic:
         # learnability floor: counting signature letters alone classifies it
         ds = synth_dataset(400, 4, 128, seed=11)
         vocab = Vocabulary()
-        signatures = [vocab.index(chr(ord("a") + c)) for c in range(4)]
+        signatures = list(quantize("abcd", vocab, 4))
         predictions = histogram_classifier(ds.indices, 4, signatures)
         accuracy = float(np.mean([p == label for p, label in zip(predictions, ds.labels)]))
         assert accuracy >= 0.99

@@ -5,13 +5,14 @@ import pytest
 
 from svdcnn import functional as F
 from svdcnn import layers
-from svdcnn.architecture import ArchitectureSpec, build_model
+from svdcnn.architecture import ArchitectureSpec, Model
 from svdcnn.autograd import ShapeError, Tape, Tensor, backward
 from svdcnn.data import Vocabulary
 from svdcnn.functional import DegenerateStatisticsError
 from svdcnn.layers import BatchNorm, ConvBlock, ConvLayer, EmbeddingTable, TdscLayer, TemporalConvLayer
 
 from oracles import MEMORY_ORDERS, as_float64, in_memory_order, kmax_direct, maxpool_direct
+from taped_ops import mul, tensor_sum
 
 RNG = np.random.default_rng
 
@@ -243,7 +244,7 @@ class TestPools:
         for row, weights, expected in cases:
             x = Tensor([[row]], requires_grad=True)
             with Tape() as tape:
-                loss = F.tensor_sum(F.mul(F.maxpool_halve(x), Tensor([[weights]])))
+                loss = tensor_sum(mul(F.maxpool_halve(x), Tensor([[weights]])))
             backward(loss, tape)
             np.testing.assert_array_equal(x.grad, [[expected]])
 
@@ -251,7 +252,7 @@ class TestPools:
         x = Tensor([[[-1.0, -2, -3, -4]]], requires_grad=True)
         with Tape() as tape:
             out = F.maxpool_halve(x)
-            loss = F.tensor_sum(F.mul(out, Tensor([[[1.0, 10]]])))
+            loss = tensor_sum(mul(out, Tensor([[[1.0, 10]]])))
         backward(loss, tape)
         np.testing.assert_array_equal(out.data, [[[0, -2]]])
         np.testing.assert_array_equal(x.grad, [[[0, 10, 0, 0]]])
@@ -379,7 +380,7 @@ def _pool_output_and_grad(pool, x):
     with Tape() as tape:
         out = pool(xt)
         weights = np.arange(1, out.data.size + 1, dtype=np.float32).reshape(out.shape)
-        loss = F.tensor_sum(F.mul(out, Tensor(weights)))
+        loss = tensor_sum(mul(out, Tensor(weights)))
     backward(loss, tape)
     return out.data, xt.grad, weights
 
@@ -414,7 +415,7 @@ class TestConvBlock:
         def input_grad(forward):
             leaf = Tensor(x, requires_grad=True)
             with Tape() as tape:
-                loss = F.tensor_sum(F.mul(forward(leaf), c))
+                loss = tensor_sum(mul(forward(leaf), c))
             backward(loss, tape)
             return leaf.grad
 
@@ -439,8 +440,8 @@ class TestConvBlock:
 
 class TestModeSwitch:
     @pytest.mark.parametrize("build", [
-        lambda: build_model(ArchitectureSpec("svdcnn", seq_len=64), seed=0),
-        lambda: build_model(ArchitectureSpec("vdcnn", seq_len=64, fc_hidden=16), seed=0),
+        lambda: Model(ArchitectureSpec("svdcnn", seq_len=64), seed=0),
+        lambda: Model(ArchitectureSpec("vdcnn", seq_len=64, fc_hidden=16), seed=0),
         lambda: ConvBlock(TemporalConvLayer, 4, 8, RNG(0)),
         lambda: ConvBlock(TdscLayer, 4, 4, RNG(0)),
     ], ids=["svdcnn", "vdcnn", "standard-block", "separable-block"])

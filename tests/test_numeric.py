@@ -27,6 +27,7 @@ from oracles import (
     in_memory_order,
     matvec_direct,
 )
+from taped_ops import mul, tensor_sum
 
 
 class TestConv1d:
@@ -150,8 +151,8 @@ class TestTapEngine:
                 np.testing.assert_allclose(ours[b], oracle(x[b], w, padding), rtol=1e-12, atol=1e-12)
             xt = Tensor(x, requires_grad=True, dtype=np.float64)
             wt = Tensor(w, requires_grad=True, dtype=np.float64)
-            assert grad_check(lambda a, f: F.tensor_sum(F.mul(conv(a, f, padding=padding),
-                                                               conv(a, f, padding=padding))), [xt, wt]) <= 1e-6
+            assert grad_check(lambda a, f: tensor_sum(mul(conv(a, f, padding=padding),
+                                                          conv(a, f, padding=padding))), [xt, wt]) <= 1e-6
 
     @pytest.mark.parametrize("op", CONVOLUTIONS)
     @pytest.mark.parametrize("padding", [-1, 0, 2])
@@ -186,7 +187,7 @@ class TestTapEngine:
         wt = Tensor(w, requires_grad=True, dtype=np.float64)
         with Tape() as tape:
             out = conv(xt, wt, padding=k // 2)
-            loss = F.tensor_sum(out)
+            loss = tensor_sum(out)
         backward(loss, tape)
         assert out.shape == (2, 4 if op == "conv1d" else 3, 0)
         assert xt.grad.shape == (2, 3, 0)
@@ -209,7 +210,7 @@ class TestTapEngine:
             with np.errstate(invalid="ignore"):  # the perturbed rows' inf and NaN reach the loss
                 with Tape() as tape:
                     out = conv(xt, Tensor(w), padding=padding)
-                    loss = F.tensor_sum(F.mul(out, Tensor(in_memory_order(upstream, order))))
+                    loss = tensor_sum(mul(out, Tensor(in_memory_order(upstream, order))))
                 backward(loss, tape)
             return out.data, xt.grad
 
@@ -254,14 +255,14 @@ class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
         with Tape() as tape:
-            loss = F.tensor_sum(x)
+            loss = tensor_sum(x)
         backward(loss, tape)
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_sum_of_squares(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            loss = F.tensor_sum(F.mul(x, x))
+            loss = tensor_sum(mul(x, x))
         backward(loss, tape)
         np.testing.assert_allclose(x.grad, [2, 4])
 
@@ -270,11 +271,11 @@ class TestBackward:
         x = Tensor(rng.normal(size=(2, 6))[None], requires_grad=True, dtype=np.float64)
         w = Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True, dtype=np.float64)
         with Tape() as tape:
-            loss = F.tensor_sum(F.mul(F.conv1d(x, w, padding=1), F.conv1d(x, w, padding=1)))
+            loss = tensor_sum(mul(F.conv1d(x, w, padding=1), F.conv1d(x, w, padding=1)))
         backward(loss, tape)
 
         def value():
-            return F.tensor_sum(F.mul(F.conv1d(x, w, padding=1), F.conv1d(x, w, padding=1))).data.item()
+            return tensor_sum(mul(F.conv1d(x, w, padding=1), F.conv1d(x, w, padding=1))).data.item()
 
         for tensor in (x, w):
             flat = tensor.data.reshape(-1)
@@ -286,14 +287,14 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            y = F.mul(x, x)
+            y = mul(x, x)
         with pytest.raises(ValueError, match="scalar"):
             backward(y, tape)
 
     def test_second_backward_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            loss = F.tensor_sum(x)
+            loss = tensor_sum(x)
         backward(loss, tape)
         with pytest.raises(TapeConsumedError):
             backward(loss, tape)
@@ -302,8 +303,8 @@ class TestBackward:
         x = Tensor([1.0, 2.0], requires_grad=True)
         other = Tensor([5.0], requires_grad=True)
         with Tape() as tape:
-            loss = F.tensor_sum(x)
-            F.tensor_sum(other)  # recorded but not part of the loss
+            loss = tensor_sum(x)
+            tensor_sum(other)  # recorded but not part of the loss
         loss_tape_grads_before = other.grad
         backward(loss, tape)
         assert loss_tape_grads_before is None and other.grad is None
@@ -312,7 +313,7 @@ class TestBackward:
     def test_reused_tensor_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
         with Tape() as tape:
-            loss = F.tensor_sum(F.add(x, x))
+            loss = tensor_sum(F.add(x, x))
         backward(loss, tape)
         np.testing.assert_array_equal(x.grad, [2])
 
@@ -320,7 +321,7 @@ class TestBackward:
         x = Tensor(np.zeros(4), requires_grad=True, dtype=np.float64)
         c = Tensor([1.0, -2.0, 3.0, 0.5], dtype=np.float64)
         with Tape() as tape:
-            loss = F.tensor_sum(F.mul(F.add(x, x), c))
+            loss = tensor_sum(mul(F.add(x, x), c))
         backward(loss, tape)
         np.testing.assert_array_equal(x.grad, 2 * c.data)
 
@@ -328,7 +329,7 @@ class TestBackward:
         a = Tensor(np.zeros(3), requires_grad=True, dtype=np.float64)
         b = Tensor(np.zeros(3), requires_grad=True, dtype=np.float64)
         with Tape() as tape:
-            loss = F.tensor_sum(F.mul(F.add(a, b), Tensor([1.0, 2.0, 3.0], dtype=np.float64)))
+            loss = tensor_sum(mul(F.add(a, b), Tensor([1.0, 2.0, 3.0], dtype=np.float64)))
         backward(loss, tape)
         assert not np.may_share_memory(a.grad, b.grad)
         a.grad += 1.0
@@ -352,7 +353,7 @@ class TestBackward:
     def test_recorded_outputs_release_their_gradient(self):
         x = Tensor(np.arange(1.0, 5.0), requires_grad=True, dtype=np.float64)
         with Tape() as tape:
-            loss = F.tensor_sum(F.relu(F.mul(x, x)))
+            loss = tensor_sum(F.relu(mul(x, x)))
         recorded = [out for _name, out, _pull in tape.entries]
         backward(loss, tape)
         assert all(out.grad is None for out in recorded)
@@ -366,7 +367,7 @@ class TestBackward:
         beta = Tensor(np.zeros(3), requires_grad=True, dtype=np.float64)
         with Tape() as tape:
             hidden = F.depthwise_conv1d(x, w, padding=1)
-            loss = F.tensor_sum(F.batch_norm_train(hidden, gamma, beta, 1e-5)[0])
+            loss = tensor_sum(F.batch_norm_train(hidden, gamma, beta, 1e-5)[0])
         names = [name for name, _out, _pull in tape.entries]
         alive = [weakref.ref(hidden), weakref.ref(hidden.data)]
         del hidden
@@ -410,7 +411,7 @@ class TestGradientHandOver:
         inputs = [_Recorded(a, requires_grad=True) for a in [in_memory_order(arrays[0], order), *arrays[1:]]]
         with Tape() as tape:
             out = call(*inputs)
-            loss = F.tensor_sum(F.mul(out, Tensor(rng.normal(size=out.shape))))
+            loss = tensor_sum(mul(out, Tensor(rng.normal(size=out.shape))))
         backward(loss, tape)
         for t in inputs:
             assert t.grad is t.handed and t.grad.flags.owndata
@@ -421,49 +422,49 @@ class TestGradientHandOver:
 class TestGradCheck:
     def test_sum_is_exact(self):
         x = Tensor(np.random.default_rng(0).normal(size=5), requires_grad=True, dtype=np.float64)
-        assert grad_check(F.tensor_sum, [x]) < 1e-6
+        assert grad_check(tensor_sum, [x]) < 1e-6
 
     def test_relu_away_from_kink(self):
         rng = np.random.default_rng(1)
         vals = rng.uniform(0.1, 1.0, size=8) * rng.choice([-1.0, 1.0], size=8)
         x = Tensor(vals, requires_grad=True, dtype=np.float64)
-        assert grad_check(lambda t: F.tensor_sum(F.relu(t)), [x]) <= 1e-4
+        assert grad_check(lambda t: tensor_sum(F.relu(t)), [x]) <= 1e-4
 
     @pytest.mark.parametrize(
         "name,builder",
         [
             ("conv1d", lambda rng: (
-                lambda x, w, b: F.tensor_sum(F.mul(F.conv1d(x, w, b, padding=1), F.conv1d(x, w, b, padding=1))),
+                lambda x, w, b: tensor_sum(mul(F.conv1d(x, w, b, padding=1), F.conv1d(x, w, b, padding=1))),
                 [Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True, dtype=np.float64),
                  Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True, dtype=np.float64),
                  Tensor(rng.normal(size=4), requires_grad=True, dtype=np.float64)],
             )),
             ("conv1d_k1_pad0", lambda rng: (
-                lambda x, w, b: F.tensor_sum(F.mul(F.conv1d(x, w, b), F.conv1d(x, w, b))),
+                lambda x, w, b: tensor_sum(mul(F.conv1d(x, w, b), F.conv1d(x, w, b))),
                 [Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True, dtype=np.float64),
                  Tensor(rng.normal(size=(4, 3, 1)), requires_grad=True, dtype=np.float64),
                  Tensor(rng.normal(size=4), requires_grad=True, dtype=np.float64)],
             )),
             ("depthwise", lambda rng: (
-                lambda x, w: F.tensor_sum(F.mul(F.depthwise_conv1d(x, w, padding=1), F.depthwise_conv1d(x, w, padding=1))),
+                lambda x, w: tensor_sum(mul(F.depthwise_conv1d(x, w, padding=1), F.depthwise_conv1d(x, w, padding=1))),
                 [Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True, dtype=np.float64),
                  Tensor(rng.normal(size=(3, 3)), requires_grad=True, dtype=np.float64)],
             )),
             ("affine", lambda rng: (
-                lambda x, w, b: F.tensor_sum(F.mul(F.affine(x, w, b), F.affine(x, w, b))),
+                lambda x, w, b: tensor_sum(mul(F.affine(x, w, b), F.affine(x, w, b))),
                 [Tensor(rng.normal(size=(2, 5)), requires_grad=True, dtype=np.float64),
                  Tensor(rng.normal(size=(3, 5)), requires_grad=True, dtype=np.float64),
                  Tensor(rng.normal(size=3), requires_grad=True, dtype=np.float64)],
             )),
             ("batch_norm_train", lambda rng: (
-                lambda x, g, b: F.tensor_sum(F.mul(F.batch_norm_train(x, g, b, 1e-5)[0],
-                                                   F.batch_norm_train(x, g, b, 1e-5)[0])),
+                lambda x, g, b: tensor_sum(mul(F.batch_norm_train(x, g, b, 1e-5)[0],
+                                               F.batch_norm_train(x, g, b, 1e-5)[0])),
                 [Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True, dtype=np.float64),
                  Tensor(rng.uniform(0.5, 1.5, size=3), requires_grad=True, dtype=np.float64),
                  Tensor(rng.normal(size=3), requires_grad=True, dtype=np.float64)],
             )),
             ("batch_norm_eval", lambda rng: (
-                lambda x, g, b: F.tensor_sum(F.mul(
+                lambda x, g, b: tensor_sum(mul(
                     F.batch_norm_eval(x, g, b, np.zeros(3), np.ones(3), 1e-5),
                     F.batch_norm_eval(x, g, b, np.zeros(3), np.ones(3), 1e-5))),
                 [Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True, dtype=np.float64),
@@ -471,23 +472,23 @@ class TestGradCheck:
                  Tensor(rng.normal(size=3), requires_grad=True, dtype=np.float64)],
             )),
             ("maxpool", lambda rng: (
-                lambda x: F.tensor_sum(F.mul(F.maxpool_halve(x), F.maxpool_halve(x))),
+                lambda x: tensor_sum(mul(F.maxpool_halve(x), F.maxpool_halve(x))),
                 # well-separated values keep finite differences off pooling ties
                 [Tensor(rng.permutation(np.linspace(0.2, 3.0, 24)).reshape(1, 3, 8),
                         requires_grad=True, dtype=np.float64)],
             )),
             ("kmax", lambda rng: (
-                lambda x: F.tensor_sum(F.mul(F.kmax_pool(x, 3), F.kmax_pool(x, 3))),
+                lambda x: tensor_sum(mul(F.kmax_pool(x, 3), F.kmax_pool(x, 3))),
                 [Tensor(rng.permutation(np.linspace(0.2, 3.0, 16)).reshape(2, 8)[None],
                         requires_grad=True, dtype=np.float64)],
             )),
             ("avgpool", lambda rng: (
-                lambda x: F.tensor_sum(F.mul(F.adaptive_avg_pool(x, 2), F.adaptive_avg_pool(x, 2))),
+                lambda x: tensor_sum(mul(F.adaptive_avg_pool(x, 2), F.adaptive_avg_pool(x, 2))),
                 [Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True, dtype=np.float64)],
             )),
             ("embedding", lambda rng: (
-                lambda t: F.tensor_sum(F.mul(F.embedding(np.array([[0, 2, 1, 2]]), t),
-                                             F.embedding(np.array([[0, 2, 1, 2]]), t))),
+                lambda t: tensor_sum(mul(F.embedding(np.array([[0, 2, 1, 2]]), t),
+                                         F.embedding(np.array([[0, 2, 1, 2]]), t))),
                 [Tensor(rng.normal(size=(4, 3)), requires_grad=True, dtype=np.float64)],
             )),
             ("cross_entropy", lambda rng: (
@@ -495,12 +496,12 @@ class TestGradCheck:
                 [Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)],
             )),
             ("add_mul_relu", lambda rng: (
-                lambda a, b: F.tensor_sum(F.relu(F.add(F.mul(a, b), b))),
+                lambda a, b: tensor_sum(F.relu(F.add(mul(a, b), b))),
                 [Tensor(rng.uniform(0.2, 1.0, size=(3, 4)), requires_grad=True, dtype=np.float64),
                  Tensor(rng.uniform(0.2, 1.0, size=(3, 4)), requires_grad=True, dtype=np.float64)],
             )),
             ("flatten", lambda rng: (
-                lambda x: F.tensor_sum(F.mul(F.flatten_features(x), F.flatten_features(x))),
+                lambda x: tensor_sum(mul(F.flatten_features(x), F.flatten_features(x))),
                 [Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True, dtype=np.float64)],
             )),
         ],
@@ -519,7 +520,7 @@ class TestGradCheck:
         x, w = rng.normal(size=(2, 3, 6)), Tensor(make_weight(rng, 3), dtype=np.float64)
 
         def f(a):
-            return F.tensor_sum(F.mul(conv(a, w, padding=1), conv(a, w, padding=1)))
+            return tensor_sum(mul(conv(a, w, padding=1), conv(a, w, padding=1)))
 
         worst = [grad_check(f, [Tensor(in_memory_order(x, order), requires_grad=True, dtype=np.float64)])
                  for order in MEMORY_ORDERS]
@@ -530,7 +531,7 @@ class TestGradCheck:
 
         def f(t):
             doubled = F.add(t, t)
-            return F.tensor_sum(F.mul(doubled, Tensor([np.inf])))
+            return tensor_sum(mul(doubled, Tensor([np.inf])))
 
         with pytest.raises(NonFiniteError, match=r"operation 1 \(mul\)"):
             grad_check(f, [x])
@@ -538,7 +539,7 @@ class TestGradCheck:
     def test_eps_validated(self):
         x = Tensor([1.0], requires_grad=True)
         with pytest.raises(ValueError, match="eps"):
-            grad_check(F.tensor_sum, [x], eps=0.5)
+            grad_check(tensor_sum, [x], eps=0.5)
 
 
 # case -> (tape entry name, call on the input tensors, input shapes)
@@ -549,8 +550,6 @@ _RECORDING_CASES = {
     "affine": ("affine", F.affine, [(2, 5), (3, 5), (3,)]),
     "relu": ("relu", F.relu, [(2, 3)]),
     "add": ("add", F.add, [(2, 3), (2, 3)]),
-    "mul": ("mul", F.mul, [(2, 3), (2, 3)]),
-    "tensor_sum": ("sum", F.tensor_sum, [(2, 3)]),
     "maxpool_halve": ("maxpool_halve", F.maxpool_halve, [(2, 3, 6)]),
     "kmax_pool": ("kmax_pool", lambda x: F.kmax_pool(x, 2), [(2, 3, 6)]),
     "adaptive_avg_pool": ("adaptive_avg_pool", lambda x: F.adaptive_avg_pool(x, 3), [(2, 3, 6)]),

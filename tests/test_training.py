@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from svdcnn import training
-from svdcnn.architecture import ArchitectureSpec, build_model, count_params
+from svdcnn.architecture import ArchitectureSpec, Model, count_params
 from svdcnn.autograd import Tape, Tensor, backward
 from svdcnn.data import Dataset, synth_dataset
 from svdcnn.functional import cross_entropy
@@ -120,7 +120,7 @@ class TestSgd:
             opt.step()
 
     def test_running_stats_untouched_by_optimizer(self):
-        model = build_model(tiny_spec(), seed=0)
+        model = Model(tiny_spec(), seed=0)
         before = [buf.copy() for _n, buf in model.named_buffers()]
         opt = SGD(model.parameters(), lr=0.1, momentum=0.9, weight_decay=0.001)
         for p in model.parameters():
@@ -129,13 +129,19 @@ class TestSgd:
         for (_n, buf), saved in zip(model.named_buffers(), before):
             np.testing.assert_array_equal(buf, saved)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(lr=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(momentum=1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(weight_decay=-0.1)
+    @pytest.mark.parametrize("field,value,message", [
+        ("lr", 0.0, "learning rate must be positive and finite, got 0.0"),
+        ("lr", math.nan, "learning rate must be positive and finite, got nan"),
+        ("lr", math.inf, "learning rate must be positive and finite, got inf"),
+        ("lr", -math.inf, "learning rate must be positive and finite, got -inf"),
+        ("momentum", 1.0, r"momentum must be in \[0, 1\), got 1.0"),
+        ("weight_decay", -0.1, "weight decay must be non-negative and finite, got -0.1"),
+        ("weight_decay", math.nan, "weight decay must be non-negative and finite, got nan"),
+        ("weight_decay", math.inf, "weight decay must be non-negative and finite, got inf"),
+    ])
+    def test_config_validation(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainConfig(**{field: value})
 
     def test_batch_size_below_two_rejected(self):
         with pytest.raises(ValueError, match="batch size must be at least 2.*got 1"):
@@ -147,7 +153,7 @@ class TestTrainLoop:
     def test_single_sample_training_set_rejected_up_front(self):
         pair = synth_dataset(2, 2, 16, seed=0)
         one = Dataset(pair.indices[:1], pair.labels[:1], n_classes=2, source="one row")
-        model = build_model(tiny_spec(), seed=1)
+        model = Model(tiny_spec(), seed=1)
         before = [p.data.copy() for p in model.parameters()]
         with pytest.raises(ValueError, match=r"training set has 1 sample.*batch size 4"):
             train(model, one, synth_dataset(4, 2, 16, seed=1), TrainConfig(batch_size=4, max_epochs=1))
@@ -156,7 +162,7 @@ class TestTrainLoop:
     def test_zero_like_lr_keeps_parameters(self):
         # the smallest positive learning rate is an effective freeze at f32
         spec = tiny_spec()
-        model = build_model(spec, seed=1)
+        model = Model(spec, seed=1)
         before = [p.data.copy() for p in model.parameters()]
         train_set = synth_dataset(8, 2, 16, seed=0)
         cfg = TrainConfig(lr=1e-30, momentum=0.0, weight_decay=0.0, batch_size=4, max_epochs=1, seed=0)
@@ -169,8 +175,8 @@ class TestTrainLoop:
         train_set = synth_dataset(16, 2, 16, seed=1)
         val_set = synth_dataset(8, 2, 16, seed=2)
         cfg = TrainConfig(batch_size=8, max_epochs=3, seed=5)
-        h1 = train(build_model(spec, seed=5), train_set, val_set, cfg)
-        h2 = train(build_model(spec, seed=5), train_set, val_set, cfg)
+        h1 = train(Model(spec, seed=5), train_set, val_set, cfg)
+        h2 = train(Model(spec, seed=5), train_set, val_set, cfg)
         assert [e.epoch for e in h1] == [1, 2, 3]
         assert h1 == h2
 
@@ -180,7 +186,7 @@ class TestTrainLoop:
         train_set, val_set = synth_dataset(16, 2, 16, seed=1), synth_dataset(8, 2, 16, seed=2)
         paths = []
         for epochs in (3, 2):
-            model = build_model(tiny_spec(), seed=0)
+            model = Model(tiny_spec(), seed=0)
             train(model, train_set, val_set, TrainConfig(batch_size=8, max_epochs=epochs, seed=0))
             assert model.checkpoint_epoch == 2
             paths.append(tmp_path / f"{epochs}.ckpt")
@@ -190,12 +196,12 @@ class TestTrainLoop:
     def test_one_sample_final_batch_joins_the_batch_before(self):
         # 5 samples at batch size 4 leave one sample, too few for batch statistics
         train_set = synth_dataset(5, 2, 16, seed=8)
-        history = train(build_model(tiny_spec(), seed=1), train_set, train_set, TrainConfig(batch_size=4, max_epochs=2, seed=0))
+        history = train(Model(tiny_spec(), seed=1), train_set, train_set, TrainConfig(batch_size=4, max_epochs=2, seed=0))
         assert [e.epoch for e in history] == [1, 2]
         assert all(math.isfinite(e.train_loss) for e in history)
 
     def test_class_count_mismatch_rejected(self):
-        model = build_model(tiny_spec(n_classes=2), seed=0)
+        model = Model(tiny_spec(n_classes=2), seed=0)
         four_class = synth_dataset(8, 4, 16, seed=0)
         with pytest.raises(ValueError, match="classes"):
             train(model, four_class, four_class, TrainConfig(max_epochs=1))
@@ -204,7 +210,7 @@ class TestTrainLoop:
 class TestGradientOwnership:
     @pytest.mark.parametrize("family", ["svdcnn", "vdcnn"])
     def test_train_step_leaves_one_private_gradient_per_parameter(self, family):
-        model = build_model(tiny_spec(family=family), seed=3)
+        model = Model(tiny_spec(family=family), seed=3)
         params = model.parameters()
         rng = np.random.default_rng(4)
         for p in params:  # nonzero closing scales and logit weights, so every parameter gets a gradient
@@ -229,7 +235,7 @@ class TestEvaluate:
     def test_memorizes_single_repeated_sample(self):
         spec = tiny_spec()
         sample_set = synth_dataset(4, 2, 16, seed=3)
-        model = build_model(spec, seed=2)
+        model = Model(spec, seed=2)
         cfg = TrainConfig(batch_size=4, max_epochs=10, seed=2)
         train(model, sample_set, sample_set, cfg)
         assert evaluate(model, sample_set) == 1.0
@@ -239,13 +245,13 @@ class TestEvaluate:
         ds = synth_dataset(400, 4, 16, seed=6)
         shuffled = [int(rng.integers(0, 4)) for _row in ds.indices]
         ds = Dataset(ds.indices, shuffled, n_classes=4, source="shuffled")
-        model = build_model(tiny_spec(n_classes=4), seed=3)
+        model = Model(tiny_spec(n_classes=4), seed=3)
         acc = evaluate(model, ds)
         assert 0.10 <= acc <= 0.40
 
     def test_accuracy_bounds(self):
         ds = synth_dataset(12, 2, 16, seed=7)
-        model = build_model(tiny_spec(), seed=0)
+        model = Model(tiny_spec(), seed=0)
         assert 0.0 <= evaluate(model, ds) <= 1.0
 
 
@@ -268,7 +274,7 @@ PINNED_DIGESTS = [
 class TestCheckpoint:
     @pytest.mark.parametrize("family,depth,layout_sha,checkpoint_sha", PINNED_DIGESTS)
     def test_names_layout_and_seeded_init_are_pinned(self, tmp_path, family, depth, layout_sha, checkpoint_sha):
-        model = build_model(ArchitectureSpec(family, depth=depth), seed=0)
+        model = Model(ArchitectureSpec(family, depth=depth), seed=0)
         rows = [f"{n} {c} {tuple(t.shape)}" for n, t, c in model.named_params()]
         rows += [f"{n} buffer {tuple(b.shape)}" for n, b in model.named_buffers()]
         assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == layout_sha
@@ -278,7 +284,7 @@ class TestCheckpoint:
 
     def test_roundtrip_is_bitwise_identical(self, tmp_path):
         spec = tiny_spec()
-        model = build_model(spec, seed=8).eval()
+        model = Model(spec, seed=8).eval()
         rng = np.random.default_rng(9)
         inputs = rng.integers(0, spec.vocab_size, size=(10, spec.seq_len))
         before = model.forward(inputs).data
@@ -293,7 +299,7 @@ class TestCheckpoint:
         spec = ArchitectureSpec("svdcnn", depth=17, seq_len=64, embed_dim=3, vocab_size=5, n_classes=6,
                                 fc_hidden=7, pooled_len=2)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(build_model(spec, seed=None), path, epoch=11)
+        save_checkpoint(Model(spec, seed=None), path, epoch=11)
         assert struct.unpack_from("<4sH9I", path.read_bytes()) == (b"SVDC", 1, 1, 17, 64, 3, 5, 6, 7, 2, 11)
         loaded = load_checkpoint(path)
         assert (loaded.spec, loaded.checkpoint_epoch) == (spec, 11)
@@ -301,7 +307,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
     def test_failed_write_leaves_the_previous_checkpoint_in_place(self, tmp_path, monkeypatch, error):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(build_model(tiny_spec(), seed=0), path)
+        save_checkpoint(Model(tiny_spec(), seed=0), path)
         before = path.read_bytes()
         arrays = training._model_arrays
 
@@ -312,13 +318,13 @@ class TestCheckpoint:
         with monkeypatch.context() as patch:
             patch.setattr(training, "_model_arrays", fail_partway)
             with pytest.raises(error):
-                save_checkpoint(build_model(tiny_spec(), seed=1), path)
+                save_checkpoint(Model(tiny_spec(), seed=1), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
         load_checkpoint(path)
 
     def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
-        model = build_model(tiny_spec(), seed=8)
+        model = Model(tiny_spec(), seed=8)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
 
@@ -331,14 +337,14 @@ class TestCheckpoint:
             assert p.data.tobytes() == q.data.tobytes(), name
 
     def test_unseeded_model_starts_at_zero_weights(self):
-        model = build_model(tiny_spec(), seed=None)
+        model = Model(tiny_spec(), seed=None)
         for name, t, category in model.named_params():
             if category != "batchnorm":
                 assert not t.data.any(), name
 
     def test_corrupted_magic_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(build_model(tiny_spec(), seed=0), path)
+        save_checkpoint(Model(tiny_spec(), seed=0), path)
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
@@ -347,7 +353,7 @@ class TestCheckpoint:
 
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(build_model(tiny_spec(), seed=0), path)
+        save_checkpoint(Model(tiny_spec(), seed=0), path)
         blob = bytearray(path.read_bytes())
         blob[4:6] = (99).to_bytes(2, "little")
         path.write_bytes(bytes(blob))
@@ -356,7 +362,7 @@ class TestCheckpoint:
 
     def test_truncation_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(build_model(tiny_spec(), seed=0), path)
+        save_checkpoint(Model(tiny_spec(), seed=0), path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 10])
         with pytest.raises(CheckpointTruncatedError):
@@ -364,7 +370,7 @@ class TestCheckpoint:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(build_model(tiny_spec(), seed=0), path)
+        save_checkpoint(Model(tiny_spec(), seed=0), path)
         path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
         with pytest.raises(CheckpointLengthError):
             load_checkpoint(path)
@@ -373,7 +379,7 @@ class TestCheckpoint:
     def test_oversized_header_field_rejected_before_the_model_is_built(self, tmp_path, field):
         # 2**31 hidden units or characters would need terabytes; the file holds kilobytes
         path = tmp_path / "model.ckpt"
-        save_checkpoint(build_model(tiny_spec(family="vdcnn"), seed=0), path)
+        save_checkpoint(Model(tiny_spec(family="vdcnn"), seed=0), path)
         blob = bytearray(path.read_bytes())
         blob[6 + 4 * field:10 + 4 * field] = (2**31).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
@@ -384,7 +390,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("depth", [9, 17, 29, 49])
     def test_file_size_tracks_storage_accounting(self, tmp_path, family, depth):
         # running statistics, lengths and header add well under 1% to the 4 bytes per parameter
-        model = build_model(ArchitectureSpec(family, depth=depth), seed=None)
+        model = Model(ArchitectureSpec(family, depth=depth), seed=None)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         learned_bytes = count_params(model).total * 4
