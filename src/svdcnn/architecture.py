@@ -15,6 +15,7 @@ layer layout. Reported storage assumes 4 bytes per parameter.
 
 from __future__ import annotations
 
+import codecs
 import importlib.resources
 import math
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import ShapeError, Tensor
-from .data import DEFAULT_VOCAB_SIZE
+from .data import Vocabulary
 from .functional import DegenerateStatisticsError, maxpool_halve
 from .layers import (
     KERNEL_SIZE,
@@ -79,7 +80,7 @@ class ArchitectureSpec:
     depth: int = 9
     seq_len: int = 1024
     embed_dim: int = 16
-    vocab_size: int = DEFAULT_VOCAB_SIZE
+    vocab_size: int = Vocabulary.size
     n_classes: int = 4
     fc_hidden: int = 2048
     pooled_len: int = 8
@@ -296,8 +297,8 @@ class GoldenRow:
 def load_golden_table(path=None) -> dict[tuple[str, int], GoldenRow]:
     """Parse the shipped (or a given) reference table.
 
-    A byte that is not UTF-8, a malformed or negative cell, an unsupported ``(family, depth)`` or a repeated row
-    raises ``ValueError`` naming the line.
+    A leading UTF-8 BOM is dropped. A byte that is not UTF-8, a malformed or negative cell, an unsupported
+    ``(family, depth)`` or a repeated row raises ``ValueError`` naming the line.
     """
     if path is None:
         raw = importlib.resources.files("svdcnn").joinpath("golden_params.tsv").read_bytes()
@@ -308,6 +309,7 @@ def load_golden_table(path=None) -> dict[tuple[str, int], GoldenRow]:
             raise FileNotFoundError(f"golden table not found: {p}")
         raw = p.read_bytes()
         label = str(p)
+    raw = raw.removeprefix(codecs.BOM_UTF8)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -6,6 +6,7 @@ clock is injectable so the statistics are unit-testable without wall time.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import os
@@ -117,10 +118,11 @@ _RECORD_TYPES = {"float": ((int, float), "a real number"), "int": (int, "an inte
 
 
 def load_stats(path) -> LatencyStats:
-    """Read a record written by :func:`save_stats`; ValueError names the path (and field) if it is malformed."""
+    """Read a record written by :func:`save_stats`, dropping a leading UTF-8 BOM; ValueError names the path (and
+    field) if it is malformed."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            record = json.load(fh)
+        with open(path, "rb") as fh:
+            record = json.loads(fh.read().removeprefix(codecs.BOM_UTF8).decode("utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ValueError(f"{path}: {exc}") from None
     names = [f.name for f in fields(LatencyStats)]

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 
@@ -12,11 +14,10 @@ import numpy as np
 from . import architecture as arch
 from . import bench as bench_mod
 from .architecture import ArchitectureSpec, Model, closed_form_params, count_params
-from .data import Vocabulary, load_csv, quantize, split_dataset, synth_dataset
+from .data import _decode, _quantize_rows, load_csv, split_dataset, synth_dataset
 from .functional import _log_softmax
 from .training import (
     TrainConfig,
-    TrainingDivergedError,
     evaluate,
     load_checkpoint,
     predict_logits,
@@ -99,11 +100,7 @@ def cmd_verify(args) -> int:
             same = count_params(Model(spec, seed=None)) == closed_form_params(spec)
             check(f"enumeration == closed form {family}-{depth}", same, "")
 
-    try:
-        table = arch.load_golden_table(args.golden)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    table = arch.load_golden_table(args.golden)  # read before any output; main reports its errors
 
     failed = False
     for name, ok, detail in checks:
@@ -136,13 +133,16 @@ def cmd_train(args) -> int:
         seed=args.seed,
         eval_every=args.eval_every,
     )
+    if args.csv is None and not args.synthetic:
+        raise ValueError("provide --csv PATH or --synthetic")
+    history_path = args.history or f"{args.out}.history.jsonl"
+    for path in (args.out, history_path):  # checked now, so a bad path does not cost a whole training run
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
     if args.synthetic:
         train_set = synth_dataset(args.train_size, spec.n_classes, spec.seq_len, seed=args.seed)
         val_set = synth_dataset(args.val_size, spec.n_classes, spec.seq_len, seed=args.seed + 1)
     else:
-        if args.csv is None:
-            print("error: provide --csv PATH or --synthetic", file=sys.stderr)
-            return 1
         full = load_csv(args.csv, spec.n_classes, seq_len=spec.seq_len)
         if args.val_csv is not None:
             train_set = full
@@ -154,12 +154,7 @@ def cmd_train(args) -> int:
         f"weight_decay={cfg.weight_decay} batch_size={cfg.batch_size} epochs={cfg.max_epochs} seed={cfg.seed}"
     )
     model = Model(spec, seed=args.seed)
-    try:
-        history = train(model, train_set, val_set, cfg)
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    history_path = args.history or f"{args.out}.history.jsonl"
+    history = train(model, train_set, val_set, cfg)  # TrainingDivergedError is reported by main
     with open(history_path, "w", encoding="utf-8") as fh:
         for stats in history:
             fh.write(json.dumps(asdict(stats)) + "\n")
@@ -170,24 +165,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_lines(path) -> list[str]:
-    """The lines of ``path`` (``-`` is stdin) without their line endings."""
-    if path == "-":
-        return [line.rstrip("\n") for line in sys.stdin]
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        return [line.rstrip("\n") for line in fh]
-
-
 def _probabilities(logits: np.ndarray) -> str:
     return " ".join(f"{p:.6f}" for p in np.exp(_log_softmax(logits.astype(np.float64))))
 
 
 def cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    texts = [args.text] if args.text is not None else _read_lines(args.file)
-    vocab, seq_len = Vocabulary(), model.spec.seq_len
-    rows = np.array([quantize(text, vocab, seq_len) for text in texts], dtype=np.uint8).reshape(len(texts), seq_len)
-    logits = predict_logits(model, rows)
+    if args.text is not None:
+        raw, label = os.fsencode(args.text), "--text"  # the argument's bytes, before Python's surrogateescape
+    elif args.file == "-":
+        raw, label = sys.stdin.buffer.read(), "stdin"
+    else:
+        with open(args.file, "rb") as fh:
+            raw, label = fh.read(), args.file
+    text = _decode(raw, label)
+    # lines end at \n, \r\n or \r, as in a text-mode file; str.splitlines() would also split at \x0c, \u2028 and more
+    texts = [text] if args.text is not None else [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
+    logits = predict_logits(model, _quantize_rows(texts, model.spec.seq_len))
     if args.text is not None:
         print(f"class: {int(logits[0].argmax())}")
         print(f"probabilities: {_probabilities(logits[0])}")
@@ -237,10 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a CSV corpus or the synthetic set")
     _add_spec_flags(p)
-    p.add_argument("--csv", default=None, help="class-first CSV training corpus")
+    corpus = p.add_mutually_exclusive_group()
+    corpus.add_argument("--csv", default=None, help="class-first CSV training corpus")
+    corpus.add_argument("--synthetic", action="store_true", help="use the generated synthetic corpus")
     p.add_argument("--val-csv", default=None, help="separate validation CSV")
     p.add_argument("--val-fraction", type=float, default=0.1)
-    p.add_argument("--synthetic", action="store_true", help="use the generated synthetic corpus")
     p.add_argument("--train-size", type=int, default=400)
     p.add_argument("--val-size", type=int, default=200)
     p.add_argument("--lr", type=float, default=0.01)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import string
@@ -23,46 +24,35 @@ class IngestionError(ValueError):
 
 
 class IngestionWarning(UserWarning):
-    """A dataset file was read, but some of its bytes were not valid UTF-8."""
+    """Text was read, but some of its bytes were not valid UTF-8."""
 
 
 class Vocabulary:
-    """Ordered character dictionary with a padding token at index 0.
+    """The fixed dictionary ``ALPHABET`` with a padding token at index 0.
 
     Characters not in the dictionary map to the padding index. Lookup goes
     through a uint8 table indexed by code point; its trailing entry is 0 and
-    every code point past the table clamps to it. Indices are stored as
-    uint8, so at most 255 characters fit.
+    every code point past the table clamps to it.
     """
 
-    def __init__(self, characters: str = ALPHABET):
-        if len(set(characters)) != len(characters):
-            raise ValueError("vocabulary characters must be unique")
-        if len(characters) > 255:
-            raise ValueError(f"vocabulary holds at most 255 characters, got {len(characters)}")
-        self.characters = characters
-        codes = [ord(ch) for ch in characters]
-        self._table = np.zeros(max(codes, default=-1) + 2, dtype=np.uint8)
-        self._table[codes] = np.arange(1, len(codes) + 1)
+    size = len(ALPHABET) + 1
 
-    @property
-    def size(self) -> int:
-        return len(self.characters) + 1
+    def __init__(self):
+        codes = [ord(ch) for ch in ALPHABET]
+        self._table = np.zeros(max(codes) + 2, dtype=np.uint8)
+        self._table[codes] = np.arange(1, len(codes) + 1)
 
     def _lookup(self, codes) -> np.ndarray:
         """uint8 indices of an array of code points."""
         return self._table[np.minimum(codes, len(self._table) - 1)]
 
 
-DEFAULT_VOCAB_SIZE = Vocabulary().size
-
-
 def quantize(text: str, vocab: Vocabulary, seq_len: int) -> np.ndarray:
     """Map lowercased text to exactly ``seq_len`` int64 indices.
 
     Longer texts are truncated, shorter ones right-padded with 0. Lone
-    surrogates (from undecodable command-line bytes) are looked up like any
-    other code point outside the dictionary.
+    surrogates are looked up like any other code point outside the
+    dictionary.
     """
     if seq_len < 1:
         raise ValueError(f"sequence length must be positive, got {seq_len}")
@@ -79,7 +69,6 @@ class Dataset:
     indices: np.ndarray
     labels: np.ndarray
     n_classes: int
-    source: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
@@ -96,22 +85,36 @@ class Dataset:
         return len(self.labels)
 
 
-def load_csv(path, n_classes: int, seq_len: int = 1024, vocab: Vocabulary | None = None) -> Dataset:
+def _decode(raw: bytes, label) -> str:
+    """Text of ``raw`` for training and prediction alike: a leading UTF-8 BOM is dropped and each undecodable
+    sequence becomes U+FFFD, counted in one ``IngestionWarning`` naming ``label``."""
+    raw = raw.removeprefix(codecs.BOM_UTF8)
+    text = raw.decode("utf-8", errors="replace")
+    replaced = text.count("\ufffd") - raw.count("\ufffd".encode())
+    if replaced:
+        warnings.warn(f"{label}: {replaced} undecodable byte sequence(s) replaced with U+FFFD", IngestionWarning,
+                      stacklevel=3)
+    return text
+
+
+def _quantize_rows(texts: list[str], seq_len: int) -> np.ndarray:
+    """uint8 ``[len(texts), seq_len]`` rows of ``quantize`` over the fixed dictionary."""
+    vocab = Vocabulary()
+    return np.array([quantize(text, vocab, seq_len) for text in texts], dtype=np.uint8).reshape(len(texts), seq_len)
+
+
+def load_csv(path, n_classes: int, seq_len: int = 1024) -> Dataset:
     """Read a class-first CSV: 1-indexed integer class, then text fields.
 
     Text fields are joined with a single space before quantization. Quoted
     fields with embedded commas and doubled quotes are handled by the CSV
-    layer. Bytes that are not valid UTF-8 become U+FFFD, and an
-    ``IngestionWarning`` gives how many sequences were replaced.
+    layer. The bytes are read as ``svdcnn predict`` reads them: a leading
+    UTF-8 BOM is dropped, and each undecodable sequence becomes U+FFFD,
+    counted in an ``IngestionWarning``.
     """
-    vocab = vocab or Vocabulary()
     with open(path, "rb") as fh:
-        raw = fh.read()
-    content = raw.decode("utf-8", errors="replace")
-    replaced = content.count("\ufffd") - raw.count("\ufffd".encode())
-    if replaced:
-        warnings.warn(f"{path}: {replaced} undecodable byte sequence(s) replaced with U+FFFD", IngestionWarning, stacklevel=2)
-    rows, labels = [], []
+        content = _decode(fh.read(), path)
+    texts, labels = [], []
     for lineno, row in enumerate(csv.reader(io.StringIO(content, newline="")), start=1):
         if not row:
             continue
@@ -123,11 +126,11 @@ def load_csv(path, n_classes: int, seq_len: int = 1024, vocab: Vocabulary | None
             raise IngestionError(f"{path}, line {lineno}: class field {row[0]!r} is not an integer") from None
         if cls < 1 or cls > n_classes:
             raise IngestionError(f"{path}, line {lineno}: class {cls} outside [1, {n_classes}]")
-        rows.append(quantize(" ".join(row[1:]), vocab, seq_len))
+        texts.append(" ".join(row[1:]))
         labels.append(cls - 1)
-    if not rows:
+    if not texts:
         raise IngestionError(f"{path}: no samples found")
-    return Dataset(np.array(rows, dtype=np.uint8), np.array(labels), n_classes, source=str(path))
+    return Dataset(_quantize_rows(texts, seq_len), np.array(labels), n_classes)
 
 
 def make_batches(dataset: Dataset, batch_size: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -151,10 +154,7 @@ def split_dataset(dataset: Dataset, val_fraction: float, seed: int) -> tuple[Dat
     order = np.random.default_rng(seed).permutation(len(dataset))
     n_val = min(max(1, int(round(len(dataset) * val_fraction))), len(dataset) - 1)
     val, train = order[:n_val], order[n_val:]
-    return (
-        Dataset(dataset.indices[train], dataset.labels[train], dataset.n_classes, source=f"{dataset.source}[train]"),
-        Dataset(dataset.indices[val], dataset.labels[val], dataset.n_classes, source=f"{dataset.source}[val]"),
-    )
+    return tuple(Dataset(dataset.indices[part], dataset.labels[part], dataset.n_classes) for part in (train, val))
 
 
 def synth_dataset(n: int, n_classes: int, seq_len: int, seed: int) -> Dataset:
@@ -176,4 +176,4 @@ def synth_dataset(n: int, n_classes: int, seq_len: int, seed: int) -> Dataset:
         mask = rng.random(seq_len) < SYNTH_SIGNAL
         # ALPHABET[j] has index j + 1; it starts with a-z, so letter c has index c + 1
         indices[i] = np.where(mask, label + 1, base + 1)
-    return Dataset(indices, labels, n_classes, source=f"synthetic(seed={seed})")
+    return Dataset(indices, labels, n_classes)

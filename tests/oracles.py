@@ -98,10 +98,10 @@ def histogram_classifier(rows, n_classes, signature_indices):
     return predictions
 
 
-def quantize_direct(text, vocab, seq_len):
+def quantize_direct(text, characters, seq_len):
     """Per-character dictionary lookup of the lowercased, truncated text."""
     out = np.zeros(seq_len, dtype=np.int64)
-    lookup = {ch: i + 1 for i, ch in enumerate(vocab.characters)}
+    lookup = {ch: i + 1 for i, ch in enumerate(characters)}
     for i, ch in enumerate(text.lower()[:seq_len]):
         out[i] = lookup.get(ch, 0)
     return out

@@ -1,5 +1,6 @@
 """Builders, shape traces, parameter accounting and table reconciliation."""
 
+import codecs
 import re
 import sys
 import threading
@@ -487,6 +488,10 @@ MALFORMED_GOLDEN_TABLES = {
     "nan": (b"svdcnn\t9\tnan\t0.02\t0.73\t2.80\n", 1, "counts must be finite and non-negative"),
     "not-utf8": (_GOLDEN_ROW + b"# caf\xe9 (Latin-1)\n", 2, r"byte 0xe9 is not UTF-8 \(invalid continuation byte\)"),
     "duplicate": (_GOLDEN_ROW + b"# again\n" + _GOLDEN_ROW, 3, r"repeats the row for \(svdcnn, 9\)"),
+    # a leading BOM is dropped, so the first line stays a comment and offsets stay on the bad byte
+    "bom": (codecs.BOM_UTF8 + b"# reference\n" + b"svdcnn\t11\t0.71\t0.02\t0.73\t2.80\n", 2, "unsupported depth 11"),
+    "bom-not-utf8": (codecs.BOM_UTF8 + b"# reference\n" + _GOLDEN_ROW + b"# caf\xe9\n", 3,
+                     r"byte 0xe9 is not UTF-8 \(invalid continuation byte\)"),
 }
 
 

@@ -1,9 +1,11 @@
 """End-to-end command behaviour through the argument-parsing entry point."""
 
+import codecs
 import io
 import json
 import os
 import platform
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +13,8 @@ import pytest
 
 from svdcnn.architecture import ArchitectureSpec
 from svdcnn.cli import _spec_from_args, build_parser, main
-from svdcnn.training import load_checkpoint
+from svdcnn.data import IngestionWarning, load_csv
+from svdcnn.training import load_checkpoint, predict_logits
 
 from test_architecture import MALFORMED_GOLDEN_TABLES
 
@@ -155,6 +158,26 @@ class TestTrain:
         assert code == 1
         assert "--csv" in err or "--synthetic" in err
 
+    TINY = ("--s", "16", "--pooled-len", "2", "--classes", "2", "--fc-hidden", "8", "--train-size", "8",
+            "--val-size", "4", "--batch-size", "4", "--epochs", "1")
+
+    def test_csv_and_synthetic_are_exclusive(self, capsys, tmp_path):
+        csv_path = tmp_path / "a.csv"
+        csv_path.write_text('1,"text"\n2,"more"\n')
+        code, out, err = run(capsys, "train", "--csv", str(csv_path), "--synthetic", *self.TINY,
+                             "--out", str(tmp_path / "m.ckpt"))
+        assert (code, out) == (2, "")
+        assert "not allowed with" in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--history"])
+    def test_missing_output_directory_fails_before_training(self, capsys, tmp_path, flag):
+        missing = tmp_path / "missing" / "m.out"
+        code, out, err = run(capsys, "train", "--synthetic", *self.TINY, "--out", str(tmp_path / "m.ckpt"),
+                             flag, str(missing))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(missing) in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPredict:
     def test_probabilities_sum_to_one(self, trained, capsys):
@@ -217,7 +240,7 @@ class TestPredictFile:
         self.check_lines(capsys, trained, out)
 
     def test_dash_reads_stdin(self, trained, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(self.TEXTS)))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO("\n".join(self.TEXTS).encode("utf-8"))))
         code, out, _err = run(capsys, "predict", "--checkpoint", str(trained), "--file", "-")
         assert code == 0
         self.check_lines(capsys, trained, out)
@@ -248,6 +271,43 @@ class TestPredictFile:
         code, _out, err = run(capsys, "predict", "--checkpoint", str(trained))
         assert code == 2
         assert "--text" in err and "--file" in err
+
+
+class TestOneTextPath:
+    """Bytes reach the model as the same row from a training CSV and from each predict input."""
+
+    CASES = {  # (text bytes, line end)
+        "bom": (codecs.BOM_UTF8 + b"hello bom", b"\n"),
+        "truncated-4-byte": (b"ab\xf0\x9f\x98cd", b"\n"),
+        "lone-0xff": (b"x\xffy", b"\n"),
+        "crlf": (b"line end", b"\r\n"),
+        "upper-case": (b"MIXED Case 42", b"\n"),
+        "out-of-dictionary": ("\u00e9t\u00e9 \u4e2d\u6587 \u00df~".encode(), b"\n"),
+        "astral": ("a\U0001F600b\U00010400c".encode(), b"\n"),
+    }
+
+    @pytest.mark.parametrize("body,end", CASES.values(), ids=CASES)
+    def test_csv_file_stdin_and_text_give_one_row(self, trained, capsys, tmp_path, monkeypatch, body, end):
+        bom = codecs.BOM_UTF8 if body.startswith(codecs.BOM_UTF8) else b""
+        csv_path = tmp_path / "train.csv"
+        csv_path.write_bytes(bom + b'1,"' + body.removeprefix(bom) + b'"' + end)
+        text_path = tmp_path / "texts.txt"
+        text_path.write_bytes(body + end)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(body + end)))
+        rows = []
+        monkeypatch.setattr("svdcnn.cli.predict_logits",
+                            lambda model, idx: rows.append(idx) or predict_logits(model, idx))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            want = load_csv(csv_path, n_classes=2, seq_len=load_checkpoint(trained).spec.seq_len).indices
+            for argv in (["--file", str(text_path)], ["--file", "-"], ["--text", os.fsdecode(body)]):
+                assert run(capsys, "predict", "--checkpoint", str(trained), *argv)[0] == 0
+        assert len(rows) == 3
+        for got in rows:
+            np.testing.assert_array_equal(got, want)
+        # every route warns about the same number of replaced sequences, or none does
+        assert all(w.category is IngestionWarning for w in caught) and len(caught) in (0, 4)
+        assert len({str(w.message).split(": ", 1)[1] for w in caught}) <= 1
 
 
 class TestBench:
@@ -285,7 +345,8 @@ class TestBench:
         (json.dumps({"mean_ms": 1.0, "std_ms": 0.1, "reps": 10, "warmup": 0, "median_ms": 1.0}).encode(), FIELDS),
         (b'{"mean_ms": 1.0, ', "Expecting property name enclosed in double quotes: line 1 column 18 (char 17)"),
         (b'{"environment": "caf\xe9"}', "'utf-8' codec can't decode byte 0xe9 in position 20: invalid continuation byte"),
-    ], ids=["missing-fields", "not-an-object", "unknown-field", "truncated", "not-utf8"])
+        (codecs.BOM_UTF8 + json.dumps({"mean_ms": 1.0}).encode(), FIELDS),  # the BOM is dropped, the fields named
+    ], ids=["missing-fields", "not-an-object", "unknown-field", "truncated", "not-utf8", "bom"])
     def test_compare_rejects_malformed_record(self, capsys, tmp_path, content, message):
         good = tmp_path / "good.json"
         good.write_text(json.dumps({"mean_ms": 5.0, "std_ms": 0.1, "reps": 10, "warmup": 0}))

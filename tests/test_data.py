@@ -42,16 +42,7 @@ class TestVocabulary:
     def test_unknown_maps_to_padding(self):
         vocab = Vocabulary()
         np.testing.assert_array_equal(quantize("é€\U0001f600", vocab, 3), [0, 0, 0])
-        assert "A" not in vocab.characters  # quantize lowercases before the lookup
-
-    def test_duplicate_characters_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            Vocabulary("aab")
-
-    def test_more_than_255_characters_rejected(self):
-        Vocabulary("".join(map(chr, range(256, 511))))  # 255 fit uint8 indices
-        with pytest.raises(ValueError, match="at most 255"):
-            Vocabulary("".join(map(chr, range(256, 512))))
+        assert "A" not in ALPHABET  # quantize lowercases before the lookup
 
 
 class TestQuantize:
@@ -85,7 +76,7 @@ class TestQuantize:
         vocab = Vocabulary()
         out = quantize(text, vocab, seq_len)
         assert out.dtype == np.int64
-        np.testing.assert_array_equal(out, quantize_direct(text, vocab, seq_len))
+        np.testing.assert_array_equal(out, quantize_direct(text, ALPHABET, seq_len))
 
     def test_total_and_deterministic(self):
         vocab = Vocabulary()
@@ -190,7 +181,7 @@ class TestDataset:
 class TestBatches:
     def _dataset(self, n):
         indices = np.repeat(np.arange(n)[:, None] % 3, 4, axis=1).astype(np.uint8)
-        return Dataset(indices, np.arange(n) % 2, n_classes=2, source="unit")
+        return Dataset(indices, np.arange(n) % 2, n_classes=2)
 
     def test_sizes_with_partial_tail(self):
         batches = make_batches(self._dataset(10), 3, seed=0)
@@ -235,7 +226,7 @@ class TestSplit:
 
     def _make(self, n):
         indices = np.repeat(np.arange(n)[:, None], 4, axis=1).astype(np.uint8)
-        return Dataset(indices, np.arange(n) % 2, n_classes=2, source="unit")
+        return Dataset(indices, np.arange(n) % 2, n_classes=2)
 
 
 class TestSynthetic:

@@ -152,7 +152,7 @@ class TestSgd:
 class TestTrainLoop:
     def test_single_sample_training_set_rejected_up_front(self):
         pair = synth_dataset(2, 2, 16, seed=0)
-        one = Dataset(pair.indices[:1], pair.labels[:1], n_classes=2, source="one row")
+        one = Dataset(pair.indices[:1], pair.labels[:1], n_classes=2)
         model = Model(tiny_spec(), seed=1)
         before = [p.data.copy() for p in model.parameters()]
         with pytest.raises(ValueError, match=r"training set has 1 sample.*batch size 4"):
@@ -244,7 +244,7 @@ class TestEvaluate:
         rng = np.random.default_rng(4)
         ds = synth_dataset(400, 4, 16, seed=6)
         shuffled = [int(rng.integers(0, 4)) for _row in ds.indices]
-        ds = Dataset(ds.indices, shuffled, n_classes=4, source="shuffled")
+        ds = Dataset(ds.indices, shuffled, n_classes=4)
         model = Model(tiny_spec(n_classes=4), seed=3)
         acc = evaluate(model, ds)
         assert 0.10 <= acc <= 0.40
