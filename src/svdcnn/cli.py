@@ -7,6 +7,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -272,6 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as the command shows it, like its errors: one ``warning: ...`` line with no source location."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -280,11 +286,14 @@ def main(argv=None) -> int:
             parser.error("--reps must be at least 2")
     except SystemExit as exc:
         return int(exc.code or 0)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

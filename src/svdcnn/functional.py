@@ -225,7 +225,13 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Dense map of rows ``x [B, N]`` to ``x @ weight.T + bias`` with ``weight [M, N]``."""
+    """Dense map of rows ``x [B, N]`` to ``x @ weight.T + bias`` with ``weight [M, N]``.
+
+    The product is computed as ``(weight @ x.T).T``: for a large weight and
+    few rows, as in vdcnn's head, OpenBLAS runs the GEMM with the weight on
+    the left about twice as fast. The output keeps the transposed product's
+    memory order, column-major.
+    """
     xa = _checked(x, "[B, N]", "affine")
     w = weight.data
     if w.ndim != 2:
@@ -243,7 +249,7 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if x.requires_grad:
             x.accumulate_grad(g @ w)
 
-    return _output("affine", xa @ w.T + bias.data, (x, weight, bias), pull)
+    return _output("affine", (w @ xa.T).T + bias.data, (x, weight, bias), pull)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -316,12 +322,15 @@ def maxpool_halve(x: Tensor) -> Tensor:
 def kmax_pool(x: Tensor, k: int) -> Tensor:
     """Keep the k largest values per channel of ``x [B, C, L]``, in original temporal order.
 
-    ``np.partition`` finds the k-th largest value of each row. Every value
-    above it is kept; values equal to it are kept earliest position first
-    until the row holds k, so ties go to the earlier position. The ranking
-    runs on a row-major negated copy, where each row's L values are
-    contiguous for the partition and the running count; the kept values are
-    gathered from ``x`` into a channels-last output.
+    The ranking runs on one row-major copy with NaN mapped to -inf, so NaN
+    ranks with -inf below every number and each row still keeps k; each
+    row's L values are contiguous there. ``np.partition`` finds each row's
+    k-th largest value, and every value at or above it is kept. Only the
+    rows that then hold more than k, because values equal to it tie, run the
+    tie rule: values above it are kept, and values equal to it earliest
+    position first until the row holds k, so ties go to the earlier
+    position. The kept values are gathered from ``x`` into a channels-last
+    output.
     """
     xa = _checked(x, "[B, C, L]", "kmax_pool")
     batch, channels, length = xa.shape
@@ -329,12 +338,15 @@ def kmax_pool(x: Tensor, k: int) -> Tensor:
         raise ValueError(f"k must be positive, got {k}")
     if k > length:
         raise ValueError(f"k={k} exceeds temporal length {length}")
-    neg = np.negative(xa, order="C")
-    np.fmin(neg, np.inf, out=neg)  # NaN -> +inf: NaN ranks below every number and each row still keeps k
-    kth = np.partition(neg, k - 1, axis=2)[:, :, k - 1:k]
-    above = neg < kth
-    tied = neg == kth
-    keep = above | (tied & (np.cumsum(tied, axis=2, dtype=np.int32) <= k - above.sum(axis=2, keepdims=True)))
+    ranked = np.fmax(xa, -np.inf, order="C").reshape(batch * channels, length)
+    kth = np.partition(ranked, length - k, axis=1)[:, length - k:length - k + 1]
+    keep = ranked >= kth
+    if np.count_nonzero(keep) > batch * channels * k:
+        over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+        values, kth = ranked[over], kth[over]
+        above = values > kth
+        tied = values == kth
+        keep[over] = above | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= k - above.sum(axis=1, keepdims=True)))
     # row-major: each row's k kept time steps, in temporal order; stored [B, k, C] so that the
     # values gathered with them come out channels-last
     steps = np.ascontiguousarray((np.flatnonzero(keep) % length).reshape(batch, channels, k).transpose(0, 2, 1))

@@ -93,6 +93,16 @@ class Module:
         return [(n, v) for n, v, _owner in self._walk() if isinstance(v, np.ndarray)]
 
 
+def _tapeless_eval(module: Module) -> bool:
+    """Whether ``module`` runs an eval forward with no tape open.
+
+    No backward reads the arrays such a forward makes, so the layers fold
+    each batch norm into its convolution and write into arrays made inside
+    the call that nothing else holds.
+    """
+    return module.mode != "train" and active_tape() is None
+
+
 class BatchNorm(Module):
     """Per-channel normalization over batch and time, with running statistics, then ReLU.
 
@@ -153,19 +163,24 @@ class ConvLayer(Module):
         The fold scales the output channels of ``last_weight`` by
         ``gamma / sqrt(running_var + eps)`` and passes ``beta - scale *
         running_mean`` as the bias, so one ``conv1d`` does the work of
-        ``conv1d`` then ``batch_norm_eval``. It is computed from the live
-        arrays on every call and never stored, so parameters, buffers and
-        checkpoints stay unfolded and in-place writes to them show at the
-        next forward. With a tape open, the batch norm runs unfolded, ending
-        in the ReLU, and its gradients are recorded.
+        ``conv1d`` then ``batch_norm_eval``. The scaled weight is written in
+        the tap-major order ``conv1d`` reads, so it costs one pass over the
+        weight. It is computed from the live arrays on every call and never
+        stored, so parameters, buffers and checkpoints stay unfolded and
+        in-place writes to them show at the next forward. The ReLU clips the
+        ``conv1d`` output in place: no other code holds that array. With a
+        tape open, the batch norm runs unfolded, ending in the ReLU, and its
+        gradients are recorded.
         """
         weight = self.last_weight
-        if self.mode == "train" or active_tape() is not None:
+        if not _tapeless_eval(self):
             return self.bn.forward(self.conv(x, weight))
         bn = self.bn
         scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
-        folded = Tensor(weight.data * scale[:, None, None])
-        return relu(self.conv(x, folded, Tensor(bn.beta.data - scale * bn.running_mean)))
+        folded = Tensor((weight.data.transpose(2, 0, 1) * scale[:, None]).transpose(1, 2, 0))
+        out = self.conv(x, folded, Tensor(bn.beta.data - scale * bn.running_mean))
+        np.maximum(out.data, 0, out=out.data)
+        return out
 
 
 class TemporalConvLayer(ConvLayer):
@@ -232,8 +247,12 @@ class ConvBlock(Module):
             self.projection = None
 
     def forward(self, x: Tensor) -> Tensor:
+        """``main + shortcut``; in eval mode with no tape open, the shortcut is added into ``main`` in place."""
         main = self.layer2.forward(self.layer1.forward(x))
         shortcut = x if self.projection is None else conv1d(x, self.projection, padding=0)
+        if _tapeless_eval(self):
+            main.data += shortcut.data
+            return main
         return add(main, shortcut)
 
 

@@ -202,6 +202,23 @@ class TestBatchNormFold:
         save_checkpoint(model, tmp_path / "after.ckpt")
         assert (tmp_path / "after.ckpt").read_bytes() == (tmp_path / "before.ckpt").read_bytes()
 
+    def test_tapeless_forward_writes_only_its_own_arrays(self, family):
+        # the ReLU and the residual add write in place, into maps the forward itself made
+        model = randomized_eval_model(family)
+        arrays = [t.data for _name, t, _c in model.named_params()] + [buf for _name, buf in model.named_buffers()]
+        before = [a.tobytes() for a in arrays]
+        block = model.levels[0][0]
+        assert block.projection is None
+        x = model.first_conv.forward(model.embedding.forward(FOLD_INPUTS))
+        x_bytes = x.data.tobytes()
+        out = block.forward(x)
+        assert x.data.tobytes() == x_bytes
+        assert not np.shares_memory(out.data, x.data)
+        logits = [model.forward(FOLD_INPUTS).data for _ in range(2)]
+        assert [a.tobytes() for a in arrays] == before
+        assert logits[0].tobytes() == logits[1].tobytes()
+        assert_fold_close(logits[0], taped_logits(model, FOLD_INPUTS))
+
     def test_taped_eval_records_batch_norm_and_reaches_gamma(self, family):
         model = randomized_eval_model(family)
         with Tape() as tape:
@@ -335,7 +352,21 @@ class TestOneMemoryOrder:
         model = randomized_eval_model(family)
         maps = record_maps(monkeypatch, set())
         model.forward(FOLD_INPUTS)
-        self.assert_channels_last(maps, min_count=20)
+        assert len(maps) == tapeless_map_count(model)
+        self.assert_channels_last(maps, min_count=len(maps))
+
+
+def tapeless_map_count(model):
+    """The ``[B, C, L]`` maps a tape-less eval forward of ``model`` makes.
+
+    The embedding, each convolution's output (a ``TdscLayer`` its depthwise
+    and pointwise maps, a standard layer its one map), each block's shortcut
+    projection, if any, each max-pool and the head's pool. Each layer's ReLU
+    and each block's sum write into a map already counted.
+    """
+    convs = sum(1 + isinstance(m, TdscLayer) for m in model.modules() if isinstance(m, ConvLayer))
+    projections = sum(block.projection is not None for blocks in model.levels for block in blocks)
+    return 1 + convs + projections + (len(model.levels) - 1) + 1
 
 
 def kept_map_elements(model, batch):

@@ -5,12 +5,15 @@ import io
 import json
 import os
 import platform
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import svdcnn
 from svdcnn.architecture import ArchitectureSpec
 from svdcnn.cli import _spec_from_args, build_parser, main
 from svdcnn.data import IngestionWarning, load_csv
@@ -308,6 +311,47 @@ class TestOneTextPath:
         # every route warns about the same number of replaced sequences, or none does
         assert all(w.category is IngestionWarning for w in caught) and len(caught) in (0, 4)
         assert len({str(w.message).split(": ", 1)[1] for w in caught}) <= 1
+
+
+def run_command(*argv):
+    """``svdcnn ARGV`` in a fresh interpreter, where warnings reach stderr as a user sees them
+    (this test session turns them into errors): ``(code, stdout, stderr)``."""
+    src = os.path.dirname(os.path.dirname(svdcnn.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-c", "import sys; from svdcnn.cli import main; sys.exit(main())", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestWarnings:
+    """Each warning reaches the user as one ``warning: ...`` line on stderr, with no source location."""
+
+    @staticmethod
+    def replaced_line(path):
+        return f"warning: {path}: 1 undecodable byte sequence(s) replaced with U+FFFD\n"
+
+    def test_predict_file(self, trained, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"x\xffy\nplain\n")
+        code, out, err = run_command("predict", "--checkpoint", str(trained), "--file", str(path))
+        assert (code, len(out.splitlines())) == (0, 2)
+        assert err == self.replaced_line(path)
+
+    def test_train_csv(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b'1,"x\xffy"\n' + b"".join(b'%d,"text %d"\n' % (1 + i % 2, i) for i in range(7)))
+        code, out, err = run_command("train", "--csv", str(path), *TestTrain.TINY, "--out", str(tmp_path / "m.ckpt"))
+        assert code == 0 and "wrote" in out
+        assert err == self.replaced_line(path)
+
+    def test_library_still_warns_and_main_restores_the_format(self, trained, capsys, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"x\xffy\n")
+        formatwarning = warnings.formatwarning
+        with pytest.warns(IngestionWarning, match="1 undecodable byte sequence"):
+            assert run(capsys, "predict", "--checkpoint", str(trained), "--file", str(path))[0] == 0
+        assert warnings.formatwarning is formatwarning
 
 
 class TestBench:

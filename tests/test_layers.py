@@ -374,6 +374,85 @@ class TestPools:
         assert kept.data.size == 4096
 
 
+def _ranked_and_kth(x, k):
+    """``x [B, C, L]`` with NaN ranked as -inf, and each row's k-th largest value ``[B, C, 1]``."""
+    ranked = np.where(np.isnan(x), -np.inf, x)
+    return ranked, np.sort(ranked, axis=2)[:, :, [-k]]
+
+
+def kmax_keep_by_running_count(x, k):
+    """Kept mask of k-max pooling over the last axis of ``x [B, C, L]``, by one running count of ties over
+    the whole array: every value above the row's k-th largest is kept, and each value equal to it while
+    the count of such values so far stays within what the row still needs."""
+    ranked, kth = _ranked_and_kth(x, k)
+    above = ranked > kth
+    tied = ranked == kth
+    return above | (tied & (np.cumsum(tied, axis=2) <= k - above.sum(axis=2, keepdims=True)))
+
+
+def _overfull_rows(x, k):
+    """Per row of ``x [B, C, L]``, whether more than k values are at or above its k-th largest."""
+    ranked, kth = _ranked_and_kth(x, k)
+    return (ranked >= kth).sum(axis=2) > k
+
+
+class TestKmaxTies:
+    """Rows whose k-th largest value ties run the earliest-position rule; each row is checked against
+    ``kmax_direct`` (NaN ranked as -inf) and exact values, bit for bit."""
+
+    @staticmethod
+    def check_rows(x, k):
+        out, grad, weights = _pool_output_and_grad(lambda t: F.kmax_pool(t, k), x)
+        for b, c in np.ndindex(x.shape[:2]):
+            row = x[b, c]
+            ranked = np.where(np.isnan(row), -np.inf, row)
+            positions, pos = [], 0
+            for v in kmax_direct(list(ranked), k):
+                while ranked[pos] != v:
+                    pos += 1
+                positions.append(pos)
+                pos += 1
+            assert out[b, c].tobytes() == row[positions].tobytes()
+            expected = np.zeros(row.shape, dtype=grad.dtype)
+            expected[positions] = weights[b, c]
+            assert grad[b, c].tobytes() == expected.tobytes()
+        return out
+
+    def test_signed_zeros_tie_at_the_boundary(self):
+        x = np.array([[[1, -0.0, 0.0, 2]], [[0.0, -0.0, 3, 1]]], dtype=np.float32)
+        out = self.check_rows(x, 3)
+        assert out.tobytes() == np.array([[[1, -0.0, 2]], [[0.0, 3, 1]]], dtype=np.float32).tobytes()
+
+    def test_nan_ties_with_minus_infinity(self):
+        x = np.array([[[np.nan, -np.inf, 3, -np.inf, np.nan]], [[-np.inf, np.nan, np.nan, -np.inf, 5]]],
+                     dtype=np.float32)
+        out = self.check_rows(x, 3)
+        np.testing.assert_array_equal(out, [[[np.nan, -np.inf, 3]], [[-np.inf, np.nan, 5]]])
+
+    def test_only_some_rows_overfill(self):
+        x = RNG(11).integers(0, 12, size=(3, 4, 10)).astype(np.float32)
+        overfull = _overfull_rows(x, 4)
+        assert 0 < overfull.sum() < overfull.size
+        self.check_rows(x, 4)
+
+    def test_k_equal_to_length_keeps_every_value(self):
+        x = np.array([[[np.nan, -0.0, 0.0, -np.inf, 2, 2]], [[1, 1, 1, 1, 1, 1]]], dtype=np.float32)
+        assert self.check_rows(x, 6).tobytes() == x.tobytes()
+
+    def test_network_sized_map_matches_running_count_rule(self):
+        # the k-max input of vdcnn at s=1024 and B=16, channels-last, rounded so that rows tie
+        rng = RNG(12)
+        x = np.ascontiguousarray(rng.normal(size=(16, 128, 512)).round(1).astype(np.float32)).transpose(0, 2, 1)
+        overfull = _overfull_rows(x, 8)
+        assert 0 < overfull.sum() < overfull.size
+        out, grad, weights = _pool_output_and_grad(lambda t: F.kmax_pool(t, 8), x)
+        keep = kmax_keep_by_running_count(x, 8)
+        assert out.tobytes() == x[keep].reshape(out.shape).tobytes()
+        expected = np.zeros(x.shape, dtype=grad.dtype)
+        expected[keep] = weights.ravel()
+        assert grad.tobytes() == expected.tobytes()
+
+
 def _pool_output_and_grad(pool, x):
     """Output and input gradient of ``sum(weights * pool(x))``, with distinct integer weights."""
     xt = Tensor(x, requires_grad=True)
