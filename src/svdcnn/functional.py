@@ -225,13 +225,7 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Dense map of rows ``x [B, N]`` to ``x @ weight.T + bias`` with ``weight [M, N]``.
-
-    The product is computed as ``(weight @ x.T).T``: for a large weight and
-    few rows, as in vdcnn's head, OpenBLAS runs the GEMM with the weight on
-    the left about twice as fast. The output keeps the transposed product's
-    memory order, column-major.
-    """
+    """Dense map of rows ``x [B, N]`` to ``x @ weight.T + bias`` with ``weight [M, N]``."""
     xa = _checked(x, "[B, N]", "affine")
     w = weight.data
     if w.ndim != 2:
@@ -249,7 +243,7 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if x.requires_grad:
             x.accumulate_grad(g @ w)
 
-    return _output("affine", (w @ xa.T).T + bias.data, (x, weight, bias), pull)
+    return _output("affine", xa @ w.T + bias.data, (x, weight, bias), pull)
 
 
 def relu(x: Tensor) -> Tensor:

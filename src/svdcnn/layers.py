@@ -177,7 +177,8 @@ class ConvLayer(Module):
             return self.bn.forward(self.conv(x, weight))
         bn = self.bn
         scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
-        folded = Tensor((weight.data.transpose(2, 0, 1) * scale[:, None]).transpose(1, 2, 0))
+        # written C-ordered as [K, C_out, C_in], the order conv1d reads its taps in, so conv1d copies nothing
+        folded = Tensor(np.multiply(weight.data.transpose(2, 0, 1), scale[:, None], order="C").transpose(1, 2, 0))
         out = self.conv(x, folded, Tensor(bn.beta.data - scale * bn.running_mean))
         np.maximum(out.data, 0, out=out.data)
         return out

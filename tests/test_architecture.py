@@ -28,7 +28,7 @@ from svdcnn.architecture import (
     tdsc_block_weights,
     tdsc_layer_weights,
 )
-from svdcnn import functional as F
+from svdcnn import functional as F, layers
 from svdcnn.autograd import ShapeError, Tape, Tensor, backward
 from svdcnn.functional import DegenerateStatisticsError, cross_entropy
 from svdcnn.layers import ConvLayer, TdscLayer
@@ -218,6 +218,30 @@ class TestBatchNormFold:
         assert [a.tobytes() for a in arrays] == before
         assert logits[0].tobytes() == logits[1].tobytes()
         assert_fold_close(logits[0], taped_logits(model, FOLD_INPUTS))
+
+    def test_fold_is_written_in_the_tap_order_conv1d_reads(self, family, monkeypatch):
+        # conv1d multiplies by each tap of the [K, C_out, C_in] weight; a folded weight already in that
+        # order is handed to matmul as a view, so the fold is the only pass over the weight
+        model = randomized_eval_model(family)
+        folded, operands = [], []
+        conv1d, matmul = layers.conv1d, np.matmul
+
+        def recording_conv1d(x, weight, bias=None, padding=0):
+            if bias is not None:  # a shortcut projection has no bias and no fold
+                folded.append(weight.data)
+            return conv1d(x, weight, bias, padding=padding)
+
+        def recording_matmul(a, b, *args, **kwargs):
+            operands.append(b)
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(layers, "conv1d", recording_conv1d)
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        model.forward(FOLD_INPUTS)
+        assert len(folded) == 9
+        for w in folded:
+            assert w.transpose(2, 0, 1).flags.c_contiguous
+            assert any(np.shares_memory(w, b) for b in operands)
 
     def test_taped_eval_records_batch_norm_and_reaches_gamma(self, family):
         model = randomized_eval_model(family)
