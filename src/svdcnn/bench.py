@@ -39,9 +39,15 @@ class LatencyStats:
 
 
 def environment_summary() -> str:
-    """Usable cores, machine, numpy and Python versions, e.g. "2 vCPU x86_64, numpy 2.4.6, Python 3.11.7"."""
+    """Usable cores, machine, numpy and Python versions, numpy's BLAS and the OpenBLAS thread setting."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return f"{cores} vCPU {platform.machine()}, numpy {np.__version__}, Python {platform.python_version()}"
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):  # numpy < 1.25 has no mode="dicts"
+        blas = "unknown"
+    return (f"{cores} vCPU {platform.machine()}, numpy {np.__version__}, Python {platform.python_version()}, "
+            f"BLAS {blas}, OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
 
 
 def measure_latency(
@@ -50,7 +56,6 @@ def measure_latency(
     reps: int = 1000,
     warmup: int = 10,
     clock=None,
-    environment: str = "",
     resolution_s: float | None = None,
 ) -> LatencyStats:
     """Mean and sample standard deviation (n-1) of single-instance forwards.
@@ -87,7 +92,7 @@ def measure_latency(
     mean = float(np.mean(elapsed_ms))
     std = float(np.std(elapsed_ms, ddof=1))
     warning = mean > 0 and (resolution_s * 1000.0) > 0.01 * mean
-    return LatencyStats(mean, std, reps, warmup, environment, warning)
+    return LatencyStats(mean, std, reps, warmup, environment_summary(), warning)
 
 
 def latency_ratio(a: LatencyStats, b: LatencyStats) -> float:

@@ -42,13 +42,13 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fc-hidden", type=int, default=unset)
 
 
-def _spec_from_args(args) -> ArchitectureSpec:
-    given = {f.name: getattr(args, f.name) for f in fields(ArchitectureSpec) if hasattr(args, f.name)}
-    return ArchitectureSpec(**given)
+def _from_args(cls, args):
+    """``cls`` built from the flags named after its fields; a flag not given leaves its field at ``cls``'s default."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
 
 
 def cmd_describe(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _from_args(ArchitectureSpec, args)
     enumerated = count_params(Model(spec, seed=None))
     closed = closed_form_params(spec)
     print(f"{spec.family} depth={spec.depth} classes={spec.n_classes} seq_len={spec.seq_len}")
@@ -124,37 +124,31 @@ def cmd_verify(args) -> int:
 
 
 def cmd_train(args) -> int:
-    spec = _spec_from_args(args)
-    cfg = TrainConfig(
-        lr=args.lr,
-        momentum=args.momentum,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        seed=args.seed,
-        eval_every=args.eval_every,
-    )
+    spec = _from_args(ArchitectureSpec, args)
+    cfg = _from_args(TrainConfig, args)
     if args.csv is None and not args.synthetic:
         raise ValueError("provide --csv PATH or --synthetic")
+    if args.synthetic and args.val_csv is not None:
+        raise ValueError("--val-csv needs --csv; --synthetic generates its own validation set")
     history_path = args.history or f"{args.out}.history.jsonl"
     for path in (args.out, history_path):  # checked now, so a bad path does not cost a whole training run
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
     if args.synthetic:
-        train_set = synth_dataset(args.train_size, spec.n_classes, spec.seq_len, seed=args.seed)
-        val_set = synth_dataset(args.val_size, spec.n_classes, spec.seq_len, seed=args.seed + 1)
+        train_set = synth_dataset(args.train_size, spec.n_classes, spec.seq_len, seed=cfg.seed)
+        val_set = synth_dataset(args.val_size, spec.n_classes, spec.seq_len, seed=cfg.seed + 1)
     else:
         full = load_csv(args.csv, spec.n_classes, seq_len=spec.seq_len)
         if args.val_csv is not None:
             train_set = full
             val_set = load_csv(args.val_csv, spec.n_classes, seq_len=spec.seq_len)
         else:
-            train_set, val_set = split_dataset(full, args.val_fraction, seed=args.seed)
+            train_set, val_set = split_dataset(full, args.val_fraction, seed=cfg.seed)
     print(
         f"training {spec.family}-{spec.depth}: lr={cfg.lr} momentum={cfg.momentum} "
         f"weight_decay={cfg.weight_decay} batch_size={cfg.batch_size} epochs={cfg.max_epochs} seed={cfg.seed}"
     )
-    model = Model(spec, seed=args.seed)
+    model = Model(spec, seed=cfg.seed)
     history = train(model, train_set, val_set, cfg)  # TrainingDivergedError is reported by main
     with open(history_path, "w", encoding="utf-8") as fh:
         for stats in history:
@@ -194,23 +188,20 @@ def cmd_predict(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.compare:
-        a = bench_mod.load_stats(args.compare[0])
-        b = bench_mod.load_stats(args.compare[1])
-        print(f"latency ratio ({a.environment or args.compare[0]} / {b.environment or args.compare[1]}): "
-              f"{bench_mod.latency_ratio(a, b):.2f}")
+        a, b = args.compare
+        ratio = bench_mod.latency_ratio(bench_mod.load_stats(a), bench_mod.load_stats(b))
+        print(f"latency ratio ({a} / {b}): {ratio:.2f}")
         return 0
     if args.checkpoint is not None:
         model = load_checkpoint(args.checkpoint)
     else:
-        model = Model(_spec_from_args(args), seed=args.seed)
+        model = Model(_from_args(ArchitectureSpec, args), seed=args.seed)
     model.eval()
     spec = model.spec
     rng = np.random.default_rng(args.seed)
     indices = rng.integers(0, spec.vocab_size, size=spec.seq_len)
-    stats = bench_mod.measure_latency(
-        model, indices, reps=args.reps, warmup=args.warmup,
-        environment=bench_mod.environment_summary() if args.environment is None else args.environment,
-    )
+    counts = {name: getattr(args, name) for name in ("reps", "warmup") if hasattr(args, name)}
+    stats = bench_mod.measure_latency(model, indices, **counts)
     print(bench_mod.format_stats_row(spec.family, spec.depth, stats))
     if args.json is not None:
         bench_mod.save_stats(stats, args.json)
@@ -239,13 +230,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-fraction", type=float, default=0.1)
     p.add_argument("--train-size", type=int, default=400)
     p.add_argument("--val-size", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=0.001)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--eval-every", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    # TrainConfig fields; a flag not given leaves its field at the config's default
+    unset = argparse.SUPPRESS
+    p.add_argument("--lr", type=float, default=unset)
+    p.add_argument("--momentum", type=float, default=unset)
+    p.add_argument("--weight-decay", type=float, default=unset)
+    p.add_argument("--batch-size", type=int, default=unset)
+    p.add_argument("--epochs", dest="max_epochs", metavar="EPOCHS", type=int, default=unset)
+    p.add_argument("--eval-every", type=int, default=unset)
+    p.add_argument("--seed", type=int, default=unset)
     p.add_argument("--out", default="model.ckpt")
     p.add_argument("--history", default=None, help="history JSONL path (defaults to OUT.history.jsonl)")
     p.set_defaults(func=cmd_train)
@@ -261,11 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="measure single-instance inference latency")
     _add_spec_flags(p)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--reps", type=int, default=1000)
-    p.add_argument("--warmup", type=int, default=10)
+    p.add_argument("--reps", type=int, default=argparse.SUPPRESS)  # measure_latency's counts when not given
+    p.add_argument("--warmup", type=int, default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--environment", default=None,
-                   help="label stored with the record (default: cores, machine, numpy and Python versions)")
     p.add_argument("--json", default=None, help="write the measurement record to this path")
     p.add_argument("--compare", nargs=2, metavar=("A", "B"), default=None,
                    help="print the mean-latency ratio of two recorded runs")
@@ -282,7 +273,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "bench" and not args.compare and args.reps < 2:
+        if args.command == "bench" and not args.compare and "reps" in args and args.reps < 2:
             parser.error("--reps must be at least 2")
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -6,7 +6,7 @@ import math
 import os
 import struct
 import uuid
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -165,13 +165,14 @@ def train(model: Model, train_set: Dataset, val_set: Dataset, cfg: TrainConfig) 
     return history
 
 
-# Checkpoint layout: magic "SVDC", version u16, then nine little-endian u32
-# fields: the ArchitectureSpec fields in declaration order (the family as its
-# index in FAMILIES), then the epoch. Every parameter array follows, then
-# every buffer array, in model order, each as a u64 length plus raw
+# Checkpoint layout: magic "SVDC", version u16, then one little-endian u32
+# per ArchitectureSpec field in declaration order (the family as its index in
+# FAMILIES), then the epoch as one more u32. Every parameter array follows,
+# then every buffer array, in model order, each as a u64 length plus raw
 # little-endian float32 values.
 CHECKPOINT_MAGIC = b"SVDC"
 CHECKPOINT_VERSION = 1
+_HEADER = struct.Struct(f"<{len(fields(ArchitectureSpec)) + 1}I")
 
 
 class CheckpointError(ValueError):
@@ -203,13 +204,13 @@ def _model_arrays(model: Model) -> list[tuple[str, np.ndarray]]:
 def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
     """Write ``model`` to a synced temporary file renamed onto ``path``: a failed write leaves the old file intact."""
     spec = model.spec
-    fields = (FAMILIES.index(spec.family), *astuple(spec)[1:], int(epoch))
+    header = (FAMILIES.index(spec.family), *astuple(spec)[1:], int(epoch))
     tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
     try:
         with open(tmp, "xb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<H", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<9I", *fields))
+            fh.write(_HEADER.pack(*header))
             for _name, arr in _model_arrays(model):
                 fh.write(struct.pack("<Q", arr.size))
                 fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
@@ -233,10 +234,10 @@ def load_checkpoint(path) -> Model:
     (version,) = struct.unpack_from("<H", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(f"{path}: unsupported version {version}")
-    header_end = 6 + 9 * 4
+    header_end = 6 + _HEADER.size
     if len(blob) < header_end:
         raise CheckpointTruncatedError(f"{path}: truncated header")
-    family_code, *values, epoch = struct.unpack_from("<9I", blob, 6)
+    family_code, *values, epoch = _HEADER.unpack_from(blob, 6)
     if family_code >= len(FAMILIES):
         raise CheckpointError(f"{path}: unknown family code {family_code}")
     try:

@@ -8,6 +8,7 @@ import platform
 import subprocess
 import sys
 import warnings
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -15,9 +16,10 @@ import pytest
 
 import svdcnn
 from svdcnn.architecture import ArchitectureSpec
-from svdcnn.cli import _spec_from_args, build_parser, main
+from svdcnn.bench import measure_latency
+from svdcnn.cli import _from_args, build_parser, main
 from svdcnn.data import IngestionWarning, load_csv
-from svdcnn.training import load_checkpoint, predict_logits
+from svdcnn.training import TrainConfig, load_checkpoint, predict_logits
 
 from test_architecture import MALFORMED_GOLDEN_TABLES
 
@@ -49,7 +51,7 @@ class TestDescribe:
 class TestSpecFlags:
     @pytest.mark.parametrize("command", ["describe", "train", "bench"])
     def test_no_flags_give_the_spec_defaults(self, command):
-        assert _spec_from_args(build_parser().parse_args([command])) == ArchitectureSpec("svdcnn")
+        assert _from_args(ArchitectureSpec, build_parser().parse_args([command])) == ArchitectureSpec("svdcnn")
 
     @pytest.mark.parametrize("flag,field,value", [
         ("--family", "family", "vdcnn"),
@@ -63,7 +65,34 @@ class TestSpecFlags:
     ])
     def test_each_flag_sets_its_own_field(self, flag, field, value):
         args = build_parser().parse_args(["describe", flag, str(value)])
-        assert _spec_from_args(args) == replace(ArchitectureSpec("svdcnn"), **{field: value})
+        assert _from_args(ArchitectureSpec, args) == replace(ArchitectureSpec("svdcnn"), **{field: value})
+
+
+class TestTrainFlags:
+    def test_no_flags_give_the_config_defaults(self):
+        assert _from_args(TrainConfig, build_parser().parse_args(["train"])) == TrainConfig()
+
+    @pytest.mark.parametrize("flag,field,value", [
+        ("--lr", "lr", 0.5),
+        ("--momentum", "momentum", 0.25),
+        ("--weight-decay", "weight_decay", 0.125),
+        ("--batch-size", "batch_size", 8),
+        ("--epochs", "max_epochs", 3),
+        ("--eval-every", "eval_every", 2),
+        ("--seed", "seed", 5),
+    ])
+    def test_each_flag_sets_its_own_field(self, flag, field, value):
+        args = build_parser().parse_args(["train", flag, str(value)])
+        assert _from_args(TrainConfig, args) == replace(TrainConfig(), **{field: value})
+
+    def test_bench_times_measure_latency_default_counts(self, capsys, tmp_path):
+        record = tmp_path / "run.json"
+        code, _out, _err = run(capsys, "bench", "--s", "16", "--pooled-len", "2", "--classes", "2",
+                               "--fc-hidden", "8", "--json", str(record))
+        assert code == 0
+        defaults = inspect.signature(measure_latency).parameters
+        payload = json.loads(record.read_text())
+        assert (payload["reps"], payload["warmup"]) == (defaults["reps"].default, defaults["warmup"].default)
 
 
 class TestVerify:
@@ -171,6 +200,13 @@ class TestTrain:
                              "--out", str(tmp_path / "m.ckpt"))
         assert (code, out) == (2, "")
         assert "not allowed with" in err
+
+    def test_val_csv_with_synthetic_is_rejected_before_loading(self, capsys, tmp_path):
+        code, out, err = run(capsys, "train", "--synthetic", *self.TINY, "--val-csv", str(tmp_path / "absent.csv"),
+                             "--out", str(tmp_path / "m.ckpt"))
+        assert (code, out) == (1, "")
+        assert err == "error: --val-csv needs --csv; --synthetic generates its own validation set\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--out", "--history"])
     def test_missing_output_directory_fails_before_training(self, capsys, tmp_path, flag):
@@ -434,13 +470,14 @@ class TestBench:
         payload = json.loads(record.read_text())
         assert payload["reps"] == 3
 
-    def test_json_record_names_the_environment_unless_given(self, capsys, tmp_path):
+    def test_json_record_names_the_environment(self, capsys, tmp_path):
         flags = ["bench", "--family", "svdcnn", "--depth", "9", "--s", "16", "--pooled-len", "2",
                  "--classes", "2", "--fc-hidden", "8", "--reps", "2", "--warmup", "0", "--json"]
         record = tmp_path / "run.json"
         assert run(capsys, *flags, str(record))[0] == 0
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
         assert json.loads(record.read_text())["environment"] == (
-            f"{cores} vCPU {platform.machine()}, numpy {np.__version__}, Python {platform.python_version()}")
-        assert run(capsys, *flags, str(record), "--environment", "hostA")[0] == 0
-        assert json.loads(record.read_text())["environment"] == "hostA"
+            f"{cores} vCPU {platform.machine()}, numpy {np.__version__}, Python {platform.python_version()}, "
+            f"BLAS {blas['name']} {blas['version']}, OPENBLAS_NUM_THREADS={threads}")

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import struct
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -303,6 +304,17 @@ class TestCheckpoint:
         assert struct.unpack_from("<4sH9I", path.read_bytes()) == (b"SVDC", 1, 1, 17, 64, 3, 5, 6, 7, 2, 11)
         loaded = load_checkpoint(path)
         assert (loaded.spec, loaded.checkpoint_epoch) == (spec, 11)
+
+    def test_header_is_magic_version_then_one_u32_per_spec_field_and_the_epoch(self, tmp_path):
+        spec = ArchitectureSpec("svdcnn", depth=9, seq_len=16, pooled_len=2, n_classes=2, fc_hidden=8)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Model(spec, seed=0), path, epoch=4)
+        blob = path.read_bytes()
+        n = len(fields(ArchitectureSpec)) + 1
+        assert blob[:4] == b"SVDC"
+        assert struct.unpack_from("<H", blob, 4) == (1,)
+        assert struct.unpack_from(f"<{n}I", blob, 6) == (1, *astuple(spec)[1:], 4)  # svdcnn is family 1
+        assert struct.unpack_from("<Q", blob, 6 + 4 * n) == (spec.vocab_size * spec.embed_dim,)
 
     @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
     def test_failed_write_leaves_the_previous_checkpoint_in_place(self, tmp_path, monkeypatch, error):
