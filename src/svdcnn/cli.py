@@ -130,20 +130,30 @@ def cmd_train(args) -> int:
         raise ValueError("provide --csv PATH or --synthetic")
     if args.synthetic and args.val_csv is not None:
         raise ValueError("--val-csv needs --csv; --synthetic generates its own validation set")
+    given = vars(args)  # the corpus flags below are in it only when given
+    if args.csv is not None and ("train_size" in given or "val_size" in given):
+        raise ValueError("--train-size and --val-size need --synthetic; --csv takes its sets from CSV rows")
+    if "val_fraction" in given and args.synthetic:
+        raise ValueError("--val-fraction needs --csv; --synthetic generates its own validation set")
+    if "val_fraction" in given and args.val_csv is not None:
+        raise ValueError("--val-fraction splits --csv; --val-csv is the validation set")
+    val_fraction = given.get("val_fraction", 0.1)
+    if not 0.0 < val_fraction < 1.0:
+        raise ValueError(f"--val-fraction must be in (0, 1), got {val_fraction}")
     history_path = args.history or f"{args.out}.history.jsonl"
     for path in (args.out, history_path):  # checked now, so a bad path does not cost a whole training run
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
     if args.synthetic:
-        train_set = synth_dataset(args.train_size, spec.n_classes, spec.seq_len, seed=cfg.seed)
-        val_set = synth_dataset(args.val_size, spec.n_classes, spec.seq_len, seed=cfg.seed + 1)
+        train_set = synth_dataset(given.get("train_size", 400), spec.n_classes, spec.seq_len, seed=cfg.seed)
+        val_set = synth_dataset(given.get("val_size", 200), spec.n_classes, spec.seq_len, seed=cfg.seed + 1)
     else:
         full = load_csv(args.csv, spec.n_classes, seq_len=spec.seq_len)
         if args.val_csv is not None:
             train_set = full
             val_set = load_csv(args.val_csv, spec.n_classes, seq_len=spec.seq_len)
         else:
-            train_set, val_set = split_dataset(full, args.val_fraction, seed=cfg.seed)
+            train_set, val_set = split_dataset(full, val_fraction, seed=cfg.seed)
     print(
         f"training {spec.family}-{spec.depth}: lr={cfg.lr} momentum={cfg.momentum} "
         f"weight_decay={cfg.weight_decay} batch_size={cfg.batch_size} epochs={cfg.max_epochs} seed={cfg.seed}"
@@ -227,11 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--csv", default=None, help="class-first CSV training corpus")
     corpus.add_argument("--synthetic", action="store_true", help="use the generated synthetic corpus")
     p.add_argument("--val-csv", default=None, help="separate validation CSV")
-    p.add_argument("--val-fraction", type=float, default=0.1)
-    p.add_argument("--train-size", type=int, default=400)
-    p.add_argument("--val-size", type=int, default=200)
-    # TrainConfig fields; a flag not given leaves its field at the config's default
+    # each corpus flag applies to one corpus; cmd_train rejects it with the other and holds its default
     unset = argparse.SUPPRESS
+    p.add_argument("--val-fraction", type=float, default=unset)
+    p.add_argument("--train-size", type=int, default=unset)
+    p.add_argument("--val-size", type=int, default=unset)
+    # TrainConfig fields; a flag not given leaves its field at the config's default
     p.add_argument("--lr", type=float, default=unset)
     p.add_argument("--momentum", type=float, default=unset)
     p.add_argument("--weight-decay", type=float, default=unset)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 import uuid
 from dataclasses import astuple, dataclass, fields
 
@@ -213,7 +214,7 @@ def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
             fh.write(_HEADER.pack(*header))
             for _name, arr in _model_arrays(model):
                 fh.write(struct.pack("<Q", arr.size))
-                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+                fh.write(np.ascontiguousarray(arr, dtype="<f4"))  # the array's own memory on a little-endian host
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -224,45 +225,48 @@ def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    """Rebuild a model from a checkpoint, validating the format strictly."""
+    """Rebuild a model from a checkpoint, validating the format strictly.
+
+    The values are read straight into the model's own arrays, so a load holds
+    no second copy of the file.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4 or blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointMagicError(f"{path}: bad magic bytes")
-    if len(blob) < 6:
-        raise CheckpointTruncatedError(f"{path}: truncated before version field")
-    (version,) = struct.unpack_from("<H", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(f"{path}: unsupported version {version}")
-    header_end = 6 + _HEADER.size
-    if len(blob) < header_end:
-        raise CheckpointTruncatedError(f"{path}: truncated header")
-    family_code, *values, epoch = _HEADER.unpack_from(blob, 6)
-    if family_code >= len(FAMILIES):
-        raise CheckpointError(f"{path}: unknown family code {family_code}")
-    try:
-        spec = ArchitectureSpec(FAMILIES[family_code], *values)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: invalid architecture fields: {exc}") from None
-    needed = header_end + 4 * closed_form_params(spec).total  # checked before the model is allocated
-    if needed > len(blob):
-        raise CheckpointTruncatedError(f"{path}: its header needs at least {needed:,} bytes, the file has {len(blob):,}")
-    model = Model(spec, seed=None)
-    offset = header_end
-    for name, arr in _model_arrays(model):
-        if offset + 8 > len(blob):
-            raise CheckpointTruncatedError(f"{path}: truncated before length of {name}")
-        (n,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
-        if n != arr.size:
-            raise CheckpointLengthError(f"{path}: {name} has {n} values, expected {arr.size}")
-        end = offset + n * 4
-        if end > len(blob):
-            raise CheckpointTruncatedError(f"{path}: truncated inside {name}")
-        arr[...] = np.frombuffer(blob, dtype="<f4", count=n, offset=offset).reshape(arr.shape)
-        offset = end
-    if offset != len(blob):
-        raise CheckpointLengthError(f"{path}: {len(blob) - offset} trailing bytes")
+        size = os.fstat(fh.fileno()).st_size
+        header_end = 6 + _HEADER.size
+        head = fh.read(header_end)
+        if len(head) < 4 or head[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointMagicError(f"{path}: bad magic bytes")
+        if len(head) < 6:
+            raise CheckpointTruncatedError(f"{path}: truncated before version field")
+        (version,) = struct.unpack_from("<H", head, 4)
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointVersionError(f"{path}: unsupported version {version}")
+        if len(head) < header_end:
+            raise CheckpointTruncatedError(f"{path}: truncated header")
+        family_code, *values, epoch = _HEADER.unpack_from(head, 6)
+        if family_code >= len(FAMILIES):
+            raise CheckpointError(f"{path}: unknown family code {family_code}")
+        try:
+            spec = ArchitectureSpec(FAMILIES[family_code], *values)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: invalid architecture fields: {exc}") from None
+        needed = header_end + 4 * closed_form_params(spec).total  # checked before the model is allocated
+        if needed > size:
+            raise CheckpointTruncatedError(f"{path}: its header needs at least {needed:,} bytes, the file has {size:,}")
+        model = Model(spec, seed=None)
+        for name, arr in _model_arrays(model):
+            length = fh.read(8)
+            if len(length) < 8:
+                raise CheckpointTruncatedError(f"{path}: truncated before length of {name}")
+            (n,) = struct.unpack("<Q", length)
+            if n != arr.size:
+                raise CheckpointLengthError(f"{path}: {name} has {n} values, expected {arr.size}")
+            if fh.readinto(arr) < arr.nbytes:  # arr is C-ordered native float32, the file little-endian
+                raise CheckpointTruncatedError(f"{path}: truncated inside {name}")
+            if sys.byteorder == "big":
+                arr.byteswap(inplace=True)
+        if fh.tell() != size:
+            raise CheckpointLengthError(f"{path}: {size - fh.tell()} trailing bytes")
     model.checkpoint_epoch = epoch
     model.eval()
     return model

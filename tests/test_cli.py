@@ -190,8 +190,8 @@ class TestTrain:
         assert code == 1
         assert "--csv" in err or "--synthetic" in err
 
-    TINY = ("--s", "16", "--pooled-len", "2", "--classes", "2", "--fc-hidden", "8", "--train-size", "8",
-            "--val-size", "4", "--batch-size", "4", "--epochs", "1")
+    SMALL = ("--s", "16", "--pooled-len", "2", "--classes", "2", "--fc-hidden", "8", "--batch-size", "4", "--epochs", "1")
+    TINY = (*SMALL, "--train-size", "8", "--val-size", "4")
 
     def test_csv_and_synthetic_are_exclusive(self, capsys, tmp_path):
         csv_path = tmp_path / "a.csv"
@@ -207,6 +207,30 @@ class TestTrain:
         assert (code, out) == (1, "")
         assert err == "error: --val-csv needs --csv; --synthetic generates its own validation set\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("corpus,flag,message", [
+        ("--csv", "--train-size", "--train-size and --val-size need --synthetic; --csv takes its sets from CSV rows"),
+        ("--csv", "--val-size", "--train-size and --val-size need --synthetic; --csv takes its sets from CSV rows"),
+        ("--synthetic", "--val-fraction", "--val-fraction needs --csv; --synthetic generates its own validation set"),
+        ("--val-csv", "--val-fraction", "--val-fraction splits --csv; --val-csv is the validation set"),
+    ], ids=["csv-train-size", "csv-val-size", "synthetic-val-fraction", "val-csv-val-fraction"])
+    def test_flag_for_the_other_corpus_is_rejected_before_loading(self, capsys, tmp_path, corpus, flag, message):
+        corpus_flags = {
+            "--csv": ("--csv", str(tmp_path / "absent.csv")),
+            "--synthetic": ("--synthetic",),
+            "--val-csv": ("--csv", str(tmp_path / "absent.csv"), "--val-csv", str(tmp_path / "absent-val.csv")),
+        }[corpus]
+        value = "0.2" if flag == "--val-fraction" else "8"
+        code, out, err = run(capsys, "train", *corpus_flags, *self.SMALL, flag, value, "--out", str(tmp_path / "m.ckpt"))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fraction", ["0", "1", "1.5", "-0.1", "nan"])
+    def test_val_fraction_outside_the_open_unit_interval_is_rejected_before_loading(self, capsys, tmp_path, fraction):
+        code, out, err = run(capsys, "train", "--csv", str(tmp_path / "absent.csv"), *self.SMALL,
+                             "--val-fraction", fraction, "--out", str(tmp_path / "m.ckpt"))
+        assert (code, out) == (1, "")
+        assert err == f"error: --val-fraction must be in (0, 1), got {float(fraction)}\n"
 
     @pytest.mark.parametrize("flag", ["--out", "--history"])
     def test_missing_output_directory_fails_before_training(self, capsys, tmp_path, flag):
@@ -377,7 +401,7 @@ class TestWarnings:
     def test_train_csv(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b'1,"x\xffy"\n' + b"".join(b'%d,"text %d"\n' % (1 + i % 2, i) for i in range(7)))
-        code, out, err = run_command("train", "--csv", str(path), *TestTrain.TINY, "--out", str(tmp_path / "m.ckpt"))
+        code, out, err = run_command("train", "--csv", str(path), *TestTrain.SMALL, "--out", str(tmp_path / "m.ckpt"))
         assert code == 0 and "wrote" in out
         assert err == self.replaced_line(path)
 

@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import re
 import struct
+import tracemalloc
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -380,12 +382,67 @@ class TestCheckpoint:
         with pytest.raises(CheckpointTruncatedError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("where", ["header", "first array", "length of first buffer", "last parameter", "last array"])
+    def test_truncation_names_where_the_file_ends(self, tmp_path, where):
+        model = Model(tiny_spec(), seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        header_end = 6 + 4 * (len(fields(ArchitectureSpec)) + 1)
+        starts, offset = {}, header_end  # byte offset of each array's length field
+        for name, arr in training._model_arrays(model):
+            starts[name], offset = offset, offset + 8 + arr.nbytes
+        first_buffer, last_param, last = model.named_buffers()[0][0], model.named_params()[-1][0], list(starts)[-1]
+        cut, expected = {
+            "header": (header_end - 3, "truncated header"),
+            # fewer bytes than the parameters alone need: the size check before allocation reports it
+            "first array": (header_end + 12, None),
+            "length of first buffer": (starts[first_buffer], f"truncated before length of {first_buffer}"),
+            "last parameter": (starts[last_param] + 12, f"truncated inside {last_param}"),
+            "last array": (len(blob) - 10, f"truncated inside {last}"),
+        }[where]
+        if expected is None:
+            needed = header_end + 4 * count_params(model).total
+            expected = f"its header needs at least {needed:,} bytes, the file has {cut:,}"
+        path.write_bytes(blob[:cut])
+        with pytest.raises(CheckpointTruncatedError, match=rf"model\.ckpt: {re.escape(expected)}$"):
+            load_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(Model(tiny_spec(), seed=0), path)
         path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
         with pytest.raises(CheckpointLengthError):
             load_checkpoint(path)
+
+    # vdcnn-9 with a 256-unit head: 11.5 MB of arrays, the largest 4.2 MB; tracemalloc counts numpy's buffers to the byte
+    MEMORY_SPEC = ArchitectureSpec("vdcnn", depth=9, fc_hidden=256)
+
+    def test_load_holds_no_copy_of_the_file(self, tmp_path):
+        model = Model(self.MEMORY_SPEC, seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        array_bytes = sum(arr.nbytes for _n, arr in training._model_arrays(model))
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * array_bytes
+        for (name, arr), (_n, back) in zip(training._model_arrays(model), training._model_arrays(loaded)):
+            assert arr.tobytes() == back.tobytes(), name
+
+    def test_save_copies_no_array(self, tmp_path):
+        model = Model(self.MEMORY_SPEC, seed=0)
+        largest = max(arr.nbytes for _n, arr in training._model_arrays(model))
+        tracemalloc.start()
+        try:
+            save_checkpoint(model, tmp_path / "model.ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * largest
 
     @pytest.mark.parametrize("field", [6, 4], ids=["fc_hidden", "vocab_size"])
     def test_oversized_header_field_rejected_before_the_model_is_built(self, tmp_path, field):
