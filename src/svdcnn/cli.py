@@ -29,22 +29,32 @@ from .training import (
 DEPTH_CHOICES = sorted(arch._LAYER_LAYOUT)
 
 
+# ArchitectureSpec field -> (its flags, their argparse keywords). A flag not given is absent from the parsed
+# arguments, so a command can tell given from not given.
+_SPEC_FLAGS = {
+    "family": (["--family"], {"choices": arch.FAMILIES}),
+    "depth": (["--depth"], {"type": int, "choices": DEPTH_CHOICES}),
+    "n_classes": (["--classes"], {"metavar": "CLASSES", "type": int, "help": "number of target classes"}),
+    "seq_len": (["--seq-len", "--s"], {"type": int}),
+    "embed_dim": (["--embed-dim"], {"type": int}),
+    "pooled_len": (["--pooled-len"], {"type": int}),
+    "fc_hidden": (["--fc-hidden"], {"type": int}),
+}
+
+# The value a flag not given takes when its field has no default in its class.
+_FLAG_DEFAULTS = {"family": "svdcnn"}
+
+
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
-    """Flags that set ``ArchitectureSpec`` fields; a flag not given leaves its field at the spec's default."""
-    parser.add_argument("--family", choices=arch.FAMILIES, default="svdcnn")
-    unset = argparse.SUPPRESS
-    parser.add_argument("--depth", type=int, choices=DEPTH_CHOICES, default=unset)
-    parser.add_argument("--classes", dest="n_classes", metavar="CLASSES", type=int, default=unset,
-                        help="number of target classes")
-    parser.add_argument("--seq-len", "--s", dest="seq_len", type=int, default=unset)
-    parser.add_argument("--embed-dim", type=int, default=unset)
-    parser.add_argument("--pooled-len", type=int, default=unset)
-    parser.add_argument("--fc-hidden", type=int, default=unset)
+    for dest, (flags, keywords) in _SPEC_FLAGS.items():
+        parser.add_argument(*flags, dest=dest, default=argparse.SUPPRESS, **keywords)
 
 
 def _from_args(cls, args):
-    """``cls`` built from the flags named after its fields; a flag not given leaves its field at ``cls``'s default."""
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
+    """``cls`` built from the flags named after its fields; a flag not given leaves its field at ``cls``'s default,
+    or at its ``_FLAG_DEFAULTS`` value where ``cls`` has none."""
+    values = {**_FLAG_DEFAULTS, **vars(args)}
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
 
 
 def cmd_describe(args) -> int:
@@ -197,11 +207,20 @@ def cmd_predict(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    given = vars(args)  # --reps, --warmup and the architecture flags are in it only when given
+    spec_flags = [flags[0] for name, (flags, _keywords) in _SPEC_FLAGS.items() if name in given]
     if args.compare:
+        unused = [f"--{name}" for name in ("checkpoint", "json", "reps", "warmup") if given.get(name) is not None]
+        if unused + spec_flags:
+            raise ValueError(f"--compare reads two records and measures nothing; drop {', '.join(unused + spec_flags)}")
         a, b = args.compare
         ratio = bench_mod.latency_ratio(bench_mod.load_stats(a), bench_mod.load_stats(b))
         print(f"latency ratio ({a} / {b}): {ratio:.2f}")
         return 0
+    if args.checkpoint is not None and spec_flags:
+        raise ValueError(f"--checkpoint sets the architecture; drop {', '.join(spec_flags)}")
+    if args.json is not None and not os.path.isdir(os.path.dirname(args.json) or "."):
+        raise FileNotFoundError(f"cannot write {args.json}: its directory does not exist")  # checked before measuring
     if args.checkpoint is not None:
         model = load_checkpoint(args.checkpoint)
     else:

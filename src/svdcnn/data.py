@@ -103,7 +103,7 @@ def _quantize_rows(texts: list[str], seq_len: int) -> np.ndarray:
     return np.array([quantize(text, vocab, seq_len) for text in texts], dtype=np.uint8).reshape(len(texts), seq_len)
 
 
-def load_csv(path, n_classes: int, seq_len: int = 1024) -> Dataset:
+def load_csv(path, n_classes: int, seq_len: int) -> Dataset:
     """Read a class-first CSV: 1-indexed integer class, then text fields.
 
     Text fields are joined with a single space before quantization. Quoted

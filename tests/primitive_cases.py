@@ -1,0 +1,95 @@
+"""One case per variant of each primitive in ``svdcnn.functional``, the table every per-primitive test reads.
+
+A case is keyed by the function's name, with ``-variant`` for a second case of the same function. It holds the
+tape-entry name the function records, a call of the function on the input tensors, and a seeded draw for each
+input. A case whose first input is 3-D is a ``[B, C, L]`` op. A new public function needs one case here:
+``test_numeric.py::test_cases_cover_every_primitive`` fails without it.
+"""
+
+import math
+import zlib
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+from svdcnn import functional as F
+from svdcnn.autograd import Tensor, grad_check
+
+from taped_ops import mul, tensor_sum
+
+
+def normal(*shape):
+    return lambda rng: rng.normal(size=shape)
+
+
+def distinct(*shape):
+    """Well-separated values, so finite differences stay off pooling ties."""
+    return lambda rng: rng.permutation(np.linspace(0.2, 3.0, math.prod(shape))).reshape(shape)
+
+
+def off_kink(*shape):
+    """Values at least 0.1 away from ReLU's kink."""
+    return lambda rng: rng.uniform(0.1, 1.0, shape) * rng.choice([-1.0, 1.0], shape)
+
+
+def scale(*shape):
+    """Batch-norm scales in [0.5, 1.5]."""
+    return lambda rng: rng.uniform(0.5, 1.5, shape)
+
+
+class Case(NamedTuple):
+    op: str  # the tape-entry name
+    call: Callable  # the primitive's output from the input tensors
+    inputs: tuple  # per input tensor, its seeded draw: rng -> a float64 array
+
+
+CASES = {
+    "conv1d": Case("conv1d", lambda x, w, b: F.conv1d(x, w, b, padding=1),
+                   (normal(2, 3, 6), normal(4, 3, 3), normal(4))),
+    "conv1d-no-bias": Case("conv1d", lambda x, w: F.conv1d(x, w, padding=1), (normal(2, 3, 5), normal(4, 3, 3))),
+    "conv1d-k1": Case("conv1d", F.conv1d, (normal(2, 3, 5), normal(4, 3, 1), normal(4))),
+    "depthwise_conv1d": Case("depthwise_conv1d", lambda x, w: F.depthwise_conv1d(x, w, padding=1),
+                             (normal(2, 3, 5), normal(3, 3))),
+    "depthwise_conv1d-k5": Case("depthwise_conv1d", lambda x, w: F.depthwise_conv1d(x, w, padding=2),
+                                (normal(2, 3, 6), normal(3, 5))),
+    "affine": Case("affine", F.affine, (normal(2, 5), normal(3, 5), normal(3))),
+    "relu": Case("relu", F.relu, (off_kink(3, 4),)),
+    "add": Case("add", F.add, (normal(3, 4), normal(3, 4))),
+    "maxpool_halve": Case("maxpool_halve", F.maxpool_halve, (distinct(1, 3, 8),)),
+    "maxpool_halve-odd": Case("maxpool_halve", F.maxpool_halve, (distinct(2, 3, 7),)),
+    "kmax_pool": Case("kmax_pool", lambda x: F.kmax_pool(x, 3), (distinct(2, 3, 8),)),
+    "adaptive_avg_pool": Case("adaptive_avg_pool", lambda x: F.adaptive_avg_pool(x, 2), (normal(2, 3, 8),)),
+    "flatten_features": Case("flatten", F.flatten_features, (normal(2, 3, 4),)),
+    "embedding": Case("embedding", lambda table: F.embedding(np.array([[0, 2, 1, 2]]), table), (normal(4, 3),)),
+    "batch_norm_train": Case("batch_norm_train", lambda x, g, b: F.batch_norm_train(x, g, b, 1e-5)[0],
+                             (normal(2, 3, 4), scale(3), normal(3))),
+    # running statistics in the input's dtype, so a float32 input keeps a float32 output
+    "batch_norm_eval": Case("batch_norm_eval", lambda x, g, b: F.batch_norm_eval(
+        x, g, b, np.zeros(3, x.data.dtype), np.ones(3, x.data.dtype), 1e-5), (normal(2, 3, 4), scale(3), normal(3))),
+    "cross_entropy": Case("cross_entropy", lambda z: F.cross_entropy(z, np.array([1, 0, 2])), (normal(3, 4),)),
+}
+
+
+def primitive(name: str) -> str:
+    """The ``svdcnn.functional`` function case ``name`` calls."""
+    return name.split("-")[0]
+
+
+def is_temporal(name: str) -> bool:
+    """Whether case ``name`` is a ``[B, C, L]`` op."""
+    return draw_inputs(name)[0].ndim == 3
+
+
+def draw_inputs(name: str) -> list:
+    """Case ``name``'s input arrays (float64), from a seed of its own."""
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    return [draw(rng) for draw in CASES[name].inputs]
+
+
+def gradient_error(name: str) -> float:
+    """``grad_check``'s worst relative error for the squared sum of case ``name``'s output, in float64."""
+    def loss(*inputs):
+        out = CASES[name].call(*inputs)
+        return tensor_sum(mul(out, out))
+
+    return grad_check(loss, [Tensor(a, requires_grad=True, dtype=np.float64) for a in draw_inputs(name)])

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import svdcnn as sv
-from svdcnn import functional as F
 from svdcnn.architecture import (
     ArchitectureSpec,
     Model,
@@ -26,14 +25,14 @@ from svdcnn.architecture import (
     storage_size,
     tdsc_block_weights,
 )
-from svdcnn.autograd import Tensor, grad_check
+from svdcnn.autograd import grad_check
 from svdcnn.bench import measure_latency
 from svdcnn.data import synth_dataset
 from svdcnn.functional import cross_entropy
 from svdcnn.training import TrainConfig, train
 
 from oracles import as_float64, level_shapes
-from taped_ops import mul, tensor_sum
+from primitive_cases import CASES, gradient_error
 
 ALL_CONFIGS = [(family, depth) for family in ("vdcnn", "svdcnn") for depth in (9, 17, 29, 49)]
 
@@ -81,13 +80,13 @@ def test_criterion_03_storage_formula_and_rows():
 def test_criterion_04_reference_table_reconciliation():
     table = load_golden_table()
     for depth, conv_ref, total_ref in ((9, 0.71, 0.73), (17, 1.43, 1.45), (29, 1.56, 1.58)):
-        report_sq = count_params(Model(ArchitectureSpec("svdcnn", depth=depth, seq_len=64), seed=0))
+        report_sq = count_params(Model(ArchitectureSpec("svdcnn", depth=depth, seq_len=64), seed=None))
         assert abs(millions(report_sq.conv) - conv_ref) / conv_ref <= 0.05
         assert abs(millions(report_sq.total) - total_ref) / total_ref <= 0.05
         diff = reconcile(report_sq, table[("svdcnn", depth)])
         assert not diff.failed and not diff.flagged
     for depth in (9, 17, 29):
-        report_vd = count_params(Model(ArchitectureSpec("vdcnn", depth=depth, seq_len=64), seed=0))
+        report_vd = count_params(Model(ArchitectureSpec("vdcnn", depth=depth, seq_len=64), seed=None))
         diff = reconcile(report_vd, table[("vdcnn", depth)])
         assert not diff.failed
         assert any(c.category == "conv" and c.verdict == "flag" for c in diff.categories)
@@ -100,7 +99,7 @@ def test_criterion_05_depth_accounting():
     assert depth_layout(17) == (4, 4, 4, 4)
     assert 2 * (2 + 2 + 2 + 2) + 1 == 17
     for family, depth in ALL_CONFIGS:
-        model = Model(ArchitectureSpec(family, depth=depth, seq_len=64), seed=0)
+        model = Model(ArchitectureSpec(family, depth=depth, seq_len=64), seed=None)
         assert model.conv_depth() == depth
     report(5, "layout sums + 1 equal 9/17/29/49; built models agree")
 
@@ -108,57 +107,23 @@ def test_criterion_05_depth_accounting():
 def test_criterion_06_enumeration_equals_closed_form():
     for family, depth in ALL_CONFIGS:
         spec = ArchitectureSpec(family, depth=depth, seq_len=64)
-        assert count_params(Model(spec, seed=0)) == closed_form_params(spec)
+        assert count_params(Model(spec, seed=None)) == closed_form_params(spec)
     report(6, "weight enumeration equals closed-form counts on all 8 configurations")
 
 
 def test_criterion_07_constant_product_invariant():
     for family, depth in ALL_CONFIGS:
-        model = Model(ArchitectureSpec(family, depth=depth, seq_len=1024), seed=0).eval()
+        model = Model(ArchitectureSpec(family, depth=depth, seq_len=1024), seed=None).eval()
         shapes = level_shapes(model, np.zeros((1, 1024), dtype=np.int64))
         assert [c * length for c, length in shapes] == [65_536] * 4
     report(7, "channels x length == 65,536 at all four level boundaries of every model")
 
 
-def _primitive_checks():
-    rng = np.random.default_rng(21)
-    t64 = lambda a: Tensor(a, requires_grad=True, dtype=np.float64)
-    squared_sum = lambda t: tensor_sum(mul(t, t))
-    return [
-        ("conv1d", lambda x, w, b: squared_sum(F.conv1d(x, w, b, padding=1)),
-         [t64(rng.normal(size=(2, 3, 6))), t64(rng.normal(size=(4, 3, 3))), t64(rng.normal(size=4))]),
-        ("depthwise_conv1d", lambda x, w: squared_sum(F.depthwise_conv1d(x, w, padding=1)),
-         [t64(rng.normal(size=(2, 3, 5))), t64(rng.normal(size=(3, 3)))]),
-        ("affine", lambda x, w, b: squared_sum(F.affine(x, w, b)),
-         [t64(rng.normal(size=(2, 5))), t64(rng.normal(size=(3, 5))), t64(rng.normal(size=3))]),
-        ("batch_norm_train", lambda x, g, b: squared_sum(F.batch_norm_train(x, g, b, 1e-5)[0]),
-         [t64(rng.normal(size=(2, 3, 4))), t64(rng.uniform(0.5, 1.5, size=3)), t64(rng.normal(size=3))]),
-        ("batch_norm_eval", lambda x, g, b: squared_sum(F.batch_norm_eval(x, g, b, np.zeros(3), np.ones(3), 1e-5)),
-         [t64(rng.normal(size=(2, 3, 4))), t64(rng.uniform(0.5, 1.5, size=3)), t64(rng.normal(size=3))]),
-        ("relu", lambda x: tensor_sum(F.relu(x)),
-         [t64(rng.uniform(0.1, 1.0, size=12) * rng.choice([-1.0, 1.0], size=12))]),
-        ("add", lambda a, b: squared_sum(F.add(a, b)),
-         [t64(rng.normal(size=(2, 3))), t64(rng.normal(size=(2, 3)))]),
-        ("maxpool_halve", lambda x: squared_sum(F.maxpool_halve(x)),
-         [t64(rng.permutation(np.linspace(0.2, 3.0, 24)).reshape(1, 3, 8))]),
-        ("kmax_pool", lambda x: squared_sum(F.kmax_pool(x, 3)),
-         [t64(rng.permutation(np.linspace(0.2, 3.0, 16)).reshape(2, 8)[None])]),
-        ("adaptive_avg_pool", lambda x: squared_sum(F.adaptive_avg_pool(x, 2)),
-         [t64(rng.normal(size=(2, 3, 8)))]),
-        ("embedding", lambda t: squared_sum(F.embedding(np.array([[0, 2, 1, 2]]), t)),
-         [t64(rng.normal(size=(4, 3)))]),
-        ("flatten", lambda x: squared_sum(F.flatten_features(x)),
-         [t64(rng.normal(size=(2, 3, 4)))]),
-        ("cross_entropy", lambda z: F.cross_entropy(z, np.array([1, 0, 2])),
-         [t64(rng.normal(size=(3, 4)))]),
-    ]
-
-
 def test_criterion_08_gradient_suite():
     worst = 0.0
-    for name, f, inputs in _primitive_checks():
-        err = grad_check(f, inputs)
-        assert err <= 1e-3, f"{name} gradient error {err}"
+    for case in CASES:
+        err = gradient_error(case)
+        assert err <= 1e-3, f"{case} gradient error {err}"
         worst = max(worst, err)
 
     # End to end: squeezed depth-9 network on short sequences, trained mode.

@@ -71,6 +71,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="depth"):
             ArchitectureSpec("vdcnn", depth=13)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("embed_dim", 0, "embedding dimension must be positive, got 0"),
+        ("vocab_size", 0, "vocabulary size must be positive, got 0"),
+        ("n_classes", 1, "need at least 2 classes, got 1"),
+        ("fc_hidden", 0, "hidden width must be positive, got 0"),
+        ("pooled_len", 0, "pooled length must be positive, got 0"),
+    ], ids=["embed_dim", "vocab_size", "n_classes", "fc_hidden", "pooled_len"])
+    def test_each_field_check_names_its_field_and_value(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ArchitectureSpec("svdcnn", **{field: value})
+
     def test_seq_len_must_be_multiple_of_eight(self):
         with pytest.raises(ValueError, match="multiple of 8"):
             ArchitectureSpec("svdcnn", seq_len=100)
@@ -83,13 +94,13 @@ class TestSpecValidation:
 
 class TestBuildAndForward:
     def test_final_feature_shape_svdcnn(self):
-        model = Model(ArchitectureSpec("svdcnn", seq_len=1024), seed=0)
+        model = Model(ArchitectureSpec("svdcnn", seq_len=1024), seed=None)
         model.eval()
         idx = np.zeros((1, 1024), dtype=np.int64)
         assert level_shapes(model, idx) == [(64, 1024), (128, 512), (256, 256), (512, 128)]
 
     def test_logits_shape(self):
-        model = Model(ArchitectureSpec("svdcnn", seq_len=64), seed=0).eval()
+        model = Model(ArchitectureSpec("svdcnn", seq_len=64), seed=None).eval()
         idx = np.zeros((5, 64), dtype=np.int64)
         assert model.forward(idx).shape == (5, 4)
 
@@ -119,11 +130,11 @@ class TestBuildAndForward:
 
     @pytest.mark.parametrize("family,depth", ALL_CONFIGS)
     def test_depth_accounting(self, family, depth):
-        model = Model(ArchitectureSpec(family, depth=depth, seq_len=64), seed=0)
+        model = Model(ArchitectureSpec(family, depth=depth, seq_len=64), seed=None)
         assert model.conv_depth() == depth
 
     def test_only_pools_change_length(self):
-        model = Model(ArchitectureSpec("svdcnn", seq_len=64), seed=0).eval()
+        model = Model(ArchitectureSpec("svdcnn", seq_len=64), seed=None).eval()
         lengths = [length for _c, length in level_shapes(model, np.zeros((1, 64), dtype=np.int64))]
         assert lengths == [64, 32, 16, 8]
 
@@ -459,7 +470,7 @@ class TestHeadCounts:
 
     def test_enumerated_head_matches_formula_plus_biases(self):
         spec = ArchitectureSpec("svdcnn", seq_len=64)
-        report = count_params(Model(spec, seed=0))
+        report = count_params(Model(spec, seed=None))
         assert report.fc == 16_384 + 4
         assert millions(report.fc) == 0.02
 
@@ -468,7 +479,7 @@ class TestParamAccounting:
     @pytest.mark.parametrize("family,depth", ALL_CONFIGS)
     def test_enumeration_equals_closed_form(self, family, depth):
         spec = ArchitectureSpec(family, depth=depth, seq_len=64)
-        assert count_params(Model(spec, seed=0)) == closed_form_params(spec)
+        assert count_params(Model(spec, seed=None)) == closed_form_params(spec)
 
     def test_worked_block_examples(self):
         assert standard_block_weights(128, 256) == 294_912
@@ -480,7 +491,7 @@ class TestParamAccounting:
     def test_separable_beats_standard_for_every_built_width(self):
         pairs = set()
         for family, depth in ALL_CONFIGS:
-            model = Model(ArchitectureSpec(family, depth=depth, seq_len=64), seed=0)
+            model = Model(ArchitectureSpec(family, depth=depth, seq_len=64), seed=None)
             pairs.add((model.first_conv.in_channels, model.first_conv.out_channels))
             for blocks in model.levels:
                 for block in blocks:
@@ -555,7 +566,7 @@ class TestReconcile:
         table = load_golden_table()
         for depth in (9, 17, 29):
             spec = ArchitectureSpec("svdcnn", depth=depth)
-            diff = reconcile(count_params(Model(spec, seed=0)), table[("svdcnn", depth)])
+            diff = reconcile(count_params(Model(spec, seed=None)), table[("svdcnn", depth)])
             assert not diff.failed
             assert all(c.verdict == "pass" for c in diff.categories)
 
@@ -563,7 +574,7 @@ class TestReconcile:
         table = load_golden_table()
         for depth in (9, 17, 29):
             spec = ArchitectureSpec("vdcnn", depth=depth)
-            diff = reconcile(count_params(Model(spec, seed=0)), table[("vdcnn", depth)])
+            diff = reconcile(count_params(Model(spec, seed=None)), table[("vdcnn", depth)])
             assert not diff.failed
             conv = next(c for c in diff.categories if c.category == "conv")
             assert conv.verdict == "flag"
@@ -610,6 +621,6 @@ class TestReconcile:
 class TestConstantProduct:
     @pytest.mark.parametrize("family,depth", ALL_CONFIGS)
     def test_channels_times_length_constant(self, family, depth):
-        model = Model(ArchitectureSpec(family, depth=depth, seq_len=1024), seed=0).eval()
+        model = Model(ArchitectureSpec(family, depth=depth, seq_len=1024), seed=None).eval()
         products = [c * length for c, length in level_shapes(model, np.zeros((1, 1024), dtype=np.int64))]
         assert products == [65_536] * 4

@@ -55,6 +55,10 @@ class TestMeasure:
         assert signature.parameters["reps"].default == 1000
         assert signature.parameters["warmup"].default == 10
 
+    def test_negative_warmup(self):
+        with pytest.raises(ValueError, match="^warmup cannot be negative, got -1$"):
+            measure_latency(tiny_model(), np.zeros(8, dtype=np.int64), reps=2, warmup=-1)
+
     def test_too_few_reps(self):
         with pytest.raises(ValueError, match="2 repetitions"):
             measure_latency(tiny_model(), np.zeros(8, dtype=np.int64), reps=1)

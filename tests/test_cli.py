@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 import svdcnn
-from svdcnn.architecture import ArchitectureSpec
+from svdcnn.architecture import ArchitectureSpec, Model
 from svdcnn.bench import measure_latency
 from svdcnn.cli import _from_args, build_parser, main
 from svdcnn.data import IngestionWarning, load_csv
-from svdcnn.training import TrainConfig, load_checkpoint, predict_logits
+from svdcnn.training import TrainConfig, load_checkpoint, predict_logits, save_checkpoint
 
 from test_architecture import MALFORMED_GOLDEN_TABLES
 
@@ -232,6 +232,18 @@ class TestTrain:
         assert (code, out) == (1, "")
         assert err == f"error: --val-fraction must be in (0, 1), got {float(fraction)}\n"
 
+    def test_val_csv_run_writes_a_loadable_checkpoint_and_one_history_row_per_epoch(self, capsys, tmp_path):
+        for name, rows in (("train.csv", 12), ("val.csv", 4)):
+            (tmp_path / name).write_text("".join(f'{1 + i % 2},"text {i}"\n' for i in range(rows)))
+        ckpt = tmp_path / "m.ckpt"
+        code, out, _err = run(capsys, "train", "--csv", str(tmp_path / "train.csv"), "--val-csv",
+                              str(tmp_path / "val.csv"), *self.SMALL, "--epochs", "2", "--out", str(ckpt))
+        assert code == 0 and f"wrote {ckpt}" in out
+        assert load_checkpoint(ckpt).spec == ArchitectureSpec("svdcnn", seq_len=16, pooled_len=2, n_classes=2,
+                                                               fc_hidden=8)
+        rows = (tmp_path / "m.ckpt.history.jsonl").read_text().splitlines()
+        assert [json.loads(row)["epoch"] for row in rows] == [1, 2]
+
     @pytest.mark.parametrize("flag", ["--out", "--history"])
     def test_missing_output_directory_fails_before_training(self, capsys, tmp_path, flag):
         missing = tmp_path / "missing" / "m.out"
@@ -423,6 +435,40 @@ class TestBench:
         )
         assert code == 0
         assert "reps=5" in out
+
+    def test_checkpoint_row_names_its_family_and_depth(self, capsys, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(Model(ArchitectureSpec("vdcnn", depth=17, seq_len=16, pooled_len=2, n_classes=2, fc_hidden=8),
+                              seed=None), path)
+        code, out, err = run(capsys, "bench", "--checkpoint", str(path), "--reps", "2", "--warmup", "0")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 and out.split()[:2] == ["vdcnn", "17"] and "reps=2" in out
+
+    SPEC_FLAGS = [("--family", "svdcnn"), ("--depth", "9"), ("--classes", "2"), ("--seq-len", "16"), ("--s", "16"),
+                  ("--embed-dim", "16"), ("--pooled-len", "2"), ("--fc-hidden", "8")]
+
+    @pytest.mark.parametrize("flag,value", SPEC_FLAGS, ids=[flag for flag, _value in SPEC_FLAGS])
+    def test_architecture_flag_with_checkpoint_is_rejected_before_loading(self, capsys, trained, flag, value):
+        code, out, err = run(capsys, "bench", "--checkpoint", str(trained), "--reps", "2", "--warmup", "0", flag, value)
+        named = "--seq-len" if flag == "--s" else flag
+        assert (code, out, err) == (1, "", f"error: --checkpoint sets the architecture; drop {named}\n")
+
+    COMPARE_FLAGS = [("--checkpoint", "absent.ckpt"), ("--json", "run.json"), ("--reps", "2"), ("--warmup", "0"),
+                     *SPEC_FLAGS]
+
+    @pytest.mark.parametrize("flag,value", COMPARE_FLAGS, ids=[flag for flag, _value in COMPARE_FLAGS])
+    def test_measurement_flag_with_compare_is_rejected_before_reading(self, capsys, tmp_path, flag, value):
+        code, out, err = run(capsys, "bench", "--compare", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
+                             flag, str(tmp_path / value) if flag in ("--checkpoint", "--json") else value)
+        named = "--seq-len" if flag == "--s" else flag
+        assert (code, out, err) == (1, "", f"error: --compare reads two records and measures nothing; drop {named}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_json_directory_fails_before_measuring(self, capsys, tmp_path):
+        missing = tmp_path / "missing" / "run.json"
+        code, out, err = run(capsys, "bench", "--s", "16", "--pooled-len", "2", "--classes", "2", "--fc-hidden", "8",
+                             "--reps", "2", "--warmup", "0", "--json", str(missing))
+        assert (code, out, err) == (1, "", f"error: cannot write {missing}: its directory does not exist\n")
 
     def test_reps_of_one_is_usage_error(self, capsys):
         code, _out, err = run(capsys, "bench", "--reps", "1")

@@ -107,7 +107,7 @@ class TestLoadCsv:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(IngestionError, match="no samples"):
-            load_csv(path, n_classes=4)
+            load_csv(path, n_classes=4, seq_len=8)
 
     def test_malformed_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"

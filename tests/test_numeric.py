@@ -3,7 +3,6 @@ finite-difference checks and determinism."""
 
 import inspect
 import weakref
-import zlib
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from oracles import (
     in_memory_order,
     matvec_direct,
 )
+from primitive_cases import CASES, draw_inputs, gradient_error, is_temporal, primitive
 from taped_ops import mul, tensor_sum
 
 
@@ -391,32 +391,25 @@ class _Recorded(Tensor):
 
 
 class TestGradientHandOver:
-    """Each backward below hands over a fresh array that ``accumulate_grad`` keeps without a copy,
-    whichever memory order the ``[B, C, L]`` input has; that input's gradient is channels-last."""
+    """Each backward hands over a fresh array that ``accumulate_grad`` keeps without a copy, whichever memory order
+    a ``[B, C, L]`` input has; that input's gradient is channels-last."""
 
-    @pytest.mark.parametrize("order", MEMORY_ORDERS)
-    @pytest.mark.parametrize("op,call,shapes", [
-        ("depthwise_conv1d", lambda x, w: F.depthwise_conv1d(x, w, padding=1), [(2, 3, 6), (3, 3)]),
-        ("depthwise_conv1d_k5", lambda x, w: F.depthwise_conv1d(x, w, padding=2), [(2, 3, 6), (3, 5)]),
-        ("maxpool_halve_even", F.maxpool_halve, [(2, 3, 6)]),
-        ("maxpool_halve_odd", F.maxpool_halve, [(2, 3, 7)]),
-        ("adaptive_avg_pool", lambda x: F.adaptive_avg_pool(x, 3), [(2, 3, 6)]),
-        ("batch_norm_train", lambda x, g, b: F.batch_norm_train(x, g, b, 1e-5)[0], [(2, 3, 4), (3,), (3,)]),
-        ("conv1d_bias", lambda x, w, b: F.conv1d(x, w, b, padding=1), [(2, 3, 5), (4, 3, 3), (4,)]),
-        ("conv1d_k1", F.conv1d, [(2, 3, 5), (4, 3, 1)]),
-    ])
-    def test_every_gradient_is_kept_without_a_copy(self, op, call, shapes, order):
-        rng = np.random.default_rng(zlib.crc32(op.encode()))
-        arrays = [rng.normal(size=s).astype(np.float32) for s in shapes]
-        inputs = [_Recorded(a, requires_grad=True) for a in [in_memory_order(arrays[0], order), *arrays[1:]]]
+    @pytest.mark.parametrize("case,order", [(case, order) for case in CASES
+                                            for order in (MEMORY_ORDERS if is_temporal(case) else MEMORY_ORDERS[:1])])
+    def test_every_gradient_is_kept_without_a_copy(self, case, order):
+        arrays = [a.astype(np.float32) for a in draw_inputs(case)]
+        if is_temporal(case):
+            arrays[0] = in_memory_order(arrays[0], order)
+        inputs = [_Recorded(a, requires_grad=True) for a in arrays]
         with Tape() as tape:
-            out = call(*inputs)
-            loss = tensor_sum(mul(out, Tensor(rng.normal(size=out.shape))))
+            out = CASES[case].call(*inputs)
+            loss = tensor_sum(mul(out, Tensor(np.random.default_rng(0).normal(size=out.shape))))
         backward(loss, tape)
         for t in inputs:
             assert t.grad is t.handed and t.grad.flags.owndata
-        gx = inputs[0].grad
-        assert gx.strides[1:] == (gx.itemsize, gx.shape[1] * gx.itemsize)
+        if is_temporal(case):
+            gx = inputs[0].grad
+            assert gx.strides[1:] == (gx.itemsize, gx.shape[1] * gx.itemsize)
 
 
 class TestGradCheck:
@@ -430,85 +423,9 @@ class TestGradCheck:
         x = Tensor(vals, requires_grad=True, dtype=np.float64)
         assert grad_check(lambda t: tensor_sum(F.relu(t)), [x]) <= 1e-4
 
-    @pytest.mark.parametrize(
-        "name,builder",
-        [
-            ("conv1d", lambda rng: (
-                lambda x, w, b: tensor_sum(mul(F.conv1d(x, w, b, padding=1), F.conv1d(x, w, b, padding=1))),
-                [Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True, dtype=np.float64),
-                 Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True, dtype=np.float64),
-                 Tensor(rng.normal(size=4), requires_grad=True, dtype=np.float64)],
-            )),
-            ("conv1d_k1_pad0", lambda rng: (
-                lambda x, w, b: tensor_sum(mul(F.conv1d(x, w, b), F.conv1d(x, w, b))),
-                [Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True, dtype=np.float64),
-                 Tensor(rng.normal(size=(4, 3, 1)), requires_grad=True, dtype=np.float64),
-                 Tensor(rng.normal(size=4), requires_grad=True, dtype=np.float64)],
-            )),
-            ("depthwise", lambda rng: (
-                lambda x, w: tensor_sum(mul(F.depthwise_conv1d(x, w, padding=1), F.depthwise_conv1d(x, w, padding=1))),
-                [Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True, dtype=np.float64),
-                 Tensor(rng.normal(size=(3, 3)), requires_grad=True, dtype=np.float64)],
-            )),
-            ("affine", lambda rng: (
-                lambda x, w, b: tensor_sum(mul(F.affine(x, w, b), F.affine(x, w, b))),
-                [Tensor(rng.normal(size=(2, 5)), requires_grad=True, dtype=np.float64),
-                 Tensor(rng.normal(size=(3, 5)), requires_grad=True, dtype=np.float64),
-                 Tensor(rng.normal(size=3), requires_grad=True, dtype=np.float64)],
-            )),
-            ("batch_norm_train", lambda rng: (
-                lambda x, g, b: tensor_sum(mul(F.batch_norm_train(x, g, b, 1e-5)[0],
-                                               F.batch_norm_train(x, g, b, 1e-5)[0])),
-                [Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True, dtype=np.float64),
-                 Tensor(rng.uniform(0.5, 1.5, size=3), requires_grad=True, dtype=np.float64),
-                 Tensor(rng.normal(size=3), requires_grad=True, dtype=np.float64)],
-            )),
-            ("batch_norm_eval", lambda rng: (
-                lambda x, g, b: tensor_sum(mul(
-                    F.batch_norm_eval(x, g, b, np.zeros(3), np.ones(3), 1e-5),
-                    F.batch_norm_eval(x, g, b, np.zeros(3), np.ones(3), 1e-5))),
-                [Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True, dtype=np.float64),
-                 Tensor(rng.uniform(0.5, 1.5, size=3), requires_grad=True, dtype=np.float64),
-                 Tensor(rng.normal(size=3), requires_grad=True, dtype=np.float64)],
-            )),
-            ("maxpool", lambda rng: (
-                lambda x: tensor_sum(mul(F.maxpool_halve(x), F.maxpool_halve(x))),
-                # well-separated values keep finite differences off pooling ties
-                [Tensor(rng.permutation(np.linspace(0.2, 3.0, 24)).reshape(1, 3, 8),
-                        requires_grad=True, dtype=np.float64)],
-            )),
-            ("kmax", lambda rng: (
-                lambda x: tensor_sum(mul(F.kmax_pool(x, 3), F.kmax_pool(x, 3))),
-                [Tensor(rng.permutation(np.linspace(0.2, 3.0, 16)).reshape(2, 8)[None],
-                        requires_grad=True, dtype=np.float64)],
-            )),
-            ("avgpool", lambda rng: (
-                lambda x: tensor_sum(mul(F.adaptive_avg_pool(x, 2), F.adaptive_avg_pool(x, 2))),
-                [Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True, dtype=np.float64)],
-            )),
-            ("embedding", lambda rng: (
-                lambda t: tensor_sum(mul(F.embedding(np.array([[0, 2, 1, 2]]), t),
-                                         F.embedding(np.array([[0, 2, 1, 2]]), t))),
-                [Tensor(rng.normal(size=(4, 3)), requires_grad=True, dtype=np.float64)],
-            )),
-            ("cross_entropy", lambda rng: (
-                lambda z: F.cross_entropy(z, np.array([1, 0, 2])),
-                [Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)],
-            )),
-            ("add_mul_relu", lambda rng: (
-                lambda a, b: tensor_sum(F.relu(F.add(mul(a, b), b))),
-                [Tensor(rng.uniform(0.2, 1.0, size=(3, 4)), requires_grad=True, dtype=np.float64),
-                 Tensor(rng.uniform(0.2, 1.0, size=(3, 4)), requires_grad=True, dtype=np.float64)],
-            )),
-            ("flatten", lambda rng: (
-                lambda x: tensor_sum(mul(F.flatten_features(x), F.flatten_features(x))),
-                [Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True, dtype=np.float64)],
-            )),
-        ],
-    )
-    def test_primitive_gradients(self, name, builder):
-        f, inputs = builder(np.random.default_rng(zlib.crc32(name.encode())))
-        assert grad_check(f, inputs) <= 1e-3
+    @pytest.mark.parametrize("case", CASES)
+    def test_primitive_gradients(self, case):
+        assert gradient_error(case) <= 1e-3
 
     @pytest.mark.parametrize("op", CONVOLUTIONS)
     def test_channels_last_input_checks_like_a_c_contiguous_one(self, op):
@@ -542,72 +459,35 @@ class TestGradCheck:
             grad_check(tensor_sum, [x], eps=0.5)
 
 
-# case -> (tape entry name, call on the input tensors, input shapes)
-_RECORDING_CASES = {
-    "conv1d": ("conv1d", lambda x, w, b: F.conv1d(x, w, b, padding=1), [(2, 3, 5), (4, 3, 3), (4,)]),
-    "conv1d_no_bias": ("conv1d", lambda x, w: F.conv1d(x, w, padding=1), [(2, 3, 5), (4, 3, 3)]),
-    "depthwise_conv1d": ("depthwise_conv1d", lambda x, w: F.depthwise_conv1d(x, w, padding=1), [(2, 3, 5), (3, 3)]),
-    "affine": ("affine", F.affine, [(2, 5), (3, 5), (3,)]),
-    "relu": ("relu", F.relu, [(2, 3)]),
-    "add": ("add", F.add, [(2, 3), (2, 3)]),
-    "maxpool_halve": ("maxpool_halve", F.maxpool_halve, [(2, 3, 6)]),
-    "kmax_pool": ("kmax_pool", lambda x: F.kmax_pool(x, 2), [(2, 3, 6)]),
-    "adaptive_avg_pool": ("adaptive_avg_pool", lambda x: F.adaptive_avg_pool(x, 3), [(2, 3, 6)]),
-    "flatten_features": ("flatten", F.flatten_features, [(2, 3, 4)]),
-    "embedding": ("embedding", lambda t: F.embedding(np.array([[0, 2, 1]]), t), [(4, 3)]),
-    "batch_norm_train": ("batch_norm_train", lambda x, g, b: F.batch_norm_train(x, g, b, 1e-5)[0],
-                         [(2, 3, 4), (3,), (3,)]),
-    "batch_norm_eval": ("batch_norm_eval",
-                        lambda x, g, b: F.batch_norm_eval(x, g, b, np.zeros(3), np.ones(3), 1e-5),
-                        [(2, 3, 4), (3,), (3,)]),
-    "cross_entropy": ("cross_entropy", lambda z: F.cross_entropy(z, np.array([1, 0])), [(2, 4)]),
-}
+def test_cases_cover_every_primitive():
+    primitives = {name for name, fn in vars(F).items()
+                  if inspect.isfunction(fn) and fn.__module__ == F.__name__ and not name.startswith("_")}
+    assert primitives == {primitive(case) for case in CASES}
 
 
 class TestRecordingRule:
     """An output needs a gradient exactly when an input does, and only then is its pull taped."""
 
-    def test_cases_cover_every_primitive(self):
-        primitives = {name for name, fn in vars(F).items()
-                      if inspect.isfunction(fn) and fn.__module__ == F.__name__ and not name.startswith("_")}
-        assert primitives == set(_RECORDING_CASES) - {"conv1d_no_bias"}
-
-    @pytest.mark.parametrize(
-        "case,grad_input",
-        [(case, i) for case, (_op, _call, shapes) in _RECORDING_CASES.items() for i in [None, *range(len(shapes))]],
-    )
+    @pytest.mark.parametrize("case,grad_input", [(case, i) for case, c in CASES.items()
+                                                 for i in [None, *range(len(c.inputs))]])
     def test_output_and_tape_follow_the_inputs(self, case, grad_input):
-        op, call, shapes = _RECORDING_CASES[case]
-        rng = np.random.default_rng(zlib.crc32(case.encode()))
-        inputs = [Tensor(rng.normal(size=shape), requires_grad=i == grad_input) for i, shape in enumerate(shapes)]
+        inputs = [Tensor(a, requires_grad=i == grad_input) for i, a in enumerate(draw_inputs(case))]
         with Tape() as tape:
-            out = call(*inputs)
+            out = CASES[case].call(*inputs)
         if grad_input is None:
             assert not out.requires_grad
             assert len(tape) == 0
         else:
             assert out.requires_grad
-            assert [(name, produced) for name, produced, _pull in tape.entries] == [(op, out)]
+            assert [(name, produced) for name, produced, _pull in tape.entries] == [(CASES[case].op, out)]
 
 
 class TestBatchedLayout:
-    @pytest.mark.parametrize(
-        "op,call",
-        [
-            ("conv1d", lambda x: F.conv1d(x, Tensor(np.zeros((2, 3, 3))), padding=1)),
-            ("depthwise_conv1d", lambda x: F.depthwise_conv1d(x, Tensor(np.zeros((3, 3))), padding=1)),
-            ("maxpool_halve", F.maxpool_halve),
-            ("kmax_pool", lambda x: F.kmax_pool(x, 2)),
-            ("adaptive_avg_pool", lambda x: F.adaptive_avg_pool(x, 2)),
-            ("flatten_features", F.flatten_features),
-            ("batch_norm_train", lambda x: F.batch_norm_train(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), 1e-5)),
-            ("batch_norm_eval", lambda x: F.batch_norm_eval(
-                x, Tensor(np.ones(3)), Tensor(np.zeros(3)), np.zeros(3), np.ones(3), 1e-5)),
-        ],
-    )
-    def test_unbatched_temporal_input_names_op_and_shape(self, op, call):
-        with pytest.raises(ShapeError, match=rf"{op} input must be \[B, C, L\], got shape \(3, 4\)"):
-            call(Tensor(np.zeros((3, 4))))
+    @pytest.mark.parametrize("case", [case for case in CASES if is_temporal(case)])
+    def test_unbatched_temporal_input_names_op_and_shape(self, case):
+        unbatched = [Tensor(np.zeros((3, 4))), *map(Tensor, draw_inputs(case)[1:])]
+        with pytest.raises(ShapeError, match=rf"^{primitive(case)} input must be \[B, C, L\], got shape \(3, 4\)$"):
+            CASES[case].call(*unbatched)
 
     def test_unbatched_dense_input_rejected(self):
         with pytest.raises(ShapeError, match=r"affine input must be \[B, N\], got shape \(5,\)"):

@@ -17,12 +17,14 @@ from svdcnn.data import Dataset, synth_dataset
 from svdcnn.functional import cross_entropy
 from svdcnn.training import (
     SGD,
+    CheckpointError,
     CheckpointLengthError,
     CheckpointMagicError,
     CheckpointTruncatedError,
     CheckpointVersionError,
     MissingGradientError,
     TrainConfig,
+    TrainingDivergedError,
     evaluate,
     load_checkpoint,
     save_checkpoint,
@@ -161,6 +163,14 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=r"training set has 1 sample.*batch size 4"):
             train(model, one, synth_dataset(4, 2, 16, seed=1), TrainConfig(batch_size=4, max_epochs=1))
         assert all(np.array_equal(p.data, b) for p, b in zip(model.parameters(), before))
+
+    def test_non_finite_loss_names_its_epoch_and_batch(self):
+        train_set = synth_dataset(8, 2, 16, seed=0)
+        cfg = TrainConfig(lr=1e30, batch_size=4, max_epochs=2, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # the first step's weights overflow the next forward
+            with pytest.raises(TrainingDivergedError, match=r"^non-finite loss \S+ at epoch 1, batch 1$") as exc:
+                train(Model(tiny_spec(), seed=0), train_set, train_set, cfg)
+        assert (exc.value.epoch, exc.value.batch_index) == (1, 1) and not math.isfinite(exc.value.loss_value)
 
     def test_zero_like_lr_keeps_parameters(self):
         # the smallest positive learning rate is an effective freeze at f32
@@ -407,6 +417,28 @@ class TestCheckpoint:
         path.write_bytes(blob[:cut])
         with pytest.raises(CheckpointTruncatedError, match=rf"model\.ckpt: {re.escape(expected)}$"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("where", ["version", "family", "depth", "first length"])
+    def test_bad_header_or_length_names_what_is_wrong(self, tmp_path, where):
+        model = Model(tiny_spec(), seed=None)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        header_end = 6 + 4 * (len(fields(ArchitectureSpec)) + 1)
+        first, arr = training._model_arrays(model)[0]
+        u32 = lambda v: struct.pack("<I", v)
+        bad, error, message = {
+            "version": (blob[:5], CheckpointTruncatedError, "truncated before version field"),
+            "family": (blob[:6] + u32(7) + blob[10:], CheckpointError, "unknown family code 7"),
+            "depth": (blob[:10] + u32(10) + blob[14:], CheckpointError,
+                      "invalid architecture fields: unsupported depth 10; valid depths are [9, 17, 29, 49]"),
+            "first length": (blob[:header_end] + struct.pack("<Q", arr.size + 1) + blob[header_end + 8:],
+                             CheckpointLengthError, f"{first} has {arr.size + 1} values, expected {arr.size}"),
+        }[where]
+        path.write_bytes(bad)
+        with pytest.raises(error, match=rf"model\.ckpt: {re.escape(message)}$") as exc:
+            load_checkpoint(path)
+        assert exc.type is error
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
