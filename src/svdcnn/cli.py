@@ -207,10 +207,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    given = vars(args)  # --reps, --warmup and the architecture flags are in it only when given
+    given = vars(args)  # --reps, --warmup, --seed and the architecture flags are in it only when given
     spec_flags = [flags[0] for name, (flags, _keywords) in _SPEC_FLAGS.items() if name in given]
     if args.compare:
-        unused = [f"--{name}" for name in ("checkpoint", "json", "reps", "warmup") if given.get(name) is not None]
+        measuring = ("checkpoint", "json", "reps", "warmup", "seed")
+        unused = [f"--{name}" for name in measuring if given.get(name) is not None]
         if unused + spec_flags:
             raise ValueError(f"--compare reads two records and measures nothing; drop {', '.join(unused + spec_flags)}")
         a, b = args.compare
@@ -221,13 +222,14 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--checkpoint sets the architecture; drop {', '.join(spec_flags)}")
     if args.json is not None and not os.path.isdir(os.path.dirname(args.json) or "."):
         raise FileNotFoundError(f"cannot write {args.json}: its directory does not exist")  # checked before measuring
+    seed = given.get("seed", 0)
     if args.checkpoint is not None:
         model = load_checkpoint(args.checkpoint)
     else:
-        model = Model(_from_args(ArchitectureSpec, args), seed=args.seed)
+        model = Model(_from_args(ArchitectureSpec, args), seed=seed)
     model.eval()
     spec = model.spec
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     indices = rng.integers(0, spec.vocab_size, size=spec.seq_len)
     counts = {name: getattr(args, name) for name in ("reps", "warmup") if hasattr(args, name)}
     stats = bench_mod.measure_latency(model, indices, **counts)
@@ -286,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--reps", type=int, default=argparse.SUPPRESS)  # measure_latency's counts when not given
     p.add_argument("--warmup", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)  # 0 when not given (cmd_bench)
     p.add_argument("--json", default=None, help="write the measurement record to this path")
     p.add_argument("--compare", nargs=2, metavar=("A", "B"), default=None,
                    help="print the mean-latency ratio of two recorded runs")

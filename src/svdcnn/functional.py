@@ -225,7 +225,13 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Dense map of rows ``x [B, N]`` to ``x @ weight.T + bias`` with ``weight [M, N]``."""
+    """Dense map of rows ``x [B, N]`` to ``x @ weight.T + bias`` with ``weight [M, N]``.
+
+    When the weight has more rows than ``x`` (vdcnn's hidden layers), the
+    product runs as ``(weight @ x.T).T``: BLAS runs that shape faster, and
+    the output, stored column-major, agrees to float32 rounding. With fewer
+    (a logit layer over a batch), it runs as written.
+    """
     xa = _checked(x, "[B, N]", "affine")
     w = weight.data
     if w.ndim != 2:
@@ -243,7 +249,8 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if x.requires_grad:
             x.accumulate_grad(g @ w)
 
-    return _output("affine", xa @ w.T + bias.data, (x, weight, bias), pull)
+    product = (w @ xa.T).T if len(w) > len(xa) else xa @ w.T
+    return _output("affine", product + bias.data, (x, weight, bias), pull)
 
 
 def relu(x: Tensor) -> Tensor:

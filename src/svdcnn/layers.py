@@ -5,7 +5,8 @@ only pooling changes it. Convolutions have no bias parameter because each
 one is followed by a batch normalization whose shift subsumes it; the batch
 norm primitives end in the ReLU that follows every one of them. An eval
 forward with no tape open folds that normalization into the convolution's
-weight and passes its shift as the ``conv1d`` bias (see ``ConvLayer``).
+weight and passes its shift as the ``conv1d`` bias, built once per ``eval()``
+(see ``ConvLayer``).
 """
 
 from __future__ import annotations
@@ -55,17 +56,22 @@ class Module:
 
     category: str  # parameter category of the tensors this module owns
     mode = "train"  # "train" or "eval"; set for a whole subtree by train()/eval()
+    # what a module derives from its weights for the current mode (a ConvLayer's folded batch norm), or None;
+    # train() and eval() drop it. A tuple, so the walk does not see it.
+    _prepared = None
 
     def train(self):
         """Put this module and every module below it in train mode; returns ``self``."""
-        for module in self.modules():
-            module.mode = "train"
-        return self
+        return self._set_mode("train")
 
     def eval(self):
         """Put this module and every module below it in eval mode; returns ``self``."""
+        return self._set_mode("eval")
+
+    def _set_mode(self, mode: str):
         for module in self.modules():
-            module.mode = "eval"
+            module.mode = mode
+            module._prepared = None
         return self
 
     def _members(self):
@@ -165,21 +171,24 @@ class ConvLayer(Module):
         running_mean`` as the bias, so one ``conv1d`` does the work of
         ``conv1d`` then ``batch_norm_eval``. The scaled weight is written in
         the tap-major order ``conv1d`` reads, so it costs one pass over the
-        weight. It is computed from the live arrays on every call and never
-        stored, so parameters, buffers and checkpoints stay unfolded and
-        in-place writes to them show at the next forward. The ReLU clips the
+        weight. The pair is built at the first such forward after ``eval()``
+        and kept in ``_prepared`` until the next ``train()`` or ``eval()``:
+        parameters, buffers and checkpoints stay unfolded, and in-place
+        writes to them show after the next ``eval()``. The ReLU clips the
         ``conv1d`` output in place: no other code holds that array. With a
         tape open, the batch norm runs unfolded, ending in the ReLU, and its
         gradients are recorded.
         """
-        weight = self.last_weight
         if not _tapeless_eval(self):
-            return self.bn.forward(self.conv(x, weight))
-        bn = self.bn
-        scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
-        # written C-ordered as [K, C_out, C_in], the order conv1d reads its taps in, so conv1d copies nothing
-        folded = Tensor(np.multiply(weight.data.transpose(2, 0, 1), scale[:, None], order="C").transpose(1, 2, 0))
-        out = self.conv(x, folded, Tensor(bn.beta.data - scale * bn.running_mean))
+            return self.bn.forward(self.conv(x, self.last_weight))
+        folded = self._prepared  # read once: concurrent first forwards may each build a pair, none mixes two
+        if folded is None:
+            bn = self.bn
+            scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+            # written C-ordered as [K, C_out, C_in], the order conv1d reads its taps in, so conv1d copies nothing
+            weight = np.multiply(self.last_weight.data.transpose(2, 0, 1), scale[:, None], order="C").transpose(1, 2, 0)
+            folded = self._prepared = (Tensor(weight), Tensor(bn.beta.data - scale * bn.running_mean))
+        out = self.conv(x, *folded)
         np.maximum(out.data, 0, out=out.data)
         return out
 

@@ -52,7 +52,9 @@ CASES = {
                              (normal(2, 3, 5), normal(3, 3))),
     "depthwise_conv1d-k5": Case("depthwise_conv1d", lambda x, w: F.depthwise_conv1d(x, w, padding=2),
                                 (normal(2, 3, 6), normal(3, 5))),
-    "affine": Case("affine", F.affine, (normal(2, 5), normal(3, 5), normal(3))),
+    # more input rows than weight rows: x @ w.T as written; fewer: the weight on the left
+    "affine": Case("affine", F.affine, (normal(4, 5), normal(3, 5), normal(3))),
+    "affine-wide": Case("affine", F.affine, (normal(2, 5), normal(3, 5), normal(3))),
     "relu": Case("relu", F.relu, (off_kink(3, 4),)),
     "add": Case("add", F.add, (normal(3, 4), normal(3, 4))),
     "maxpool_halve": Case("maxpool_halve", F.maxpool_halve, (distinct(1, 3, 8),)),

@@ -187,7 +187,8 @@ class TestBatchNormFold:
         assert_fold_close(model.forward(FOLD_INPUTS).data, taped_logits(model, FOLD_INPUTS))
 
     @pytest.mark.parametrize("target", ["conv-weight", "running-var"])
-    def test_in_place_write_shows_at_next_forward(self, family, target):
+    def test_in_place_write_shows_after_the_next_eval(self, family, target):
+        # the folds are built once per eval(), so a forward before it still runs the old ones
         model = randomized_eval_model(family)
         before = model.forward(FOLD_INPUTS).data
         layer = model.levels[0][0].layer1
@@ -195,9 +196,35 @@ class TestBatchNormFold:
             layer.last_weight.data *= 1.5
         else:
             layer.bn.running_var *= 3.0
-        after = model.forward(FOLD_INPUTS).data
+        assert model.forward(FOLD_INPUTS).data.tobytes() == before.tobytes()
+        after = model.eval().forward(FOLD_INPUTS).data
         assert np.abs(after - before).max() > 1e-3
         assert_fold_close(after, taped_logits(model, FOLD_INPUTS))
+
+    def test_fold_is_built_once_per_eval(self, family, monkeypatch):
+        # every forward hands conv1d the same folded arrays until train() and eval() drop them
+        model = randomized_eval_model(family)
+        conv1d, handed = layers.conv1d, []
+
+        def recording_conv1d(x, weight, bias=None, padding=0):
+            if bias is not None:  # a shortcut projection has no bias and no fold
+                handed.append((weight.data, bias.data))
+            return conv1d(x, weight, bias, padding=padding)
+
+        def folds():
+            handed.clear()
+            model.forward(FOLD_INPUTS)
+            return list(handed)
+
+        monkeypatch.setattr(layers, "conv1d", recording_conv1d)
+        first, second = folds(), folds()
+        assert len(first) == 9
+        assert all(w1 is w2 and b1 is b2 for (w1, b1), (w2, b2) in zip(first, second))
+        model.train().eval()
+        rebuilt = folds()
+        for (w1, b1), (w2, b2) in zip(first, rebuilt):
+            assert not np.shares_memory(w1, w2) and not np.shares_memory(b1, b2)
+            assert w1.tobytes() == w2.tobytes() and b1.tobytes() == b2.tobytes()
 
     def test_tapeless_forward_leaves_state_and_checkpoint_unchanged(self, family, tmp_path):
         model = randomized_eval_model(family)
@@ -334,6 +361,15 @@ class TestConcurrentEvalForwards:
         inputs = [np.random.default_rng(i).integers(0, 70, size=(2, 64)) for i in range(4)]
         serial = [model.forward(idx).data for idx in inputs]
         for got, want in zip(run_in_threads(lambda idx: model.forward(idx).data, inputs), serial):
+            assert [logits.tobytes() for logits in got] == [want.tobytes()] * 3
+
+    @pytest.mark.parametrize("family", ["vdcnn", "svdcnn"])
+    def test_threads_dropping_and_building_the_folds_match_serial_logits(self, family):
+        # each thread calls eval() before its forward, so the folds are dropped and rebuilt while other forwards run
+        model = randomized_eval_model(family)
+        inputs = [np.random.default_rng(i).integers(0, 70, size=(2, 64)) for i in range(4)]
+        serial = [model.forward(idx).data for idx in inputs]
+        for got, want in zip(run_in_threads(lambda idx: model.eval().forward(idx).data, inputs), serial):
             assert [logits.tobytes() for logits in got] == [want.tobytes()] * 3
 
 

@@ -454,7 +454,7 @@ class TestBench:
         assert (code, out, err) == (1, "", f"error: --checkpoint sets the architecture; drop {named}\n")
 
     COMPARE_FLAGS = [("--checkpoint", "absent.ckpt"), ("--json", "run.json"), ("--reps", "2"), ("--warmup", "0"),
-                     *SPEC_FLAGS]
+                     ("--seed", "5"), *SPEC_FLAGS]
 
     @pytest.mark.parametrize("flag,value", COMPARE_FLAGS, ids=[flag for flag, _value in COMPARE_FLAGS])
     def test_measurement_flag_with_compare_is_rejected_before_reading(self, capsys, tmp_path, flag, value):

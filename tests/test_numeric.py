@@ -246,6 +246,17 @@ class TestAffine:
             F.affine(Tensor(x[None]), Tensor(w), Tensor(b)).data[0], matvec_direct(w, x, b), rtol=1e-5
         )
 
+    @pytest.mark.parametrize("x_rows,w_rows,n", [(4, 3, 5), (2, 3, 5), (64, 4, 4096), (16, 2048, 4096)])
+    def test_both_product_forms_match_the_definition(self, x_rows, w_rows, n):
+        # a weight with more rows than x runs on the left and gives a column-major output
+        rng = np.random.default_rng(n)
+        x, w, b = (rng.normal(size=shape).astype(np.float32) for shape in ((x_rows, n), (w_rows, n), (w_rows,)))
+        out = F.affine(Tensor(x), Tensor(w), Tensor(b)).data
+        assert out.flags.c_contiguous == (w_rows < x_rows)
+        exact = x.astype(np.float64) @ w.T.astype(np.float64) + b
+        bound = np.abs(x).astype(np.float64) @ np.abs(w).T + np.abs(b)
+        assert (np.abs(out - exact) <= n * np.finfo(np.float32).eps * bound).all()  # float32 rounding of x @ w.T + b
+
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError, match="length 3.*expecting 5"):
             F.affine(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 5))), Tensor(np.zeros(2)))

@@ -206,6 +206,19 @@ class TestTrainLoop:
             save_checkpoint(model, paths[-1], epoch=model.checkpoint_epoch)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_tapeless_logits_are_those_of_the_restored_weights(self):
+        # epoch 3's evaluation folds its own weights; the model ends holding epoch 2's, and its tape-less
+        # forward must fold those, as the taped forward (which never folds) runs them
+        train_set, val_set = synth_dataset(16, 2, 16, seed=1), synth_dataset(8, 2, 16, seed=2)
+        model = Model(tiny_spec(), seed=0)
+        train(model, train_set, val_set, TrainConfig(batch_size=8, max_epochs=3, seed=0))
+        assert model.checkpoint_epoch == 2
+        tapeless = model.forward(val_set.indices).data
+        with Tape():
+            taped = model.forward(val_set.indices).data
+        assert np.abs(taped).max() > 0.01
+        np.testing.assert_allclose(tapeless, taped, rtol=0, atol=1e-5 * max(1.0, np.abs(taped).max()))
+
     def test_one_sample_final_batch_joins_the_batch_before(self):
         # 5 samples at batch size 4 leave one sample, too few for batch statistics
         train_set = synth_dataset(5, 2, 16, seed=8)
