@@ -35,20 +35,54 @@ class NonFiniteError(RuntimeError):
         self.op_name = op_name
 
 
+class GradSlot:
+    """Where a tensor's gradient accumulates, held apart from its data.
+
+    A tape entry and a pull hold the slot of each tensor they route a
+    gradient to, not the tensor, so an array is kept for a backward only
+    when a pull reads it; the slot records the data's dtype and shape for
+    the hand-over rule of :meth:`accumulate_grad`.
+    """
+
+    __slots__ = ("grad", "dtype", "shape")
+
+    def __init__(self, dtype, shape: tuple):
+        self.grad: Optional[np.ndarray] = None
+        self.dtype = dtype
+        self.shape = shape
+
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add ``g`` to ``grad``.
+
+        The first gradient is kept without a copy when it is writeable, owns
+        its data and matches the data in dtype and shape, in any memory
+        order; otherwise it is copied, keeping its memory order. A caller
+        hands such an array over: it must hold no other reference to it that
+        it reads or writes later, and must not pass it to a second slot.
+        """
+        if self.grad is not None:
+            self.grad += g
+        elif g.flags.writeable and g.flags.owndata and g.dtype == self.dtype and g.shape == self.shape:
+            self.grad = g
+        else:
+            self.grad = np.array(g, dtype=self.dtype, copy=True)
+
+
 class Tensor:
     """N-dimensional array with an optional gradient buffer.
 
     The data buffer keeps the memory order it is given (temporal feature
     maps of logical shape ``[B, C, L]`` are stored channels-last, see
     ``functional``) and is treated as immutable once an operation has
-    consumed it; only ``grad`` accumulates in place. After
-    :func:`backward`, leaves (tensors no recorded operation produced) keep
-    their ``grad``; recorded operation outputs have ``grad`` None, because
-    each output's gradient is handed to its operation's pull, which may
-    write into it and pass it on.
+    consumed it, its dtype and shape fixed; only ``grad`` accumulates in
+    place. ``grad`` lives in the tensor's :class:`GradSlot`, which the
+    tape holds in the tensor's place. After :func:`backward`, leaves
+    (tensors no recorded operation produced) keep their ``grad``; recorded
+    operation outputs have ``grad`` None, because each output's gradient is
+    handed to its operation's pull, which may write into it and pass it on.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "__weakref__")
+    __slots__ = ("data", "requires_grad", "slot", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -58,7 +92,15 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: Optional[np.ndarray] = None
+        self.slot = GradSlot(arr.dtype, arr.shape)
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, g: Optional[np.ndarray]) -> None:
+        self.slot.grad = g
 
     @property
     def shape(self) -> tuple:
@@ -73,20 +115,8 @@ class Tensor:
         return self.data.size
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add ``g`` to ``grad``.
-
-        The first gradient is kept without a copy when it is writeable, owns
-        its data and matches ``data`` in dtype and shape, in any memory
-        order; otherwise it is copied, keeping its memory order. A caller
-        hands such an array over: it must hold no other reference to it that
-        it reads or writes later, and must not pass it to a second tensor.
-        """
-        if self.grad is not None:
-            self.grad += g
-        elif g.flags.writeable and g.flags.owndata and g.dtype == self.data.dtype and g.shape == self.data.shape:
-            self.grad = g
-        else:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+        """Add ``g`` to ``grad`` by the rules of :meth:`GradSlot.accumulate_grad`."""
+        self.slot.accumulate_grad(g)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -112,13 +142,15 @@ class Tape:
 
     Operations append themselves in execution order, which is a valid
     topological order of the value graph; one reverse sweep over the record
-    populates every reachable gradient. An entry ``(name, out, pull)`` holds
-    the output and, in ``pull``'s closure, what its backward reads; the sweep
-    releases both (see :func:`backward`), keeping the names and the length.
+    populates every reachable gradient. An entry ``(name, slot, pull)`` holds
+    the output's :class:`GradSlot` (not the output) and, in ``pull``'s
+    closure, the slots of the inputs and the arrays its backward reads; the
+    sweep releases both (see :func:`backward`), keeping the names and the
+    length.
     """
 
     def __init__(self):
-        self._entries: list[tuple[str, Tensor, Callable[[np.ndarray], None]]] = []
+        self._entries: list[tuple[str, GradSlot, Callable[[np.ndarray], None]]] = []
         self.consumed = False
 
     def __enter__(self) -> "Tape":
@@ -130,7 +162,7 @@ class Tape:
         return False
 
     def append(self, name: str, out: Tensor, pull: Callable[[np.ndarray], None]) -> None:
-        self._entries.append((name, out, pull))
+        self._entries.append((name, out.slot, pull))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -152,10 +184,10 @@ def backward(loss: Tensor, tape: Tape) -> None:
     gradient populated; tensors not on a path to the loss are untouched.
     Each recorded output's ``grad`` is dropped before its pull runs, so the
     pull holds the only reference to the array it receives: it may write
-    into it and hand it to :meth:`Tensor.accumulate_grad` of one input.
+    into it and hand it to :meth:`GradSlot.accumulate_grad` of one input.
     Once its pull has run, each entry becomes ``(name, None, None)``, so an
-    activation no caller holds is freed as soon as the sweep has passed the
-    last pull that reads it, while the tape is still alive.
+    array a pull reads is freed as soon as the sweep has passed the last
+    pull that reads it, if no caller holds it, while the tape is still alive.
     """
     if tape.consumed:
         raise TapeConsumedError("tape was already consumed by a previous backward pass")
@@ -167,11 +199,24 @@ def backward(loss: Tensor, tape: Tape) -> None:
     loss.accumulate_grad(np.ones_like(loss.data))
     entries = tape._entries
     for i in reversed(range(len(entries))):
-        name, out, pull = entries[i]
-        g, out.grad = out.grad, None
+        name, slot, pull = entries[i]
+        g, slot.grad = slot.grad, None
         if g is not None:
             pull(g)
         entries[i] = (name, None, None)
+
+
+class _FiniteCheckTape(Tape):
+    """A tape that notes its first entry whose output holds NaN or Inf, while the output is still alive."""
+
+    def __init__(self):
+        super().__init__()
+        self.first_non_finite: Optional[tuple[int, str]] = None
+
+    def append(self, name: str, out: Tensor, pull: Callable[[np.ndarray], None]) -> None:
+        if self.first_non_finite is None and not np.all(np.isfinite(out.data)):
+            self.first_non_finite = (len(self), name)
+        super().append(name, out, pull)
 
 
 def grad_check(
@@ -196,13 +241,12 @@ def grad_check(
         if not t.requires_grad:
             raise ValueError("grad_check inputs must have requires_grad=True")
         t.grad = None
-    with Tape() as tape:
+    with _FiniteCheckTape() as tape:
         out = f(*inputs)
     if out.data.size != 1:
         raise ValueError(f"f must return a scalar, got shape {out.shape}")
-    for i, (name, produced, _pull) in enumerate(tape.entries):
-        if not np.all(np.isfinite(produced.data)):
-            raise NonFiniteError(i, name)
+    if tape.first_non_finite is not None:
+        raise NonFiniteError(*tape.first_non_finite)
     backward(out, tape)
 
     rng = np.random.default_rng(seed)

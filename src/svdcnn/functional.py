@@ -11,7 +11,10 @@ Dense operations take rows ``[B, N]``, and the embedding takes index rows
 ``[B, s]``. A single instance is a batch of one (``x[None]``).
 
 An output needs a gradient exactly when one of its inputs does, and only
-such an output's backward is recorded, onto the innermost open tape.
+such an output's backward is recorded, onto the innermost open tape. A pull
+holds the gradient slot of each input that needs a gradient and only the
+arrays its backward reads, so a map no pull reads (an input the backward
+needs only the shape of, or an output) is freed when the forward drops it.
 """
 
 from __future__ import annotations
@@ -74,6 +77,16 @@ def _checked(t: Tensor, layout: str, op: str, **per_channel) -> np.ndarray:
         if a.shape != t.shape[1:2]:
             raise ShapeError(f"{op} {name} has shape {a.shape}, but the input has {t.shape[1]} channels")
     return _channels_last(t.data) if layout == "[B, C, L]" else t.data
+
+
+def _slot(t: Optional[Tensor]):
+    """``t``'s gradient slot when ``t`` needs a gradient, else None: what a pull holds of an input."""
+    return t.slot if t is not None and t.requires_grad else None
+
+
+def _recorded(*inputs) -> bool:
+    """Whether an op on ``inputs`` (None skipped) is taped: one needs a gradient and a tape is open."""
+    return any(t is not None and t.requires_grad for t in inputs) and active_tape() is not None
 
 
 def _output(name: str, od: np.ndarray, inputs, pull) -> Tensor:
@@ -171,22 +184,24 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
                       lambda kk, o: np.matmul(x_rows, taps[kk].T, out=_rows(o)))
     if bias is not None:
         _by_channel(np.add, od, bias.data, out=od)
+    sx, sw, sb = _slot(x), _slot(weight), _slot(bias)
 
     def pull(g):
         g = _channels_last(g)
-        if weight.requires_grad:
+        if sw is not None:
             # per tap, g_rows.T @ x_rows over the time steps it connects; a full-length tap (K = 1) copies nothing
             gt, xt = g.transpose(0, 2, 1), xa.transpose(0, 2, 1)
-            weight.accumulate_grad(np.stack([np.ascontiguousarray(gt[:, dst]).reshape(-1, out_ch).T
-                                             @ np.ascontiguousarray(xt[:, src]).reshape(-1, w_in_ch)
-                                             for dst, src in _tap_slices(xa.shape[2], k)], 2))
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(_channel_sum(g))
-        if x.requires_grad:
+            sw.accumulate_grad(np.stack([np.ascontiguousarray(gt[:, dst]).reshape(-1, out_ch).T
+                                         @ np.ascontiguousarray(xt[:, src]).reshape(-1, w_in_ch)
+                                         for dst, src in _tap_slices(xa.shape[2], k)], 2))
+        if sb is not None:
+            sb.accumulate_grad(_channel_sum(g))
+        if sx is not None:
             g_rows = _rows(g)
             # the taps reversed
-            gx = _shifted_sum(xa.shape, np.result_type(g, w), k, lambda kk, o: np.matmul(g_rows, taps[k - 1 - kk], out=_rows(o)))
-            x.accumulate_grad(gx)
+            gx = _shifted_sum(xa.shape, np.result_type(g, taps), k,
+                              lambda kk, o: np.matmul(g_rows, taps[k - 1 - kk], out=_rows(o)))
+            sx.accumulate_grad(gx)
 
     return _output("conv1d", od, (x, weight, bias), pull)
 
@@ -214,12 +229,14 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
     def shifted(a, taps):
         return _shifted_sum(a.shape, np.result_type(a, taps), k, lambda kk, o: _by_channel(np.multiply, a, taps[kk], out=o))
 
+    sx, sw = _slot(x), _slot(weight)
+
     def pull(g):
         g = _channels_last(g)
-        if weight.requires_grad:
-            weight.accumulate_grad(np.stack([_channel_sum(g[:, :, dst], xa[:, :, src]) for dst, src in _tap_slices(length, k)], 1))
-        if x.requires_grad:
-            x.accumulate_grad(shifted(g, taps[::-1]))
+        if sw is not None:
+            sw.accumulate_grad(np.stack([_channel_sum(g[:, :, dst], xa[:, :, src]) for dst, src in _tap_slices(length, k)], 1))
+        if sx is not None:
+            sx.accumulate_grad(shifted(g, taps[::-1]))
 
     return _output("depthwise_conv1d", shifted(xa, taps), (x, weight), pull)
 
@@ -241,13 +258,15 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if bias.data.shape != (w.shape[0],):
         raise ShapeError(f"bias shape {bias.shape} does not match {w.shape[0]} outputs")
 
+    sx, sw, sb = _slot(x), _slot(weight), _slot(bias)
+
     def pull(g):
-        if weight.requires_grad:
-            weight.accumulate_grad(g.T @ xa)
-        if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=0))
-        if x.requires_grad:
-            x.accumulate_grad(g @ w)
+        if sw is not None:
+            sw.accumulate_grad(g.T @ xa)
+        if sb is not None:
+            sb.accumulate_grad(g.sum(axis=0))
+        if sx is not None:
+            sx.accumulate_grad(g @ w)
 
     product = (w @ xa.T).T if len(w) > len(xa) else xa @ w.T
     return _output("affine", product + bias.data, (x, weight, bias), pull)
@@ -255,23 +274,26 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(x, 0); the derivative at exactly 0 is 0."""
-    def pull(g):
-        g *= x.data > 0
-        x.accumulate_grad(g)
+    xd, sx = x.data, x.slot
 
-    return _output("relu", np.maximum(x.data, 0), (x,), pull)
+    def pull(g):
+        g *= xd > 0
+        sx.accumulate_grad(g)
+
+    return _output("relu", np.maximum(xd, 0), (x,), pull)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two same-shape tensors."""
+    """Elementwise sum of two same-shape tensors; its backward reads neither."""
     if a.shape != b.shape:
         raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}")
+    sa, sb = _slot(a), _slot(b)
 
     def pull(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(g.copy(order="K"))  # in g's memory order
+        if sa is not None:
+            sa.accumulate_grad(g)
+        if sb is not None:
+            sb.accumulate_grad(g.copy(order="K"))  # in g's memory order
 
     return _output("add", a.data + b.data, (a, b), pull)
 
@@ -283,7 +305,9 @@ def maxpool_halve(x: Tensor) -> Tensor:
     whole C-chunks of the even and odd time steps of ``x``, with no padded
     copy. The first window's first entry and, for odd L, the last window's
     last entry are the zero pad. Ties within a window (the zero pad included)
-    send the whole gradient to the earliest position.
+    send the whole gradient to the earliest position. A recorded call finds
+    each window's winner in the forward and its backward keeps only those
+    bool masks, not the input or the output.
     """
     xa = _checked(x, "[B, C, L]", "maxpool_halve")
     batch, channels, length = xa.shape
@@ -298,24 +322,28 @@ def maxpool_halve(x: Tensor) -> Tensor:
     np.maximum(even[:, n_odd:], 0, out=ot[:, n_odd:])
     np.maximum(ot[:, 1:], odd[:, :t_out - 1], out=ot[:, 1:])
     np.maximum(ot[:, :1], 0, out=ot[:, :1])
+    if not _recorded(x):
+        return _output("maxpool_halve", od, (x,), None)
+
+    # an entry takes its window's gradient when it equals the maximum and no earlier entry does
+    first = np.empty(ot.shape, dtype=bool)
+    np.equal(ot[:, :1], 0, out=first[:, :1])
+    np.equal(odd[:, :t_out - 1], ot[:, 1:], out=first[:, 1:])
+    middle = even == ot
+    middle &= ~first
+    last = odd == ot[:, :n_odd]
+    last &= ~(first[:, :n_odd] | middle[:, :n_odd])
+    shape, dtype, sx = xa.shape, xa.dtype, x.slot
 
     def pull(g):
-        # an entry takes its window's gradient when it equals the maximum and no earlier entry does
         gt = _channels_last(g).transpose(0, 2, 1)
-        first = np.empty(ot.shape, dtype=bool)
-        np.equal(ot[:, :1], 0, out=first[:, :1])
-        np.equal(odd[:, :t_out - 1], ot[:, 1:], out=first[:, 1:])
-        middle = even == ot
-        middle &= ~first
-        last = odd == ot[:, :n_odd]
-        last &= ~(first[:, :n_odd] | middle[:, :n_odd])
-        gx = np.empty_like(xa)
+        gx = _empty(shape, dtype)
         gxt = gx.transpose(0, 2, 1)
         np.multiply(gt, middle, out=gxt[:, 0::2])
         g_odd = gxt[:, 1::2]
         np.multiply(gt[:, :n_odd], last, out=g_odd)
         g_odd[:, :t_out - 1] += gt[:, 1:] * first[:, 1:]
-        x.accumulate_grad(gx)
+        sx.accumulate_grad(gx)
 
     return _output("maxpool_halve", od, (x,), pull)
 
@@ -351,11 +379,13 @@ def kmax_pool(x: Tensor, k: int) -> Tensor:
     # row-major: each row's k kept time steps, in temporal order; stored [B, k, C] so that the
     # values gathered with them come out channels-last
     steps = np.ascontiguousarray((np.flatnonzero(keep) % length).reshape(batch, channels, k).transpose(0, 2, 1))
+    shape, dtype, sx = xa.shape, xa.dtype, x.slot
 
     def pull(g):
-        gx = np.zeros_like(xa)
+        gx = _empty(shape, dtype)
+        gx.fill(0)
         np.put_along_axis(gx.transpose(0, 2, 1), steps, _channels_last(g).transpose(0, 2, 1), axis=1)
-        x.accumulate_grad(gx)
+        sx.accumulate_grad(gx)
 
     return _output("kmax_pool", np.take_along_axis(xa.transpose(0, 2, 1), steps, axis=1).transpose(0, 2, 1), (x,), pull)
 
@@ -375,11 +405,12 @@ def adaptive_avg_pool(x: Tensor, out_len: int) -> Tensor:
         raise ValueError(f"temporal length {length} is not divisible by output length {out_len}")
     binsize = length // out_len
     bins = np.repeat(np.eye(out_len, dtype=xa.dtype), binsize, axis=0) / binsize
+    shape, sx = xa.shape, x.slot
 
     def pull(g):
-        gx = _empty(xa.shape, np.result_type(g, bins))
+        gx = _empty(shape, np.result_type(g, bins))
         np.matmul(bins, _channels_last(g).transpose(0, 2, 1), out=gx.transpose(0, 2, 1))
-        x.accumulate_grad(gx)
+        sx.accumulate_grad(gx)
 
     return _output("adaptive_avg_pool", np.matmul(bins.T, xa.transpose(0, 2, 1)).transpose(0, 2, 1), (x,), pull)
 
@@ -388,9 +419,10 @@ def flatten_features(x: Tensor) -> Tensor:
     """Collapse ``[B, C, L]`` feature maps to channel-major ``[B, C*L]`` rows, the one copy out of channels-last."""
     xa = _checked(x, "[B, C, L]", "flatten_features")
     batch, channels, length = xa.shape
+    sx = x.slot
 
     def pull(g):
-        x.accumulate_grad(_channels_last(g.reshape(batch, channels, length)))
+        sx.accumulate_grad(_channels_last(g.reshape(batch, channels, length)))
 
     return _output("flatten", xa.reshape(batch, channels * length), (x,), pull)
 
@@ -406,52 +438,59 @@ def embedding(indices, table: Tensor) -> Tensor:
         b0, p0 = np.argwhere(bad)[0]
         raise IndexError(f"character index {idx[b0, p0]} at position {p0} is outside [0, {vocab})")
 
+    shape, dtype, st = table.shape, table.dtype, table.slot
+
     def pull(g):
-        acc = np.zeros_like(table.data)
+        acc = np.zeros(shape, dtype)
         np.add.at(acc, idx.reshape(-1), _rows(_channels_last(g)))
-        table.accumulate_grad(acc)
+        st.accumulate_grad(acc)
 
     return _output("embedding", table.data[idx].transpose(0, 2, 1), (table,), pull)
 
 
-def _batch_norm(op: str, x: Tensor, xc: np.ndarray, shift, gamma: Tensor, beta: Tensor, var, eps: float,
-                batch_stats: bool) -> Tensor:
-    """Per-channel ``relu(gamma * xhat + beta)`` with ``xhat = (x - shift) / sqrt(var + eps)``, for ``xc = x - shift``.
+def _batch_norm(op: str, x: Tensor, xa: np.ndarray, xc: np.ndarray, shift, gamma: Tensor, beta: Tensor, var,
+                eps: float, batch_stats: bool) -> Tensor:
+    """Per-channel ``relu(gamma * xhat + beta)`` with ``xhat = (xa - shift) / sqrt(var + eps)``, for ``xc = xa - shift``.
 
-    ``xc`` is the one output buffer: it is normalized, scaled, shifted and
-    clipped in place, with every per-channel value applied by
-    ``_by_channel``. The tape keeps only the input ``x`` and that output.
-    The backward masks ``g`` with ``out > 0``, recomputes ``xhat`` from
-    ``x`` with the same operations as the forward (bit for bit), then
-    reduces ``g`` and ``g * xhat`` once per channel, which are also the beta
-    and gamma gradients, and writes the input gradient into ``g`` (and, with
-    batch statistics, ``xhat``): the tape runs each pull once. With
-    ``batch_stats`` the statistics were computed from ``x`` itself, so the
-    gradient also flows through them.
+    ``xa`` is ``x``'s data, channels-last. ``xc`` is the one output buffer:
+    it is normalized, scaled, shifted and clipped in place, with every
+    per-channel value applied by ``_by_channel``. A recorded call keeps only
+    ``xa`` and a bool mask of ``out > 0``, a quarter of a float32 map, so
+    the output is freed once its consumers have run. The backward masks
+    ``g``, recomputes ``xhat`` from ``xa`` with the same operations as the
+    forward (bit for bit), then reduces ``g`` and ``g * xhat`` once per
+    channel, which are also the beta and gamma gradients, and writes the
+    input gradient into ``g`` (and, with batch statistics, ``xhat``): the
+    tape runs each pull once. With ``batch_stats`` the statistics were
+    computed from ``x`` itself, so the gradient also flows through them.
     """
     inv = 1.0 / np.sqrt(var + eps)
     od = _by_channel(np.multiply, xc, inv, out=xc)
     _by_channel(np.multiply, od, gamma.data, out=od)
     _by_channel(np.add, od, beta.data, out=od)
     np.maximum(od, 0, out=od)
+    if not _recorded(x, gamma, beta):
+        return _output(op, od, (x, gamma, beta), None)
+    positive, gamma_data = od > 0, gamma.data
+    sx, sg, sb = _slot(x), _slot(gamma), _slot(beta)
 
     def pull(g):
         g = _channels_last(g)
-        g *= od > 0
-        xhat = _by_channel(np.subtract, x.data, shift)
+        g *= positive
+        xhat = _by_channel(np.subtract, xa, shift)
         _by_channel(np.multiply, xhat, inv, out=xhat)
         g_sum = _channel_sum(g)
         gx_sum = _channel_sum(g, xhat)
-        if gamma.requires_grad:
-            gamma.accumulate_grad(gx_sum)
-        if beta.requires_grad:
-            beta.accumulate_grad(g_sum)
-        if x.requires_grad:
+        if sg is not None:
+            sg.accumulate_grad(gx_sum)
+        if sb is not None:
+            sb.accumulate_grad(g_sum)
+        if sx is not None:
             if batch_stats:
                 count = g.size // g.shape[1]
                 g += _by_channel(np.multiply, xhat, -gx_sum / count, out=xhat)
                 _by_channel(np.subtract, g, g_sum / count, out=g)
-            x.accumulate_grad(_by_channel(np.multiply, g, gamma.data * inv, out=g))
+            sx.accumulate_grad(_by_channel(np.multiply, g, gamma_data * inv, out=g))
 
     return _output(op, od, (x, gamma, beta), pull)
 
@@ -475,7 +514,7 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
     mean = _channel_sum(xa) / count
     xc = _by_channel(np.subtract, xa, mean)
     var = _channel_sum(xc, xc) / count
-    out = _batch_norm("batch_norm_train", x, xc, mean, gamma, beta, var, eps, batch_stats=True)
+    out = _batch_norm("batch_norm_train", x, xa, xc, mean, gamma, beta, var, eps, batch_stats=True)
     return out, mean, var, count
 
 
@@ -492,7 +531,7 @@ def batch_norm_eval(
                   gamma=gamma, beta=beta, running_mean=running_mean, running_var=running_var)
     shift = running_mean.copy()  # the backward recomputes xhat from it; the buffer may move before then
     xc = _by_channel(np.subtract, xa, shift)
-    return _batch_norm("batch_norm_eval", x, xc, shift, gamma, beta, running_var, eps, batch_stats=False)
+    return _batch_norm("batch_norm_eval", x, xa, xc, shift, gamma, beta, running_var, eps, batch_stats=False)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -514,10 +553,11 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         bad = lab[(lab < 0) | (lab >= classes)][0]
         raise ValueError(f"label {bad} outside [0, {classes})")
     logp = _log_softmax(la)
+    sl = logits.slot
 
     def pull(g):
         p = np.exp(logp)
         p[np.arange(batch), lab] -= 1.0
-        logits.accumulate_grad(p * (g / batch))
+        sl.accumulate_grad(p * (g / batch))
 
     return _output("cross_entropy", np.asarray(-logp[np.arange(batch), lab].mean(), dtype=la.dtype), (logits,), pull)

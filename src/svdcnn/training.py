@@ -95,8 +95,15 @@ class TrainingDivergedError(RuntimeError):
 
 
 def predict_logits(model: Model, indices) -> np.ndarray:
-    """Eval-mode logits ``[N, classes]`` of index rows ``[N, s]``, ``PREDICT_BATCH`` rows per forward."""
-    model.eval()
+    """Eval-mode logits ``[N, classes]`` of index rows ``[N, s]``, ``PREDICT_BATCH`` rows per forward.
+
+    A model with any module not in eval mode is put in eval mode first; one
+    already in eval mode keeps the batch-norm folds its last ``eval()``
+    built, so an in-place write to its weights shows after the caller's next
+    ``eval()``.
+    """
+    if any(m.mode != "eval" for m in model.modules()):
+        model.eval()
     batches = [model.forward(indices[start:start + PREDICT_BATCH]).data
                for start in range(0, len(indices), PREDICT_BATCH)]
     if not batches:

@@ -29,10 +29,10 @@ from svdcnn.architecture import (
     tdsc_layer_weights,
 )
 from svdcnn import functional as F, layers
-from svdcnn.autograd import ShapeError, Tape, Tensor, backward
+from svdcnn.autograd import GradSlot, ShapeError, Tape, Tensor, backward
 from svdcnn.functional import DegenerateStatisticsError, cross_entropy
 from svdcnn.layers import ConvLayer, TdscLayer
-from svdcnn.training import save_checkpoint
+from svdcnn.training import predict_logits, save_checkpoint
 
 from oracles import level_shapes
 
@@ -201,9 +201,9 @@ class TestBatchNormFold:
         assert np.abs(after - before).max() > 1e-3
         assert_fold_close(after, taped_logits(model, FOLD_INPUTS))
 
-    def test_fold_is_built_once_per_eval(self, family, monkeypatch):
-        # every forward hands conv1d the same folded arrays until train() and eval() drop them
-        model = randomized_eval_model(family)
+    @staticmethod
+    def fold_recorder(monkeypatch, run):
+        """A function that calls ``run()`` and returns the ``(weight, bias)`` arrays it handed ``conv1d`` with a bias."""
         conv1d, handed = layers.conv1d, []
 
         def recording_conv1d(x, weight, bias=None, padding=0):
@@ -213,18 +213,38 @@ class TestBatchNormFold:
 
         def folds():
             handed.clear()
-            model.forward(FOLD_INPUTS)
+            run()
             return list(handed)
 
         monkeypatch.setattr(layers, "conv1d", recording_conv1d)
-        first, second = folds(), folds()
+        return folds
+
+    @staticmethod
+    def assert_same_then_rebuilt(first, second, rebuilt):
         assert len(first) == 9
         assert all(w1 is w2 and b1 is b2 for (w1, b1), (w2, b2) in zip(first, second))
-        model.train().eval()
-        rebuilt = folds()
         for (w1, b1), (w2, b2) in zip(first, rebuilt):
             assert not np.shares_memory(w1, w2) and not np.shares_memory(b1, b2)
             assert w1.tobytes() == w2.tobytes() and b1.tobytes() == b2.tobytes()
+
+    def test_fold_is_built_once_per_eval(self, family, monkeypatch):
+        # every forward hands conv1d the same folded arrays until train() and eval() drop them
+        model = randomized_eval_model(family)
+        folds = self.fold_recorder(monkeypatch, lambda: model.forward(FOLD_INPUTS))
+        first, second = folds(), folds()
+        model.train().eval()
+        self.assert_same_then_rebuilt(first, second, folds())
+
+    def test_predict_logits_keeps_the_folds_of_a_model_in_eval_mode(self, family, monkeypatch):
+        # predict_logits calls eval() only for a model not in eval mode, so a train() in between rebuilds the folds
+        model = randomized_eval_model(family)
+        folds = self.fold_recorder(monkeypatch, lambda: predict_logits(model, FOLD_INPUTS))
+        first, second = folds(), folds()
+        model.train()
+        self.assert_same_then_rebuilt(first, second, folds())
+        model.first_conv.bn.train()  # one module out of eval mode is enough to need eval()
+        folds()
+        assert all(m.mode == "eval" for m in model.modules())
 
     def test_tapeless_forward_leaves_state_and_checkpoint_unchanged(self, family, tmp_path):
         model = randomized_eval_model(family)
@@ -375,22 +395,22 @@ class TestConcurrentEvalForwards:
 
 def record_maps(monkeypatch, params):
     """A list that collects ``(op, array)`` for every ``[B, C, L]`` primitive output and every
-    ``[B, C, L]`` gradient handed to a tensor not in ``params``."""
+    ``[B, C, L]`` gradient handed to a gradient slot not in ``params``."""
     maps = []
-    output, accumulate = F._output, Tensor.accumulate_grad
+    output, accumulate = F._output, GradSlot.accumulate_grad
 
     def recording_output(name, od, inputs, pull):
         if od.ndim == 3:
             maps.append((name, od))
         return output(name, od, inputs, pull)
 
-    def recording_accumulate(tensor, g):
-        if g.ndim == 3 and id(tensor) not in params:
+    def recording_accumulate(slot, g):
+        if g.ndim == 3 and id(slot) not in params:
             maps.append(("gradient", g))
-        accumulate(tensor, g)
+        accumulate(slot, g)
 
     monkeypatch.setattr(F, "_output", recording_output)
-    monkeypatch.setattr(Tensor, "accumulate_grad", recording_accumulate)
+    monkeypatch.setattr(GradSlot, "accumulate_grad", recording_accumulate)
     return maps
 
 
@@ -410,10 +430,10 @@ class TestOneMemoryOrder:
     def test_taped_forward_and_backward(self, family, mode, monkeypatch):
         model = randomized_eval_model(family)
         getattr(model, mode)()
-        maps = record_maps(monkeypatch, {id(p) for p in model.parameters()})
+        maps = record_maps(monkeypatch, {id(p.slot) for p in model.parameters()})
         with Tape() as tape:
             loss = cross_entropy(model.forward(FOLD_INPUTS), np.arange(3) % 4)
-        n_taped_maps = sum(out.data.ndim == 3 for _name, out, _pull in tape.entries)  # backward releases them
+        n_taped_maps = sum(len(slot.shape) == 3 for _name, slot, _pull in tape.entries)  # backward releases them
         backward(loss, tape)
         n_forward = sum(name != "gradient" for name, _a in maps)
         assert n_forward == n_taped_maps
@@ -440,44 +460,63 @@ def tapeless_map_count(model):
     return 1 + convs + projections + (len(model.levels) - 1) + 1
 
 
-def kept_map_elements(model, batch):
-    """Elements of the ``[B, C, L]`` maps a taped train forward of ``model`` keeps for its backward.
+def kept_bytes(model, batch):
+    """Bytes of the arrays a taped train forward of ``model`` keeps for its backward.
 
-    Each layer keeps its convolution's outputs (a ``TdscLayer`` its depthwise
-    and pointwise maps, a standard layer its one map) and the output of its
-    batch norm + ReLU; each block its shortcut projection, if any, and the
-    sum; then the embedding, each max-pool and the head's pooled and
-    flattened maps.
+    float32 maps: each layer's input, which its first convolution reads (the
+    embedding, each block's input, each first layer's output), and its
+    convolution's outputs (a ``TdscLayer`` its depthwise and pointwise maps,
+    a standard layer its one map), which the next convolution and the batch
+    norm read. bool maps: each batch norm's ``out > 0`` mask and each
+    max-pool's three window-winner masks. Each k=3 ``conv1d`` keeps its
+    weight copied into tap order. The head keeps the flattened rows the
+    first dense layer reads; a k-max head also keeps the kept time steps
+    (intp) and each hidden layer's output and ReLU output. Not kept: a
+    block's projection and sum, its closing layer's output, a max-pool's
+    input and the pooled map, whose backwards read at most their shape.
     """
-    length = model.spec.seq_len
+    spec, f32 = model.spec, np.dtype(np.float32).itemsize
+    length = spec.seq_len
+    maps = masks = taps = 0  # per sample: float32 and bool map elements; tap-order weight elements
 
     def layer(conv_layer):
-        conv_maps = conv_layer.in_channels if isinstance(conv_layer, TdscLayer) else 0
-        return (conv_maps + 2 * conv_layer.out_channels) * length
+        nonlocal maps, masks, taps
+        in_ch, out_ch = conv_layer.in_channels, conv_layer.out_channels
+        maps += (in_ch * (1 + isinstance(conv_layer, TdscLayer)) + out_ch) * length
+        masks += out_ch * length
+        if not isinstance(conv_layer, TdscLayer):
+            taps += conv_layer.last_weight.size
 
-    n = model.spec.embed_dim * length + layer(model.first_conv)
+    layer(model.first_conv)
     for i, blocks in enumerate(model.levels):
         for block in blocks:
-            n += layer(block.layer1) + layer(block.layer2)
-            n += (1 + (block.projection is not None)) * block.out_channels * length
+            layer(block.layer1)
+            layer(block.layer2)
         if i < len(model.levels) - 1:
+            masks += blocks[-1].out_channels * (2 * ((length + 1) // 2) + length // 2)
             length = (length + 1) // 2
-            n += blocks[-1].out_channels * length
-    return batch * (n + 2 * blocks[-1].out_channels * model.spec.pooled_len)
+    flat = spec.flat_features
+    if spec.family == "vdcnn":
+        head = (flat + 4 * spec.fc_hidden) * f32 + flat * np.dtype(np.intp).itemsize
+    else:
+        head = flat * f32
+    return batch * (maps * f32 + masks + head) + taps * f32
 
 
+@pytest.mark.parametrize("family", ["svdcnn", "vdcnn"])
 class TestTrainStepMemory:
-    """tracemalloc counts numpy's buffers, to the byte from run to run. A taped svdcnn-9 train step
-    (s=64, B=8) holds only the maps ``kept_map_elements`` counts, plus under 5% of small arrays and
-    Python objects; a stored normalized input or pre-ReLU map puts 9 maps of 128 KiB back. The
-    backward releases each map once the sweep has passed it, which leaves room for its transient
-    gradient maps: its peak stays within the kept maps plus the parameter gradients. Storing the
-    maps again, or keeping the tape's entries through the sweep, breaks these bounds."""
+    """tracemalloc counts numpy's buffers, to the byte from run to run. A taped depth-9 train step
+    (s=64, B=8) holds only the arrays ``kept_bytes`` counts, plus small arrays and Python objects:
+    under 5% of them, and under one float32 map (``C * L = 4096`` values per sample at every level,
+    128 KiB), so a stored normalized input, a batch norm's output or a block's sum breaks the bound.
+    The backward releases each array once the sweep has passed it, which leaves room for its
+    transient gradient maps: its peak stays within the kept arrays plus the parameter gradients.
+    Storing the maps again, or keeping the tape's entries through the sweep, breaks these bounds."""
 
-    def test_forward_keeps_only_what_backward_reads_and_backward_frees_it(self):
-        model = Model(ArchitectureSpec("svdcnn", depth=9, seq_len=64), seed=0).train()
+    def test_forward_keeps_only_what_backward_reads_and_backward_frees_it(self, family):
+        model = Model(ArchitectureSpec(family, depth=9, seq_len=64), seed=0).train()
         idx = np.random.default_rng(0).integers(0, 70, size=(8, 64))
-        kept = kept_map_elements(model, batch=8) * np.dtype(np.float32).itemsize
+        kept = kept_bytes(model, batch=8)
         grads = sum(p.data.nbytes for p in model.parameters())
         tracemalloc.start()
         try:
@@ -490,6 +529,7 @@ class TestTrainStepMemory:
         finally:
             tracemalloc.stop()
         assert kept <= retained <= 1.05 * kept
+        assert retained - kept < 8 * model.first_conv.out_channels * 64 * np.dtype(np.float32).itemsize  # one map
         assert peak <= kept + grads
 
 

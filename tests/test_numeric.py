@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from svdcnn.autograd import (
+    GradSlot,
     NonFiniteError,
     ShapeError,
     Tape,
@@ -365,9 +366,9 @@ class TestBackward:
         x = Tensor(np.arange(1.0, 5.0), requires_grad=True, dtype=np.float64)
         with Tape() as tape:
             loss = tensor_sum(F.relu(mul(x, x)))
-        recorded = [out for _name, out, _pull in tape.entries]
+        recorded = [slot for _name, slot, _pull in tape.entries]
         backward(loss, tape)
-        assert all(out.grad is None for out in recorded)
+        assert all(slot.grad is None for slot in recorded)
         np.testing.assert_array_equal(x.grad, 2 * x.data)
 
     def test_backward_releases_each_entry_and_keeps_names_and_length(self):
@@ -379,26 +380,37 @@ class TestBackward:
         with Tape() as tape:
             hidden = F.depthwise_conv1d(x, w, padding=1)
             loss = tensor_sum(F.batch_norm_train(hidden, gamma, beta, 1e-5)[0])
-        names = [name for name, _out, _pull in tape.entries]
-        alive = [weakref.ref(hidden), weakref.ref(hidden.data)]
+        names = [name for name, _slot, _pull in tape.entries]
+        assert [slot for _name, slot, _pull in tape.entries][0] is hidden.slot
+        tensor, data = weakref.ref(hidden), weakref.ref(hidden.data)
         del hidden
-        assert all(ref() is not None for ref in alive)  # the tape holds the intermediate
+        assert tensor() is None  # the tape holds the intermediate's gradient slot, not the tensor
+        assert data() is not None  # the batch norm's backward reads the intermediate
         backward(loss, tape)
         assert len(tape) == len(names) == 3
         assert tape.entries == tuple((name, None, None) for name in names)
-        assert all(ref() is None for ref in alive)  # freed while the tape is still held
+        assert data() is None  # freed while the tape is still held
         assert all(t.grad is not None for t in (x, w, gamma, beta))
 
 
-class _Recorded(Tensor):
-    """A tensor that keeps the first array its backward hands to ``accumulate_grad``."""
+class TestSavedArrays:
+    """A recorded backward keeps exactly the input arrays its case says it reads: with the inputs and the output
+    dropped and the tape held, every other input array is freed. Temporal inputs are channels-last, so the op
+    reads the array itself, not a copy."""
 
-    __slots__ = ("handed",)
-
-    def accumulate_grad(self, g):
-        if self.grad is None:
-            self.handed = g
-        super().accumulate_grad(g)
+    @pytest.mark.parametrize("case", CASES)
+    def test_tape_keeps_exactly_the_inputs_the_backward_reads(self, case):
+        arrays = draw_inputs(case)
+        if is_temporal(case):
+            arrays[0] = in_memory_order(arrays[0], "channels_last")
+        refs = [weakref.ref(a) for a in arrays]
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        del arrays
+        with Tape() as tape:
+            CASES[case].call(*inputs)
+        del inputs
+        assert len(tape) == 1
+        assert tuple(i for i, ref in enumerate(refs) if ref() is not None) == CASES[case].reads
 
 
 class TestGradientHandOver:
@@ -407,17 +419,26 @@ class TestGradientHandOver:
 
     @pytest.mark.parametrize("case,order", [(case, order) for case in CASES
                                             for order in (MEMORY_ORDERS if is_temporal(case) else MEMORY_ORDERS[:1])])
-    def test_every_gradient_is_kept_without_a_copy(self, case, order):
+    def test_every_gradient_is_kept_without_a_copy(self, case, order, monkeypatch):
         arrays = [a.astype(np.float32) for a in draw_inputs(case)]
         if is_temporal(case):
             arrays[0] = in_memory_order(arrays[0], order)
-        inputs = [_Recorded(a, requires_grad=True) for a in arrays]
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        handed = {}  # per slot, the first array a backward hands to it
+        accumulate = GradSlot.accumulate_grad
+
+        def recording_accumulate(slot, g):
+            if slot.grad is None:
+                handed[id(slot)] = g
+            accumulate(slot, g)
+
+        monkeypatch.setattr(GradSlot, "accumulate_grad", recording_accumulate)
         with Tape() as tape:
             out = CASES[case].call(*inputs)
             loss = tensor_sum(mul(out, Tensor(np.random.default_rng(0).normal(size=out.shape))))
         backward(loss, tape)
         for t in inputs:
-            assert t.grad is t.handed and t.grad.flags.owndata
+            assert t.grad is handed[id(t.slot)] and t.grad.flags.owndata
         if is_temporal(case):
             gx = inputs[0].grad
             assert gx.strides[1:] == (gx.itemsize, gx.shape[1] * gx.itemsize)
@@ -464,6 +485,18 @@ class TestGradCheck:
         with pytest.raises(NonFiniteError, match=r"operation 1 \(mul\)"):
             grad_check(f, [x])
 
+    def test_non_finite_names_an_output_no_backward_keeps(self):
+        # operation 0 overflows; operation 1, an add, reads neither operand, so no pull keeps operation 0's output
+        x = Tensor([1e308, 1.0], requires_grad=True, dtype=np.float64)
+
+        def f(t):
+            return tensor_sum(F.add(F.add(t, t), t))
+
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteError, match=r"^operation 0 \(add\) produced non-finite values$") as raised:
+            grad_check(f, [x])
+        assert (raised.value.op_index, raised.value.op_name) == (0, "add")
+
     def test_eps_validated(self):
         x = Tensor([1.0], requires_grad=True)
         with pytest.raises(ValueError, match="eps"):
@@ -490,7 +523,7 @@ class TestRecordingRule:
             assert len(tape) == 0
         else:
             assert out.requires_grad
-            assert [(name, produced) for name, produced, _pull in tape.entries] == [(CASES[case].op, out)]
+            assert [(name, slot) for name, slot, _pull in tape.entries] == [(CASES[case].op, out.slot)]
 
 
 class TestBatchedLayout:

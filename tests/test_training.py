@@ -244,9 +244,9 @@ class TestGradientOwnership:
         idx = np.random.default_rng(5).integers(0, 69, size=(4, 16))
         with Tape() as tape:
             loss = cross_entropy(model.forward(idx), np.array([0, 1, 1, 0]))
-        recorded = [out for _name, out, _pull in tape.entries]
+        recorded = [slot for _name, slot, _pull in tape.entries]
         backward(loss, tape)
-        assert all(out.grad is None for out in recorded)
+        assert all(slot.grad is None for slot in recorded)
         assert all(p.grad is not None and p.grad.shape == p.shape and np.abs(p.grad).max() > 0 for p in params)
         for i, p in enumerate(params):
             for q in params[i + 1:]:
