@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import struct
-import sys
 import uuid
 from dataclasses import astuple, dataclass, fields
 
@@ -176,10 +176,14 @@ def train(model: Model, train_set: Dataset, val_set: Dataset, cfg: TrainConfig) 
 # Checkpoint layout: magic "SVDC", version u16, then one little-endian u32
 # per ArchitectureSpec field in declaration order (the family as its index in
 # FAMILIES), then the epoch as one more u32. Every parameter array follows,
-# then every buffer array, in model order, each as a u64 length plus raw
-# little-endian float32 values.
+# then every buffer array, in model order, each as a u64 length, zero padding
+# that starts the values at a file offset that is a multiple of the version's
+# alignment, then the raw little-endian float32 values. Version 2 aligns to 64
+# bytes, so a load can use the values where they lie in a map of the file;
+# version 1 has no padding.
 CHECKPOINT_MAGIC = b"SVDC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_ALIGNMENT = {1: 1, CHECKPOINT_VERSION: 64}  # version -> file-offset alignment of each array's values
 _HEADER = struct.Struct(f"<{len(fields(ArchitectureSpec)) + 1}I")
 
 
@@ -221,6 +225,7 @@ def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
             fh.write(_HEADER.pack(*header))
             for _name, arr in _model_arrays(model):
                 fh.write(struct.pack("<Q", arr.size))
+                fh.write(bytes(-fh.tell() % _ALIGNMENT[CHECKPOINT_VERSION]))
                 fh.write(np.ascontiguousarray(arr, dtype="<f4"))  # the array's own memory on a little-endian host
             fh.flush()
             os.fsync(fh.fileno())
@@ -234,8 +239,14 @@ def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
 def load_checkpoint(path) -> Model:
     """Rebuild a model from a checkpoint, validating the format strictly.
 
-    The values are read straight into the model's own arrays, so a load holds
-    no second copy of the file.
+    The file is mapped once, copy-on-write (``mmap.ACCESS_COPY``), and every
+    parameter's ``Tensor.data`` and every buffer becomes a view of its values
+    in the map, so a load copies nothing, processes that load one file share
+    its pages, and writes into the model (an SGD step) stay private to the
+    process. A view that is not aligned or not native-endian (every array of
+    a version-1 file, every array on a big-endian host) is copied instead.
+    The caller must not truncate or rewrite the file in place while the model
+    lives; ``save_checkpoint`` replaces a file by rename, which is safe.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -246,7 +257,7 @@ def load_checkpoint(path) -> Model:
         if len(head) < 6:
             raise CheckpointTruncatedError(f"{path}: truncated before version field")
         (version,) = struct.unpack_from("<H", head, 4)
-        if version != CHECKPOINT_VERSION:
+        if version not in _ALIGNMENT:
             raise CheckpointVersionError(f"{path}: unsupported version {version}")
         if len(head) < header_end:
             raise CheckpointTruncatedError(f"{path}: truncated header")
@@ -260,20 +271,30 @@ def load_checkpoint(path) -> Model:
         needed = header_end + 4 * closed_form_params(spec).total  # checked before the model is allocated
         if needed > size:
             raise CheckpointTruncatedError(f"{path}: its header needs at least {needed:,} bytes, the file has {size:,}")
-        model = Model(spec, seed=None)
-        for name, arr in _model_arrays(model):
-            length = fh.read(8)
-            if len(length) < 8:
-                raise CheckpointTruncatedError(f"{path}: truncated before length of {name}")
-            (n,) = struct.unpack("<Q", length)
-            if n != arr.size:
-                raise CheckpointLengthError(f"{path}: {name} has {n} values, expected {arr.size}")
-            if fh.readinto(arr) < arr.nbytes:  # arr is C-ordered native float32, the file little-endian
-                raise CheckpointTruncatedError(f"{path}: truncated inside {name}")
-            if sys.byteorder == "big":
-                arr.byteswap(inplace=True)
-        if fh.tell() != size:
-            raise CheckpointLengthError(f"{path}: {size - fh.tell()} trailing bytes")
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    model = Model(spec, seed=None)
+    # where each array lives: a parameter's Tensor.data, or a buffer attribute of its module
+    homes = [(name, t, "data") for name, t, _c in model.named_params()]
+    homes += [(name, owner, name.rpartition(".")[2]) for name, v, owner in model._walk() if isinstance(v, np.ndarray)]
+    offset = header_end
+    for name, owner, attr in homes:
+        built = getattr(owner, attr)
+        if offset + 8 > size:
+            raise CheckpointTruncatedError(f"{path}: truncated before length of {name}")
+        (n,) = struct.unpack_from("<Q", mapped, offset)
+        if n != built.size:
+            raise CheckpointLengthError(f"{path}: {name} has {n} values, expected {built.size}")
+        offset += 8
+        offset += -offset % _ALIGNMENT[version]
+        if offset + 4 * n > size:
+            raise CheckpointTruncatedError(f"{path}: truncated inside {name}")
+        arr = np.frombuffer(mapped, "<f4", n, offset)
+        if not (arr.dtype.isnative and arr.flags.aligned):
+            arr = arr.astype(np.float32)
+        setattr(owner, attr, arr.reshape(built.shape))
+        offset += 4 * n
+    if offset != size:
+        raise CheckpointLengthError(f"{path}: {size - offset} trailing bytes")
     model.checkpoint_epoch = epoch
     model.eval()
     return model

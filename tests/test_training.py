@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import mmap
 import re
 import struct
 import tracemalloc
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from svdcnn import training
-from svdcnn.architecture import ArchitectureSpec, Model, count_params
+from svdcnn.architecture import FAMILIES, ArchitectureSpec, Model, count_params
 from svdcnn.autograd import Tape, Tensor, backward
 from svdcnn.data import Dataset, synth_dataset
 from svdcnn.functional import cross_entropy
@@ -282,31 +283,69 @@ class TestEvaluate:
 
 
 # SHA-256 of the ordered (name, category, shape) rows of every parameter and
-# buffer, and of the checkpoint bytes, of Model(spec, seed=0). They pin the
-# parameter names, their order, the checkpoint layout and the seeded
-# initial draws.
+# buffer of Model(spec, seed=0), of its version-1 file (write_v1_checkpoint)
+# and of its checkpoint (version 2). They pin the parameter names, their
+# order, both layouts and the seeded initial draws.
 PINNED_DIGESTS = [
     ("vdcnn", 9, "12fba3474c17bbf6ed7ca1ad2e576385953fca4d54322afc5d659caf9c8fc892",
-     "ed7fcf04d3f3ef02561c509c6b44de9933dce121cdb2136c50c0a5fb461dde10"),
+     "ed7fcf04d3f3ef02561c509c6b44de9933dce121cdb2136c50c0a5fb461dde10",
+     "1b2d632295105606371be126a76eaeaf224a550af50c0e0f30bdf9f9fa56e38c"),
     ("vdcnn", 29, "65e3350ed9533845254a44bfe07e4904fcc7da63dcf5cb62f2cd8b88e5db9de8",
-     "00dfa3d86b925125896580d31d0cfcaa40a758ff3e26031245630eda15f21a42"),
+     "00dfa3d86b925125896580d31d0cfcaa40a758ff3e26031245630eda15f21a42",
+     "a06c254ae555f0b2f8f112f02deb16c63d4f5ce92ed87901d381f3d9835ddf68"),
     ("svdcnn", 9, "c3679e41d80b6b8f67fe0abdaa4bd523c0c5a5e5c0a18109cdf71187e82776df",
-     "83ed8ae8d632b6473c10076e40b503913f0bd654d1543c6b7f238f577c18d256"),
+     "83ed8ae8d632b6473c10076e40b503913f0bd654d1543c6b7f238f577c18d256",
+     "beec39a50a8876f8f047ec45fb1ce9edffa611e13f0f1571eb5ba59b41d2a63a"),
     ("svdcnn", 29, "56c72a15a3679417c517d02c7a644d28691a9ea8755e3224cea5bcc9f99cf08a",
-     "0f80f3648feed9797cd253db39252831f6c9941ab04d8e724a70db7ccaf2bbba"),
+     "0f80f3648feed9797cd253db39252831f6c9941ab04d8e724a70db7ccaf2bbba",
+     "7d06657d1368f20972a3943b7b4847fb443547f170e281683d039c9146021cc1"),
 ]
+
+HEADER_END = 6 + 4 * (len(fields(ArchitectureSpec)) + 1)  # magic, version, spec fields and epoch
+ALIGNMENT = 64  # a version-2 file starts each array's values at a multiple of this file offset
+
+
+def write_v1_checkpoint(model, path, epoch=0):
+    """The version-1 layout, written apart from ``save_checkpoint``: the v2 header with version 1, and
+    each array as its u64 length followed at once by its little-endian float32 values."""
+    spec = model.spec
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(f"<4sH{len(fields(ArchitectureSpec)) + 1}I", b"SVDC", 1,
+                             FAMILIES.index(spec.family), *astuple(spec)[1:], epoch))
+        for _name, arr in training._model_arrays(model):
+            fh.write(struct.pack("<Q", arr.size))
+            fh.write(arr.astype("<f4").tobytes())
+
+
+def value_offsets(model) -> dict[str, tuple[int, int]]:
+    """Each array's (length field, values) byte offsets in a version-2 file, derived from the padded layout."""
+    out, offset = {}, HEADER_END
+    for name, arr in training._model_arrays(model):
+        values = offset + 8 + (-(offset + 8) % ALIGNMENT)
+        out[name] = (offset, values)
+        offset = values + arr.nbytes
+    return out
+
+
+def backing(arr):
+    """The object whose memory ``arr`` views: a ``mmap.mmap`` for a mapped array, else the ndarray owning it."""
+    while isinstance(arr, np.ndarray) and arr.base is not None:
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr  # np.frombuffer's base is a memoryview of the map
 
 
 class TestCheckpoint:
-    @pytest.mark.parametrize("family,depth,layout_sha,checkpoint_sha", PINNED_DIGESTS)
-    def test_names_layout_and_seeded_init_are_pinned(self, tmp_path, family, depth, layout_sha, checkpoint_sha):
+    @pytest.mark.parametrize("family,depth,layout_sha,v1_sha,v2_sha", PINNED_DIGESTS,
+                             ids=[f"{family}-{depth}" for family, depth, *_shas in PINNED_DIGESTS])
+    def test_names_layout_and_seeded_init_are_pinned(self, tmp_path, family, depth, layout_sha, v1_sha, v2_sha):
         model = Model(ArchitectureSpec(family, depth=depth), seed=0)
         rows = [f"{n} {c} {tuple(t.shape)}" for n, t, c in model.named_params()]
         rows += [f"{n} buffer {tuple(b.shape)}" for n, b in model.named_buffers()]
         assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == layout_sha
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == checkpoint_sha
+        write_v1_checkpoint(model, tmp_path / "v1.ckpt")
+        assert hashlib.sha256((tmp_path / "v1.ckpt").read_bytes()).hexdigest() == v1_sha
+        save_checkpoint(model, tmp_path / "v2.ckpt")
+        assert hashlib.sha256((tmp_path / "v2.ckpt").read_bytes()).hexdigest() == v2_sha
 
     def test_roundtrip_is_bitwise_identical(self, tmp_path):
         spec = tiny_spec()
@@ -326,7 +365,7 @@ class TestCheckpoint:
                                 fc_hidden=7, pooled_len=2)
         path = tmp_path / "model.ckpt"
         save_checkpoint(Model(spec, seed=None), path, epoch=11)
-        assert struct.unpack_from("<4sH9I", path.read_bytes()) == (b"SVDC", 1, 1, 17, 64, 3, 5, 6, 7, 2, 11)
+        assert struct.unpack_from("<4sH9I", path.read_bytes()) == (b"SVDC", 2, 1, 17, 64, 3, 5, 6, 7, 2, 11)
         loaded = load_checkpoint(path)
         assert (loaded.spec, loaded.checkpoint_epoch) == (spec, 11)
 
@@ -337,7 +376,7 @@ class TestCheckpoint:
         blob = path.read_bytes()
         n = len(fields(ArchitectureSpec)) + 1
         assert blob[:4] == b"SVDC"
-        assert struct.unpack_from("<H", blob, 4) == (1,)
+        assert struct.unpack_from("<H", blob, 4) == (2,)
         assert struct.unpack_from(f"<{n}I", blob, 6) == (1, *astuple(spec)[1:], 4)  # svdcnn is family 1
         assert struct.unpack_from("<Q", blob, 6 + 4 * n) == (spec.vocab_size * spec.embed_dim,)
 
@@ -405,27 +444,28 @@ class TestCheckpoint:
         with pytest.raises(CheckpointTruncatedError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("where", ["header", "first array", "length of first buffer", "last parameter", "last array"])
+    @pytest.mark.parametrize("where", ["header", "first array", "length of first buffer", "padding of first buffer",
+                                       "last parameter", "last array"])
     def test_truncation_names_where_the_file_ends(self, tmp_path, where):
         model = Model(tiny_spec(), seed=0)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         blob = path.read_bytes()
-        header_end = 6 + 4 * (len(fields(ArchitectureSpec)) + 1)
-        starts, offset = {}, header_end  # byte offset of each array's length field
-        for name, arr in training._model_arrays(model):
-            starts[name], offset = offset, offset + 8 + arr.nbytes
-        first_buffer, last_param, last = model.named_buffers()[0][0], model.named_params()[-1][0], list(starts)[-1]
+        offsets = value_offsets(model)
+        first_buffer, last_param, last = model.named_buffers()[0][0], model.named_params()[-1][0], list(offsets)[-1]
+        length_at, values_at = offsets[first_buffer]
+        assert values_at - (length_at + 8) >= 2  # the cut below falls strictly inside the padding
         cut, expected = {
-            "header": (header_end - 3, "truncated header"),
+            "header": (HEADER_END - 3, "truncated header"),
             # fewer bytes than the parameters alone need: the size check before allocation reports it
-            "first array": (header_end + 12, None),
-            "length of first buffer": (starts[first_buffer], f"truncated before length of {first_buffer}"),
-            "last parameter": (starts[last_param] + 12, f"truncated inside {last_param}"),
+            "first array": (HEADER_END + 12, None),
+            "length of first buffer": (length_at, f"truncated before length of {first_buffer}"),
+            "padding of first buffer": (length_at + 9, f"truncated inside {first_buffer}"),
+            "last parameter": (offsets[last_param][1] + 4, f"truncated inside {last_param}"),
             "last array": (len(blob) - 10, f"truncated inside {last}"),
         }[where]
         if expected is None:
-            needed = header_end + 4 * count_params(model).total
+            needed = HEADER_END + 4 * count_params(model).total
             expected = f"its header needs at least {needed:,} bytes, the file has {cut:,}"
         path.write_bytes(blob[:cut])
         with pytest.raises(CheckpointTruncatedError, match=rf"model\.ckpt: {re.escape(expected)}$"):
@@ -437,7 +477,6 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         blob = path.read_bytes()
-        header_end = 6 + 4 * (len(fields(ArchitectureSpec)) + 1)
         first, arr = training._model_arrays(model)[0]
         u32 = lambda v: struct.pack("<I", v)
         bad, error, message = {
@@ -445,7 +484,7 @@ class TestCheckpoint:
             "family": (blob[:6] + u32(7) + blob[10:], CheckpointError, "unknown family code 7"),
             "depth": (blob[:10] + u32(10) + blob[14:], CheckpointError,
                       "invalid architecture fields: unsupported depth 10; valid depths are [9, 17, 29, 49]"),
-            "first length": (blob[:header_end] + struct.pack("<Q", arr.size + 1) + blob[header_end + 8:],
+            "first length": (blob[:HEADER_END] + struct.pack("<Q", arr.size + 1) + blob[HEADER_END + 8:],
                              CheckpointLengthError, f"{first} has {arr.size + 1} values, expected {arr.size}"),
         }[where]
         path.write_bytes(bad)
@@ -477,6 +516,76 @@ class TestCheckpoint:
         assert peak <= 1.05 * array_bytes
         for (name, arr), (_n, back) in zip(training._model_arrays(model), training._model_arrays(loaded)):
             assert arr.tobytes() == back.tobytes(), name
+
+    def test_load_leaves_no_copy_of_the_arrays_allocated(self, tmp_path):
+        model = Model(self.MEMORY_SPEC, seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        array_bytes = sum(arr.nbytes for _n, arr in training._model_arrays(model))
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert current <= 0.05 * array_bytes
+        assert loaded.spec == self.MEMORY_SPEC
+
+    def test_loaded_arrays_are_aligned_views_of_one_map(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Model(tiny_spec(family="vdcnn"), seed=0), path)
+        arrays = training._model_arrays(load_checkpoint(path))
+        for name, arr in arrays:
+            assert arr.ctypes.data % ALIGNMENT == 0, name
+            assert isinstance(backing(arr), mmap.mmap), name
+            assert not arr.flags.owndata and arr.flags.writeable, name
+        assert len({id(backing(arr)) for _n, arr in arrays}) == 1
+
+    @pytest.mark.parametrize("family", ["svdcnn", "vdcnn"])
+    def test_version_1_file_loads_to_the_bytes_and_logits_of_version_2(self, tmp_path, family):
+        spec = tiny_spec(family=family)
+        model = Model(spec, seed=8)
+        rng = np.random.default_rng(9)
+        for _name, buf in model.named_buffers():  # running statistics away from their initial 0 and 1
+            buf[...] = rng.uniform(0.5, 1.5, buf.shape)
+        write_v1_checkpoint(model, tmp_path / "v1.ckpt", epoch=3)
+        save_checkpoint(model, tmp_path / "v2.ckpt", epoch=3)
+        v1, v2 = load_checkpoint(tmp_path / "v1.ckpt"), load_checkpoint(tmp_path / "v2.ckpt")
+        assert (v1.spec, v1.checkpoint_epoch) == (v2.spec, v2.checkpoint_epoch) == (spec, 3)
+        for (name, a), (_n, b), (_m, c) in zip(*(training._model_arrays(m) for m in (model, v1, v2))):
+            assert a.tobytes() == b.tobytes() == c.tobytes(), name
+            assert isinstance(backing(b), np.ndarray) and b.flags.aligned, name  # unaligned in the file: copied
+        inputs = rng.integers(0, spec.vocab_size, size=(6, spec.seq_len))
+        assert v1.forward(inputs).data.tobytes() == v2.forward(inputs).data.tobytes()
+
+    def test_writes_into_a_loaded_model_stay_out_of_the_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        model = Model(tiny_spec(), seed=0)
+        save_checkpoint(model, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        loaded = load_checkpoint(path)
+        for _name, arr in training._model_arrays(loaded):
+            arr += 1.0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        for (name, a), (_n, b) in zip(training._model_arrays(model), training._model_arrays(load_checkpoint(path))):
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_saving_onto_the_loaded_path_leaves_the_live_model_unchanged(self, tmp_path):
+        spec = tiny_spec()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Model(spec, seed=8), path)
+        live = load_checkpoint(path)
+        inputs = np.random.default_rng(9).integers(0, spec.vocab_size, size=(6, spec.seq_len))
+        arrays = [arr.copy() for _n, arr in training._model_arrays(live)]
+        logits = live.forward(inputs).data.copy()
+        replacement = Model(spec, seed=9)
+        save_checkpoint(replacement, path)
+        for (name, arr), before in zip(training._model_arrays(live), arrays):
+            assert arr.tobytes() == before.tobytes(), name
+        live.eval()  # the next forward folds the batch norms again, from the arrays as they are now
+        assert live.forward(inputs).data.tobytes() == logits.tobytes()
+        for (name, a), (_n, b) in zip(training._model_arrays(replacement), training._model_arrays(load_checkpoint(path))):
+            assert a.tobytes() == b.tobytes(), name
 
     def test_save_copies_no_array(self, tmp_path):
         model = Model(self.MEMORY_SPEC, seed=0)
@@ -513,4 +622,6 @@ class TestCheckpoint:
         assert 0 < actual - learned_bytes < 0.01 * learned_bytes
         n_arrays = len(model.named_params()) + len(model.named_buffers())
         header = 4 + 2 + 9 * 4
-        assert actual == header + 8 * n_arrays + learned_bytes + buffer_bytes
+        # the zeros after each length field that start the array's values at a 64-byte offset
+        padding = sum(values - (length + 8) for length, values in value_offsets(model).values())
+        assert actual == header + 8 * n_arrays + padding + learned_bytes + buffer_bytes
