@@ -28,6 +28,7 @@ class LatencyStats:
     warmup: int
     environment: str = ""
     resolution_warning: bool = False
+    blas_stall: bool = False
 
     def __post_init__(self):
         if self.reps < 2:
@@ -50,6 +51,23 @@ def environment_summary() -> str:
             f"BLAS {blas}, OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
 
 
+STALL_MS = 5.0  # a probe median above this is a stall; unstalled medians read 0.3-1.8 ms
+
+
+def probe_gemm_ms() -> float:
+    """Median ms of 5 calls of a vdcnn-9 level-0 tap GEMM at s=1024, B=16: ``[16384, 64] @ [64, 64]`` float32 into
+    a preallocated output, as ``conv1d`` runs it. Some process starts fall into a two-thread OpenBLAS stall that
+    runs this GEMM at about 8 ms a call for their first second; the probe reads the real clock."""
+    rows = np.random.default_rng(0).standard_normal((16384, 64), dtype=np.float32)
+    tap, out = rows[:64], np.empty_like(rows)
+    elapsed = []
+    for _ in range(5):
+        start = time.perf_counter()
+        np.matmul(rows, tap.T, out=out)
+        elapsed.append(time.perf_counter() - start)
+    return 1000.0 * float(np.median(elapsed))
+
+
 def measure_latency(
     model: Model,
     indices,
@@ -63,6 +81,8 @@ def measure_latency(
     Warmup passes are untimed. ``clock`` must return seconds on a monotonic
     scale; it defaults to ``time.perf_counter``. When the clock resolution is
     coarser than 1% of the measured mean, ``resolution_warning`` is set.
+    :func:`probe_gemm_ms` runs after the warmup and again after the timed
+    passes; ``blas_stall`` is set when either median exceeds ``STALL_MS``.
     """
     if reps < 2:
         raise ValueError(f"need at least 2 repetitions, got {reps}")
@@ -84,15 +104,17 @@ def measure_latency(
 
     for _ in range(warmup):
         model.forward(idx)
+    probe_ms = probe_gemm_ms()
     elapsed_ms = np.empty(reps, dtype=np.float64)
     for i in range(reps):
         start = clock()
         model.forward(idx)
         elapsed_ms[i] = (clock() - start) * 1000.0
+    stalled = max(probe_ms, probe_gemm_ms()) > STALL_MS
     mean = float(np.mean(elapsed_ms))
     std = float(np.std(elapsed_ms, ddof=1))
     warning = mean > 0 and (resolution_s * 1000.0) > 0.01 * mean
-    return LatencyStats(mean, std, reps, warmup, environment_summary(), warning)
+    return LatencyStats(mean, std, reps, warmup, environment_summary(), warning, stalled)
 
 
 def latency_ratio(a: LatencyStats, b: LatencyStats) -> float:
@@ -108,6 +130,8 @@ def format_stats_row(label: str, depth: int, stats: LatencyStats) -> str:
         row += f"  [{stats.environment}]"
     if stats.resolution_warning:
         row += "  (timer resolution coarse relative to mean)"
+    if stats.blas_stall:
+        row += f"  (BLAS stall: the tap GEMM probe took over {STALL_MS:g} ms; rerun)"
     return row
 
 

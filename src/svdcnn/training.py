@@ -6,6 +6,7 @@ import math
 import mmap
 import os
 import struct
+import sys
 import uuid
 from dataclasses import astuple, dataclass, fields
 
@@ -184,6 +185,8 @@ def train(model: Model, train_set: Dataset, val_set: Dataset, cfg: TrainConfig) 
 CHECKPOINT_MAGIC = b"SVDC"
 CHECKPOINT_VERSION = 2
 _ALIGNMENT = {1: 1, CHECKPOINT_VERSION: 64}  # version -> file-offset alignment of each array's values
+# Unix Python >= 3.13 maps without keeping a duplicate of the file descriptor; 3.10-3.12 keep one per map
+_MAP_KEYWORDS = {"trackfd": False} if sys.version_info >= (3, 13) and os.name == "posix" else {}
 _HEADER = struct.Struct(f"<{len(fields(ArchitectureSpec)) + 1}I")
 
 
@@ -271,7 +274,7 @@ def load_checkpoint(path) -> Model:
         needed = header_end + 4 * closed_form_params(spec).total  # checked before the model is allocated
         if needed > size:
             raise CheckpointTruncatedError(f"{path}: its header needs at least {needed:,} bytes, the file has {size:,}")
-        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY, **_MAP_KEYWORDS)
     model = Model(spec, seed=None)
     # where each array lives: a parameter's Tensor.data, or a buffer attribute of its module
     homes = [(name, t, "data") for name, t, _c in model.named_params()]

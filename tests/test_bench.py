@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from svdcnn import bench
 from svdcnn.architecture import ArchitectureSpec, Model
 from svdcnn.autograd import StateError
 from svdcnn.bench import (
@@ -84,6 +85,18 @@ class TestMeasure:
         )
         assert not fine.resolution_warning
 
+    @pytest.mark.parametrize("probes,stalled", [((8.0, 0.7), True), ((0.7, 8.0), True), ((0.7, 0.7), False)],
+                             ids=["stalled-after-warmup", "stalled-after-timing", "unstalled"])
+    def test_probe_over_stall_ms_flags_record_and_row(self, monkeypatch, probes, stalled):
+        medians = list(probes)
+        monkeypatch.setattr(bench, "probe_gemm_ms", lambda: medians.pop(0))
+        clock = FakeClock([0.0, 0.001, 0.0, 0.002, 0.0, 0.003])
+        stats = measure_latency(tiny_model(), np.zeros(8, dtype=np.int64), reps=3, warmup=0, clock=clock)
+        assert medians == []  # probed once after the warmup and once after the timed passes
+        assert (stats.mean_ms, stats.std_ms, stats.blas_stall) == (2.0, 1.0, stalled)
+        row = format_stats_row("svdcnn", 9, stats)
+        assert ("  (BLAS stall: the tap GEMM probe took over 5 ms; rerun)" in row) == stalled
+
     def test_real_clock_smoke(self):
         stats = measure_latency(tiny_model(), np.zeros(8, dtype=np.int64), reps=3, warmup=1)
         assert stats.mean_ms > 0
@@ -112,7 +125,7 @@ class TestRatio:
 
 class TestRecords:
     def test_json_roundtrip(self, tmp_path):
-        stats = LatencyStats(mean_ms=3.25, std_ms=0.5, reps=100, warmup=10, environment="hostA")
+        stats = LatencyStats(mean_ms=3.25, std_ms=0.5, reps=100, warmup=10, environment="hostA", blas_stall=True)
         path = tmp_path / "run.json"
         save_stats(stats, path)
         assert load_stats(path) == stats
@@ -128,6 +141,12 @@ class TestRecords:
         path.write_text(json.dumps({"mean_ms": 3, "std_ms": 0, "reps": 10, "warmup": 0}))
         assert load_stats(path) == LatencyStats(mean_ms=3.0, std_ms=0.0, reps=10, warmup=0)
 
+    def test_record_without_the_stall_field_loads_unflagged(self, tmp_path):
+        path = tmp_path / "run.json"  # the fields of the committed BENCH_pr8_*.json and BENCH_pr9_*.json records
+        path.write_text(json.dumps({"mean_ms": 23.108, "std_ms": 4.099, "reps": 1000, "warmup": 10,
+                                    "environment": "2 vCPU x86_64, numpy 2.4.6", "resolution_warning": False}))
+        assert not load_stats(path).blas_stall
+
     @pytest.mark.parametrize("field,value,kind", [
         ("mean_ms", "1.0", "a real number"),
         ("std_ms", True, "a real number"),
@@ -136,8 +155,9 @@ class TestRecords:
         ("warmup", False, "an integer"),
         ("environment", 3, "a string"),
         ("resolution_warning", 0, "true or false"),
+        ("blas_stall", "true", "true or false"),
     ], ids=["float-given-str", "float-given-bool", "int-given-str", "int-given-float", "int-given-bool",
-            "str-given-int", "bool-given-int"])
+            "str-given-int", "bool-given-int", "bool-given-str"])
     def test_wrong_field_type_names_path_and_field(self, tmp_path, field, value, kind):
         record = {"mean_ms": 1.0, "std_ms": 0.1, "reps": 10, "warmup": 0} | {field: value}
         path = tmp_path / "run.json"

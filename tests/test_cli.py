@@ -487,7 +487,7 @@ class TestBench:
         assert "0.21" in out
 
     FIELDS = ("expected a JSON object with the fields mean_ms, std_ms, reps, warmup "
-              "(optional: environment, resolution_warning)")
+              "(optional: environment, resolution_warning, blas_stall)")
 
     @pytest.mark.parametrize("content,message", [
         (json.dumps({"mean_ms": 1.0}).encode(), FIELDS),

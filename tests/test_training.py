@@ -2,9 +2,12 @@
 
 import hashlib
 import math
+import gc
 import mmap
+import os
 import re
 import struct
+import sys
 import tracemalloc
 from dataclasses import astuple, fields
 
@@ -540,6 +543,18 @@ class TestCheckpoint:
             assert isinstance(backing(arr), mmap.mmap), name
             assert not arr.flags.owndata and arr.flags.writeable, name
         assert len({id(backing(arr)) for _n, arr in arrays}) == 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors in /proc/self/fd")
+    def test_live_loads_hold_a_descriptor_only_before_python_3_13_and_drop_it_with_the_model(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Model(tiny_spec(), seed=0), path)
+        before = len(os.listdir("/proc/self/fd"))
+        models = [load_checkpoint(path) for _ in range(3)]
+        held = 3 if sys.version_info < (3, 13) else 0  # each map keeps a duplicate unless it passes trackfd=False
+        assert len(os.listdir("/proc/self/fd")) == before + held
+        del models
+        gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before
 
     @pytest.mark.parametrize("family", ["svdcnn", "vdcnn"])
     def test_version_1_file_loads_to_the_bytes_and_logits_of_version_2(self, tmp_path, family):
