@@ -18,6 +18,7 @@ import numpy as np
 
 from .architecture import Model, round2
 from .autograd import StateError
+from .layers import Module
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,16 @@ def probe_gemm_ms() -> float:
     return 1000.0 * float(np.median(elapsed))
 
 
+def _not_in_eval(module: Module, name: str = "model") -> str | None:
+    """The dotted name of the first module at or below ``module``, depth first, that is not in eval mode, or None."""
+    if module.mode != "eval":
+        return name
+    for child_name, child in module._members():
+        if isinstance(child, Module) and (found := _not_in_eval(child, f"{name}.{child_name}")):
+            return found
+    return None
+
+
 def measure_latency(
     model: Model,
     indices,
@@ -81,6 +92,8 @@ def measure_latency(
     Warmup passes are untimed. ``clock`` must return seconds on a monotonic
     scale; it defaults to ``time.perf_counter``. When the clock resolution is
     coarser than 1% of the measured mean, ``resolution_warning`` is set.
+    Every module of ``model`` must be in eval mode, or ``StateError`` names
+    the first that is not.
     :func:`probe_gemm_ms` runs after the warmup and again after the timed
     passes; ``blas_stall`` is set when either median exceeds ``STALL_MS``.
     """
@@ -88,8 +101,9 @@ def measure_latency(
         raise ValueError(f"need at least 2 repetitions, got {reps}")
     if warmup < 0:
         raise ValueError(f"warmup cannot be negative, got {warmup}")
-    if model.mode != "eval":
-        raise StateError("model must be in eval mode for latency measurement")
+    stray = _not_in_eval(model)
+    if stray is not None:
+        raise StateError(f"model must be in eval mode for latency measurement, but {stray} is in train mode")
     idx = np.asarray(indices)
     if idx.ndim == 1:
         idx = idx[None]

@@ -19,6 +19,7 @@ needs only the shape of, or an output) is freed when the forward drops it.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -77,6 +78,17 @@ def _checked(t: Tensor, layout: str, op: str, **per_channel) -> np.ndarray:
         if a.shape != t.shape[1:2]:
             raise ShapeError(f"{op} {name} has shape {a.shape}, but the input has {t.shape[1]} channels")
     return _channels_last(t.data) if layout == "[B, C, L]" else t.data
+
+
+def _pack(mask: np.ndarray) -> tuple:
+    """A C-contiguous bool ``mask`` at one bit per element, packed in memory order (no copy first): ``(bits, shape)``."""
+    return np.packbits(mask, axis=None), mask.shape
+
+
+def _unpack(packed: tuple) -> np.ndarray:
+    """The C-contiguous bool mask that ``_pack`` packed, as a view of one byte per element."""
+    bits, shape = packed
+    return np.unpackbits(bits, count=math.prod(shape)).view(bool).reshape(shape)
 
 
 def _slot(t: Optional[Tensor]):
@@ -164,7 +176,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
     The weight gradient is one GEMM per tap, ``g_rows.T @ rows``, over the
     time steps the tap connects, and the input gradient one GEMM per tap,
     ``g_rows @ W_kk``; at K = 1 all three are single GEMMs over views, with
-    no copy.
+    no copy. A recorded call keeps ``x`` and the weight itself, not its
+    tap-order copy: the backward copies the weight into tap order again.
     """
     xa = _checked(x, "[B, C, L]", "conv1d")
     w = weight.data
@@ -198,8 +211,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
             sb.accumulate_grad(_channel_sum(g))
         if sx is not None:
             g_rows = _rows(g)
-            # the taps reversed
-            gx = _shifted_sum(xa.shape, np.result_type(g, taps), k,
+            # the taps reversed, from a tap-order copy made afresh: the weight is unchanged since the forward
+            taps = np.ascontiguousarray(w.transpose(2, 0, 1))
+            gx = _shifted_sum(xa.shape, np.result_type(g, w), k,
                               lambda kk, o: np.matmul(g_rows, taps[k - 1 - kk], out=_rows(o)))
             sx.accumulate_grad(gx)
 
@@ -307,7 +321,8 @@ def maxpool_halve(x: Tensor) -> Tensor:
     last entry are the zero pad. Ties within a window (the zero pad included)
     send the whole gradient to the earliest position. A recorded call finds
     each window's winner in the forward and its backward keeps only those
-    bool masks, not the input or the output.
+    three masks, each packed to one bit per window (``_pack``), not the
+    input or the output; the backward unpacks each just before it reads it.
     """
     xa = _checked(x, "[B, C, L]", "maxpool_halve")
     batch, channels, length = xa.shape
@@ -333,16 +348,17 @@ def maxpool_halve(x: Tensor) -> Tensor:
     middle &= ~first
     last = odd == ot[:, :n_odd]
     last &= ~(first[:, :n_odd] | middle[:, :n_odd])
+    first, middle, last = _pack(first), _pack(middle), _pack(last)
     shape, dtype, sx = xa.shape, xa.dtype, x.slot
 
     def pull(g):
         gt = _channels_last(g).transpose(0, 2, 1)
         gx = _empty(shape, dtype)
         gxt = gx.transpose(0, 2, 1)
-        np.multiply(gt, middle, out=gxt[:, 0::2])
+        np.multiply(gt, _unpack(middle), out=gxt[:, 0::2])
         g_odd = gxt[:, 1::2]
-        np.multiply(gt[:, :n_odd], last, out=g_odd)
-        g_odd[:, :t_out - 1] += gt[:, 1:] * first[:, 1:]
+        np.multiply(gt[:, :n_odd], _unpack(last), out=g_odd)
+        g_odd[:, :t_out - 1] += gt[:, 1:] * _unpack(first)[:, 1:]
         sx.accumulate_grad(gx)
 
     return _output("maxpool_halve", od, (x,), pull)
@@ -455,9 +471,11 @@ def _batch_norm(op: str, x: Tensor, xa: np.ndarray, xc: np.ndarray, shift, gamma
     ``xa`` is ``x``'s data, channels-last. ``xc`` is the one output buffer:
     it is normalized, scaled, shifted and clipped in place, with every
     per-channel value applied by ``_by_channel``. A recorded call keeps only
-    ``xa`` and a bool mask of ``out > 0``, a quarter of a float32 map, so
-    the output is freed once its consumers have run. The backward masks
-    ``g``, recomputes ``xhat`` from ``xa`` with the same operations as the
+    ``xa`` and the mask ``out > 0`` packed to one bit per element
+    (``_pack``, through the C-contiguous ``[B, L, C]`` view), a
+    thirty-second of a float32 map, so the output is freed once its
+    consumers have run. The backward unpacks the mask and masks ``g``,
+    recomputes ``xhat`` from ``xa`` with the same operations as the
     forward (bit for bit), then reduces ``g`` and ``g * xhat`` once per
     channel, which are also the beta and gamma gradients, and writes the
     input gradient into ``g`` (and, with batch statistics, ``xhat``): the
@@ -471,12 +489,12 @@ def _batch_norm(op: str, x: Tensor, xa: np.ndarray, xc: np.ndarray, shift, gamma
     np.maximum(od, 0, out=od)
     if not _recorded(x, gamma, beta):
         return _output(op, od, (x, gamma, beta), None)
-    positive, gamma_data = od > 0, gamma.data
+    positive, gamma_data = _pack(od.transpose(0, 2, 1) > 0), gamma.data
     sx, sg, sb = _slot(x), _slot(gamma), _slot(beta)
 
     def pull(g):
         g = _channels_last(g)
-        g *= positive
+        g *= _unpack(positive).transpose(0, 2, 1)
         xhat = _by_channel(np.subtract, xa, shift)
         _by_channel(np.multiply, xhat, inv, out=xhat)
         g_sum = _channel_sum(g)

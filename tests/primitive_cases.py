@@ -3,13 +3,14 @@
 A case is keyed by the function's name, with ``-variant`` for a second case of the same function. It holds the
 tape-entry name the function records, a call of the function on the input tensors, a seeded draw for each
 input, and the positions of the inputs whose arrays the recorded backward reads (and so keeps alive) when every
-input needs a gradient. A case whose first input is 3-D is a ``[B, C, L]`` op. A new public function needs one case here:
-``test_numeric.py::test_cases_cover_every_primitive`` fails without it.
+input needs a gradient. A case of an op whose backward keeps masks also holds the bytes the recorded call makes
+and keeps, from its input's shape. A case whose first input is 3-D is a ``[B, C, L]`` op. A new public function
+needs one case here: ``test_numeric.py::test_cases_cover_every_primitive`` fails without it.
 """
 
 import math
 import zlib
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -38,18 +39,37 @@ def scale(*shape):
     return lambda rng: rng.uniform(0.5, 1.5, shape)
 
 
+def packed(n):
+    """Bytes of a mask of n elements at one bit per element."""
+    return -(-n // 8)
+
+
+def batch_norm_kept(batch, channels, length):
+    """A batch norm's ``out > 0`` mask at one bit per element, plus its two per-channel float64 vectors: the
+    shift and ``1 / sqrt(var + eps)``, from which the backward recomputes the normalized input."""
+    return packed(batch * channels * length) + 2 * channels * 8
+
+
+def maxpool_kept(batch, channels, length):
+    """``maxpool_halve``'s winner masks at one bit per window: first and middle entry over every window, last
+    entry over the windows that have one."""
+    return 2 * packed(batch * channels * ((length + 1) // 2)) + packed(batch * channels * (length // 2))
+
+
 class Case(NamedTuple):
     op: str  # the tape-entry name
     call: Callable  # the primitive's output from the input tensors
     inputs: tuple  # per input tensor, its seeded draw: rng -> a float64 array
     reads: tuple  # positions of the inputs whose arrays the backward reads
+    kept: Optional[Callable] = None  # mask ops: (B, C, L) of the input -> bytes the recorded call makes and keeps
 
 
 CASES = {
-    # a k=3 weight is read as a tap-order copy; a k=1 weight as a view of itself
+    # the weight itself: the backward copies a k=3 weight into tap order; a k=1 weight is a view of itself
     "conv1d": Case("conv1d", lambda x, w, b: F.conv1d(x, w, b, padding=1),
-                   (normal(2, 3, 6), normal(4, 3, 3), normal(4)), (0,)),
-    "conv1d-no-bias": Case("conv1d", lambda x, w: F.conv1d(x, w, padding=1), (normal(2, 3, 5), normal(4, 3, 3)), (0,)),
+                   (normal(2, 3, 6), normal(4, 3, 3), normal(4)), (0, 1)),
+    "conv1d-no-bias": Case("conv1d", lambda x, w: F.conv1d(x, w, padding=1), (normal(2, 3, 5), normal(4, 3, 3)),
+                           (0, 1)),
     "conv1d-k1": Case("conv1d", F.conv1d, (normal(2, 3, 5), normal(4, 3, 1), normal(4)), (0, 1)),
     "depthwise_conv1d": Case("depthwise_conv1d", lambda x, w: F.depthwise_conv1d(x, w, padding=1),
                              (normal(2, 3, 5), normal(3, 3)), (0, 1)),
@@ -61,19 +81,26 @@ CASES = {
     "relu": Case("relu", F.relu, (off_kink(3, 4),), (0,)),
     "add": Case("add", F.add, (normal(3, 4), normal(3, 4)), ()),
     # the pools keep window winners, kept time steps or nothing: never the input
-    "maxpool_halve": Case("maxpool_halve", F.maxpool_halve, (distinct(1, 3, 8),), ()),
-    "maxpool_halve-odd": Case("maxpool_halve", F.maxpool_halve, (distinct(2, 3, 7),), ()),
+    "maxpool_halve": Case("maxpool_halve", F.maxpool_halve, (distinct(1, 3, 8),), (), maxpool_kept),
+    "maxpool_halve-odd": Case("maxpool_halve", F.maxpool_halve, (distinct(2, 3, 7),), (), maxpool_kept),
+    # masks of 60, 60 and 45 windows, none a whole number of bytes
+    "maxpool_halve-3x5x7": Case("maxpool_halve", F.maxpool_halve, (distinct(3, 5, 7),), (), maxpool_kept),
     "kmax_pool": Case("kmax_pool", lambda x: F.kmax_pool(x, 3), (distinct(2, 3, 8),), ()),
     "adaptive_avg_pool": Case("adaptive_avg_pool", lambda x: F.adaptive_avg_pool(x, 2), (normal(2, 3, 8),), ()),
     "flatten_features": Case("flatten", F.flatten_features, (normal(2, 3, 4),), ()),
     "embedding": Case("embedding", lambda table: F.embedding(np.array([[0, 2, 1, 2]]), table), (normal(4, 3),), ()),
-    # the input, to recompute the normalized input, and gamma; the output only as an `out > 0` mask
+    # the input, to recompute the normalized input, and gamma; the output only as a bit-packed `out > 0` mask
     "batch_norm_train": Case("batch_norm_train", lambda x, g, b: F.batch_norm_train(x, g, b, 1e-5)[0],
-                             (normal(2, 3, 4), scale(3), normal(3)), (0, 1)),
+                             (normal(2, 3, 4), scale(3), normal(3)), (0, 1), batch_norm_kept),
+    "batch_norm_train-3x5x7": Case("batch_norm_train", lambda x, g, b: F.batch_norm_train(x, g, b, 1e-5)[0],
+                                   (normal(3, 5, 7), scale(5), normal(5)), (0, 1), batch_norm_kept),
     # running statistics in the input's dtype, so a float32 input keeps a float32 output
     "batch_norm_eval": Case("batch_norm_eval", lambda x, g, b: F.batch_norm_eval(
         x, g, b, np.zeros(3, x.data.dtype), np.ones(3, x.data.dtype), 1e-5), (normal(2, 3, 4), scale(3), normal(3)),
-        (0, 1)),
+        (0, 1), batch_norm_kept),
+    "batch_norm_eval-3x5x7": Case("batch_norm_eval", lambda x, g, b: F.batch_norm_eval(
+        x, g, b, np.zeros(5, x.data.dtype), np.ones(5, x.data.dtype), 1e-5), (normal(3, 5, 7), scale(5), normal(5)),
+        (0, 1), batch_norm_kept),
     "cross_entropy": Case("cross_entropy", lambda z: F.cross_entropy(z, np.array([1, 0, 2])), (normal(3, 4),), ()),
 }
 

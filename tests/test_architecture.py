@@ -35,6 +35,7 @@ from svdcnn.layers import ConvLayer, TdscLayer
 from svdcnn.training import predict_logits, save_checkpoint
 
 from oracles import level_shapes
+from primitive_cases import maxpool_kept, packed
 
 ALL_CONFIGS = [(family, depth) for family in ("vdcnn", "svdcnn") for depth in (9, 17, 29, 49)]
 
@@ -467,25 +468,24 @@ def kept_bytes(model, batch):
     embedding, each block's input, each first layer's output), and its
     convolution's outputs (a ``TdscLayer`` its depthwise and pointwise maps,
     a standard layer its one map), which the next convolution and the batch
-    norm read. bool maps: each batch norm's ``out > 0`` mask and each
-    max-pool's three window-winner masks. Each k=3 ``conv1d`` keeps its
-    weight copied into tap order. The head keeps the flattened rows the
-    first dense layer reads; a k-max head also keeps the kept time steps
-    (intp) and each hidden layer's output and ReLU output. Not kept: a
-    block's projection and sum, its closing layer's output, a max-pool's
-    input and the pooled map, whose backwards read at most their shape.
+    norm read. Masks, each packed to one bit per element over the whole
+    batch: each batch norm's ``out > 0`` mask and each max-pool's three
+    window-winner masks. The head keeps the flattened rows the first dense
+    layer reads; a k-max head also keeps the kept time steps (intp) and each
+    hidden layer's output and ReLU output. Not kept: a block's projection
+    and sum, its closing layer's output, a max-pool's input and the pooled
+    map, whose backwards read at most their shape, and a k=3 ``conv1d``'s
+    tap-order weight, which its backward copies again.
     """
     spec, f32 = model.spec, np.dtype(np.float32).itemsize
     length = spec.seq_len
-    maps = masks = taps = 0  # per sample: float32 and bool map elements; tap-order weight elements
+    maps = masks = 0  # float32 map elements per sample; mask bytes
 
     def layer(conv_layer):
-        nonlocal maps, masks, taps
+        nonlocal maps, masks
         in_ch, out_ch = conv_layer.in_channels, conv_layer.out_channels
         maps += (in_ch * (1 + isinstance(conv_layer, TdscLayer)) + out_ch) * length
-        masks += out_ch * length
-        if not isinstance(conv_layer, TdscLayer):
-            taps += conv_layer.last_weight.size
+        masks += packed(batch * out_ch * length)
 
     layer(model.first_conv)
     for i, blocks in enumerate(model.levels):
@@ -493,14 +493,14 @@ def kept_bytes(model, batch):
             layer(block.layer1)
             layer(block.layer2)
         if i < len(model.levels) - 1:
-            masks += blocks[-1].out_channels * (2 * ((length + 1) // 2) + length // 2)
+            masks += maxpool_kept(batch, blocks[-1].out_channels, length)
             length = (length + 1) // 2
     flat = spec.flat_features
     if spec.family == "vdcnn":
         head = (flat + 4 * spec.fc_hidden) * f32 + flat * np.dtype(np.intp).itemsize
     else:
         head = flat * f32
-    return batch * (maps * f32 + masks + head) + taps * f32
+    return batch * (maps * f32 + head) + masks
 
 
 @pytest.mark.parametrize("family", ["svdcnn", "vdcnn"])

@@ -69,6 +69,16 @@ class TestMeasure:
         with pytest.raises(StateError, match="eval"):
             measure_latency(model, np.zeros(8, dtype=np.int64), reps=2)
 
+    def test_a_module_in_train_mode_is_rejected_and_named(self):
+        model = tiny_model()
+        model.first_conv.train()  # the model itself stays in eval mode
+        buffers = [b.copy() for _name, b in model.named_buffers()]
+        with pytest.raises(StateError, match=r"^model must be in eval mode for latency measurement, "
+                                             r"but model\.first_conv is in train mode$"):
+            measure_latency(model, np.zeros(8, dtype=np.int64), reps=2, warmup=1)
+        for before, (_name, after) in zip(buffers, model.named_buffers()):
+            np.testing.assert_array_equal(after, before)  # no train-mode forward updated the running statistics
+
     def test_single_instance_only(self):
         with pytest.raises(ValueError, match="one instance"):
             measure_latency(tiny_model(), np.zeros((2, 8), dtype=np.int64), reps=2)

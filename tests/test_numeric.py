@@ -2,6 +2,7 @@
 finite-difference checks and determinism."""
 
 import inspect
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -411,6 +412,29 @@ class TestSavedArrays:
         del inputs
         assert len(tape) == 1
         assert tuple(i for i, ref in enumerate(refs) if ref() is not None) == CASES[case].reads
+
+
+class TestKeptMasks:
+    """A recorded batch norm or max-pool keeps each bool mask at one bit per element: with the output dropped and
+    the tape held, the numpy buffers the call made and still holds (``tracemalloc``'s numpy domain, exact to the
+    byte) come to at most its case's ``kept`` bytes, ``ceil(n / 8)`` per mask of n elements. The temporal input is
+    channels-last, so the op keeps that array itself, made before the count starts."""
+
+    @pytest.mark.parametrize("case", [case for case in CASES if CASES[case].kept is not None])
+    def test_masks_are_kept_at_one_bit_per_element(self, case):
+        arrays = draw_inputs(case)
+        arrays[0] = in_memory_order(arrays[0], "channels_last")
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                CASES[case].call(*inputs)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        numpy_buffers = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        assert len(tape) == 1
+        assert 0 < sum(trace.size for trace in numpy_buffers.traces) <= CASES[case].kept(*arrays[0].shape)
 
 
 class TestGradientHandOver:
