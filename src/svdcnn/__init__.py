@@ -37,7 +37,7 @@ from .autograd import (
     backward,
     grad_check,
 )
-from .bench import LatencyStats, latency_ratio, measure_latency
+from .bench import LatencyStats, measure_latency
 from .data import (
     ALPHABET,
     Dataset,

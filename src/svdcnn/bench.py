@@ -6,17 +6,15 @@ clock is injectable so the statistics are unit-testable without wall time.
 
 from __future__ import annotations
 
-import codecs
 import json
-import math
 import os
 import platform
 import time
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .architecture import Model, round2
+from .architecture import Model
 from .autograd import StateError
 from .layers import Module
 
@@ -30,14 +28,6 @@ class LatencyStats:
     environment: str = ""
     resolution_warning: bool = False
     blas_stall: bool = False
-
-    def __post_init__(self):
-        if self.reps < 2:
-            raise ValueError(f"need at least 2 repetitions, got {self.reps}")
-        for name in ("mean_ms", "std_ms"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"field {name} must be finite and non-negative, got {value}")
 
 
 def environment_summary() -> str:
@@ -131,13 +121,6 @@ def measure_latency(
     return LatencyStats(mean, std, reps, warmup, environment_summary(), warning, stalled)
 
 
-def latency_ratio(a: LatencyStats, b: LatencyStats) -> float:
-    """Mean-latency ratio a/b, rounded to 2 decimals."""
-    if b.mean_ms <= 0:
-        raise ValueError(f"denominator mean must be positive, got {b.mean_ms}")
-    return round2(a.mean_ms / b.mean_ms)
-
-
 def format_stats_row(label: str, depth: int, stats: LatencyStats) -> str:
     row = f"{label:<10} {depth:>3}  {stats.mean_ms:8.2f}ms ±{stats.std_ms:.2f}  reps={stats.reps}"
     if stats.environment:
@@ -153,34 +136,3 @@ def save_stats(stats: LatencyStats, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(asdict(stats), fh, indent=2)
         fh.write("\n")
-
-
-# JSON types each annotated field type accepts; bool is an int subclass, so it is refused where not named.
-_RECORD_TYPES = {"float": ((int, float), "a real number"), "int": (int, "an integer"), "str": (str, "a string"),
-                 "bool": (bool, "true or false")}
-
-
-def load_stats(path) -> LatencyStats:
-    """Read a record written by :func:`save_stats`, dropping a leading UTF-8 BOM; ValueError names the path (and
-    field) if it is malformed."""
-    try:
-        with open(path, "rb") as fh:
-            record = json.loads(fh.read().removeprefix(codecs.BOM_UTF8).decode("utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValueError(f"{path}: {exc}") from None
-    names = [f.name for f in fields(LatencyStats)]
-    required = [f.name for f in fields(LatencyStats) if f.default is MISSING]
-    if not isinstance(record, dict) or not set(required) <= record.keys() <= set(names):
-        raise ValueError(f"{path}: expected a JSON object with the fields {', '.join(required)} "
-                         f"(optional: {', '.join(n for n in names if n not in required)})")
-    for f in fields(LatencyStats):
-        accepted, described = _RECORD_TYPES[f.type]
-        value = record.get(f.name, f.default)
-        if not isinstance(value, accepted) or (isinstance(value, bool) and f.type != "bool"):
-            raise ValueError(f"{path}: field {f.name} must be {described}, got {json.dumps(value)}")
-    if not record["mean_ms"] > 0:  # NaN fails this too; a ratio needs a positive mean on both sides
-        raise ValueError(f"{path}: field mean_ms must be positive, got {json.dumps(record['mean_ms'])}")
-    try:
-        return LatencyStats(**record)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

@@ -57,6 +57,14 @@ def _from_args(cls, args):
     return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
 
 
+def _check_writable(path) -> None:
+    """Raise now, before a command does its work, if ``path`` cannot be written: no such directory, or a directory."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+
+
 def cmd_describe(args) -> int:
     spec = _from_args(ArchitectureSpec, args)
     enumerated = count_params(Model(spec, seed=None))
@@ -152,8 +160,7 @@ def cmd_train(args) -> int:
         raise ValueError(f"--val-fraction must be in (0, 1), got {val_fraction}")
     history_path = args.history or f"{args.out}.history.jsonl"
     for path in (args.out, history_path):  # checked now, so a bad path does not cost a whole training run
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
+        _check_writable(path)
     if args.synthetic:
         train_set = synth_dataset(given.get("train_size", 400), spec.n_classes, spec.seq_len, seed=cfg.seed)
         val_set = synth_dataset(given.get("val_size", 200), spec.n_classes, spec.seq_len, seed=cfg.seed + 1)
@@ -209,19 +216,10 @@ def cmd_predict(args) -> int:
 def cmd_bench(args) -> int:
     given = vars(args)  # --reps, --warmup, --seed and the architecture flags are in it only when given
     spec_flags = [flags[0] for name, (flags, _keywords) in _SPEC_FLAGS.items() if name in given]
-    if args.compare:
-        measuring = ("checkpoint", "json", "reps", "warmup", "seed")
-        unused = [f"--{name}" for name in measuring if given.get(name) is not None]
-        if unused + spec_flags:
-            raise ValueError(f"--compare reads two records and measures nothing; drop {', '.join(unused + spec_flags)}")
-        a, b = args.compare
-        ratio = bench_mod.latency_ratio(bench_mod.load_stats(a), bench_mod.load_stats(b))
-        print(f"latency ratio ({a} / {b}): {ratio:.2f}")
-        return 0
     if args.checkpoint is not None and spec_flags:
         raise ValueError(f"--checkpoint sets the architecture; drop {', '.join(spec_flags)}")
-    if args.json is not None and not os.path.isdir(os.path.dirname(args.json) or "."):
-        raise FileNotFoundError(f"cannot write {args.json}: its directory does not exist")  # checked before measuring
+    if args.json is not None:
+        _check_writable(args.json)  # checked before measuring
     seed = given.get("seed", 0)
     if args.checkpoint is not None:
         model = load_checkpoint(args.checkpoint)
@@ -290,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)  # 0 when not given (cmd_bench)
     p.add_argument("--json", default=None, help="write the measurement record to this path")
-    p.add_argument("--compare", nargs=2, metavar=("A", "B"), default=None,
-                   help="print the mean-latency ratio of two recorded runs")
     p.set_defaults(func=cmd_bench)
     return parser
 
@@ -305,7 +301,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "bench" and not args.compare and "reps" in args and args.reps < 2:
+        if args.command == "bench" and "reps" in args and args.reps < 2:
             parser.error("--reps must be at least 2")
     except SystemExit as exc:
         return int(exc.code or 0)

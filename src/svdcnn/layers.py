@@ -140,7 +140,11 @@ class BatchNorm(Module):
 
 
 class EmbeddingTable(Module):
-    """Character index to dense vector lookup; row 0 is the padding vector."""
+    """Character index to dense vector lookup.
+
+    Row 0 stands for padding and for characters outside the dictionary. It
+    starts at zero and is learned like every other row.
+    """
 
     category = "embedding"
 

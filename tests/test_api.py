@@ -13,7 +13,7 @@ PUBLIC_NAMES = {
     "DEFAULT_DTYPE", "NonFiniteError", "ShapeError", "StateError", "Tape", "TapeConsumedError", "Tensor", "backward",
     "grad_check",
     # bench
-    "LatencyStats", "latency_ratio", "measure_latency",
+    "LatencyStats", "measure_latency",
     # data
     "ALPHABET", "Dataset", "IngestionError", "IngestionWarning", "Vocabulary", "load_csv", "make_batches", "quantize",
     "split_dataset", "synth_dataset",

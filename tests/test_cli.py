@@ -253,6 +253,15 @@ class TestTrain:
         assert err.startswith("error: ") and str(missing) in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--out", "--history"])
+    def test_output_path_naming_a_directory_fails_before_training(self, capsys, tmp_path, flag):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        code, out, err = run(capsys, "train", "--synthetic", *self.TINY, "--out", str(tmp_path / "m.ckpt"),
+                             flag, str(taken))
+        assert (code, out, err) == (1, "", f"error: cannot write {taken}: it is a directory\n")
+        assert list(tmp_path.iterdir()) == [taken] and list(taken.iterdir()) == []
+
 
 class TestPredict:
     def test_probabilities_sum_to_one(self, trained, capsys):
@@ -453,81 +462,22 @@ class TestBench:
         named = "--seq-len" if flag == "--s" else flag
         assert (code, out, err) == (1, "", f"error: --checkpoint sets the architecture; drop {named}\n")
 
-    COMPARE_FLAGS = [("--checkpoint", "absent.ckpt"), ("--json", "run.json"), ("--reps", "2"), ("--warmup", "0"),
-                     ("--seed", "5"), *SPEC_FLAGS]
-
-    @pytest.mark.parametrize("flag,value", COMPARE_FLAGS, ids=[flag for flag, _value in COMPARE_FLAGS])
-    def test_measurement_flag_with_compare_is_rejected_before_reading(self, capsys, tmp_path, flag, value):
-        code, out, err = run(capsys, "bench", "--compare", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
-                             flag, str(tmp_path / value) if flag in ("--checkpoint", "--json") else value)
-        named = "--seq-len" if flag == "--s" else flag
-        assert (code, out, err) == (1, "", f"error: --compare reads two records and measures nothing; drop {named}\n")
-        assert list(tmp_path.iterdir()) == []
-
     def test_missing_json_directory_fails_before_measuring(self, capsys, tmp_path):
         missing = tmp_path / "missing" / "run.json"
         code, out, err = run(capsys, "bench", "--s", "16", "--pooled-len", "2", "--classes", "2", "--fc-hidden", "8",
                              "--reps", "2", "--warmup", "0", "--json", str(missing))
         assert (code, out, err) == (1, "", f"error: cannot write {missing}: its directory does not exist\n")
 
+    def test_json_path_naming_a_directory_fails_before_measuring(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(svdcnn.bench, "measure_latency", lambda *a, **k: pytest.fail("timed before the check"))
+        code, out, err = run(capsys, "bench", "--s", "16", "--pooled-len", "2", "--classes", "2", "--fc-hidden", "8",
+                             "--reps", "2", "--warmup", "0", "--json", str(tmp_path))
+        assert (code, out, err) == (1, "", f"error: cannot write {tmp_path}: it is a directory\n")
+
     def test_reps_of_one_is_usage_error(self, capsys):
         code, _out, err = run(capsys, "bench", "--reps", "1")
         assert code == 2
         assert "at least 2" in err
-
-    def test_compare_prints_ratio(self, capsys, tmp_path):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        a.write_text(json.dumps({"mean_ms": 5.53, "std_ms": 0.16, "reps": 10, "warmup": 0,
-                                 "environment": "gpu-host", "resolution_warning": False}))
-        b.write_text(json.dumps({"mean_ms": 25.88, "std_ms": 0.52, "reps": 10, "warmup": 0,
-                                 "environment": "cpu-host", "resolution_warning": False}))
-        code, out, _err = run(capsys, "bench", "--compare", str(a), str(b))
-        assert code == 0
-        assert "0.21" in out
-
-    FIELDS = ("expected a JSON object with the fields mean_ms, std_ms, reps, warmup "
-              "(optional: environment, resolution_warning, blas_stall)")
-
-    @pytest.mark.parametrize("content,message", [
-        (json.dumps({"mean_ms": 1.0}).encode(), FIELDS),
-        (json.dumps([1, 2]).encode(), FIELDS),
-        (json.dumps({"mean_ms": 1.0, "std_ms": 0.1, "reps": 10, "warmup": 0, "median_ms": 1.0}).encode(), FIELDS),
-        (b'{"mean_ms": 1.0, ', "Expecting property name enclosed in double quotes: line 1 column 18 (char 17)"),
-        (b'{"environment": "caf\xe9"}', "'utf-8' codec can't decode byte 0xe9 in position 20: invalid continuation byte"),
-        (codecs.BOM_UTF8 + json.dumps({"mean_ms": 1.0}).encode(), FIELDS),  # the BOM is dropped, the fields named
-    ], ids=["missing-fields", "not-an-object", "unknown-field", "truncated", "not-utf8", "bom"])
-    def test_compare_rejects_malformed_record(self, capsys, tmp_path, content, message):
-        good = tmp_path / "good.json"
-        good.write_text(json.dumps({"mean_ms": 5.0, "std_ms": 0.1, "reps": 10, "warmup": 0}))
-        bad = tmp_path / "bad.json"
-        bad.write_bytes(content)
-        code, out, err = run(capsys, "bench", "--compare", str(good), str(bad))
-        assert code == 1
-        assert out == ""
-        assert err == f"error: {bad}: {message}\n"
-
-    def test_compare_rejects_wrong_field_type(self, capsys, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"mean_ms": 1.0, "std_ms": 0.1, "reps": "10", "warmup": 0}))
-        code, out, err = run(capsys, "bench", "--compare", str(bad), str(bad))
-        assert code == 1
-        assert out == ""
-        assert err == f'error: {bad}: field reps must be an integer, got "10"\n'
-
-    @pytest.mark.parametrize("position", ["A", "B"])
-    @pytest.mark.parametrize("field,value", [("mean_ms", float("nan")), ("mean_ms", -1.0), ("std_ms", float("inf"))],
-                             ids=["mean-nan", "mean-negative", "std-inf"])
-    def test_compare_rejects_out_of_range_value(self, capsys, tmp_path, position, field, value):
-        good = tmp_path / "good.json"
-        good.write_text(json.dumps({"mean_ms": 5.0, "std_ms": 0.1, "reps": 10, "warmup": 0}))
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"mean_ms": 5.0, "std_ms": 0.1, "reps": 10, "warmup": 0} | {field: value}))
-        pair = (bad, good) if position == "A" else (good, bad)
-        code, out, err = run(capsys, "bench", "--compare", *map(str, pair))
-        assert code == 1
-        assert out == ""
-        assert err.startswith(f"error: {bad}: field {field} must be ")
 
     def test_json_record_written(self, capsys, tmp_path):
         record = tmp_path / "run.json"

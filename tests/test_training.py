@@ -138,6 +138,22 @@ class TestSgd:
         for (_n, buf), saved in zip(model.named_buffers(), before):
             np.testing.assert_array_equal(buf, saved)
 
+    @pytest.mark.parametrize("holds_index_zero", [True, False], ids=["padded-batch", "full-batch"])
+    def test_embedding_row_zero_is_learned_only_from_the_rows_that_index_it(self, holds_index_zero):
+        model = Model(tiny_spec(), seed=0)
+        idx = np.random.default_rng(0).integers(1, model.spec.vocab_size, size=(4, model.spec.seq_len))
+        if holds_index_zero:
+            idx[1, -3:] = 0  # right padding, or characters outside the dictionary
+        opt = SGD(model.parameters(), lr=0.1, momentum=0.9, weight_decay=0.001)
+        for _ in range(2):  # the output layer starts at zero, so the first step sends no gradient below it
+            opt.zero_grad()
+            with Tape() as tape:
+                loss = cross_entropy(model.forward(idx), np.array([0, 1, 0, 1]))
+            backward(loss, tape)
+            opt.step()
+        row = model.embedding.table.data[0]
+        assert row.any() == holds_index_zero  # else exactly 0: weight decay on a zero row adds 0
+
     @pytest.mark.parametrize("field,value,message", [
         ("lr", 0.0, "learning rate must be positive and finite, got 0.0"),
         ("lr", math.nan, "learning rate must be positive and finite, got nan"),
