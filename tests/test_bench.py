@@ -1,8 +1,10 @@
 """Latency statistics with injected clocks, the written record and the protocol defaults."""
 
 import inspect
+import itertools
 import json
-from dataclasses import asdict
+import os
+from dataclasses import FrozenInstanceError, asdict
 
 import numpy as np
 import pytest
@@ -57,6 +59,31 @@ class TestMeasure:
     def test_too_few_reps(self):
         with pytest.raises(ValueError, match="2 repetitions"):
             measure_latency(tiny_model(), np.zeros(8, dtype=np.int64), reps=1)
+
+    @pytest.mark.parametrize("counts,message", [
+        ({"reps": 1}, "need at least 2 repetitions, got 1"),
+        ({"reps": 0}, "need at least 2 repetitions, got 0"),
+        ({"reps": -1}, "need at least 2 repetitions, got -1"),
+        ({"reps": 2, "warmup": -1}, "warmup cannot be negative, got -1"),
+        ({"reps": 2, "warmup": -10}, "warmup cannot be negative, got -10"),
+    ], ids=["reps-1", "reps-0", "reps-negative", "warmup-1", "warmup-10"])
+    def test_bad_counts_are_rejected_before_anything_runs(self, monkeypatch, counts, message):
+        # the counts are checked here only: a LatencyStats is not validated when it is built
+        monkeypatch.setattr(bench, "probe_gemm_ms", lambda: pytest.fail("probed before the check"))
+        monkeypatch.setattr(Model, "forward", lambda self, idx: pytest.fail("forward before the check"))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            measure_latency(tiny_model(), np.zeros(8, dtype=np.int64), clock=FakeClock([]), **counts)
+
+    @pytest.mark.parametrize("warmup", [0, 1, 3])
+    def test_warmup_passes_are_run_untimed_and_recorded(self, monkeypatch, warmup):
+        forwards = []
+        forward = Model.forward
+        monkeypatch.setattr(Model, "forward", lambda self, idx: forwards.append(idx.shape) or forward(self, idx))
+        clock = FakeClock([0.0, 0.001, 0.0, 0.003])  # two timed passes read the clock twice each
+        stats = measure_latency(tiny_model(), np.zeros(8, dtype=np.int64), reps=2, warmup=warmup, clock=clock)
+        assert clock.readings == []
+        assert forwards == [(1, 8)] * (warmup + 2)
+        assert (stats.mean_ms, stats.reps, stats.warmup) == (2.0, 2, warmup)
 
     def test_train_mode_rejected(self):
         model = tiny_model().train()
@@ -120,6 +147,34 @@ class TestEnvironment:
         monkeypatch.setattr(np, "show_config", show_config)
         assert ", BLAS unknown, OPENBLAS_NUM_THREADS=" in environment_summary()
 
+    def test_names_the_blas_numpy_reports(self, monkeypatch):
+        build = {"blas": {"name": "scipy-openblas", "version": "0.3.31"}}
+        monkeypatch.setattr(np, "show_config", lambda mode=None: {"Build Dependencies": build})
+        assert ", BLAS scipy-openblas 0.3.31, OPENBLAS_NUM_THREADS=" in environment_summary()
+
+    @pytest.mark.parametrize("threads", ["1", "2", None], ids=["one", "two", "unset"])
+    def test_ends_with_the_openblas_thread_setting(self, monkeypatch, threads):
+        if threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        assert environment_summary().endswith(f", OPENBLAS_NUM_THREADS={threads or 'unset'}")
+
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "no-affinity"])
+    def test_counts_the_usable_cores(self, monkeypatch, affinity):
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert environment_summary().startswith("2 vCPU " if affinity else "7 vCPU ")
+
+
+ENVIRONMENT = "2 vCPU x86_64, numpy 2.4.6"
+FLAGS = list(itertools.product(["", ENVIRONMENT], [False, True], [False, True]))
+FLAG_IDS = [f"{'env' if env else 'no-env'}-{'coarse' if coarse else 'fine'}-{'stall' if stall else 'clean'}"
+            for env, coarse, stall in FLAGS]
+
 
 class TestRecords:
     def test_json_roundtrip(self, tmp_path):
@@ -133,3 +188,41 @@ class TestRecords:
         stats = LatencyStats(mean_ms=3.25, std_ms=0.5, reps=100, warmup=10)
         row = format_stats_row("svdcnn", 9, stats)
         assert "3.25" in row and "reps=100" in row and "9" in row
+
+    def test_optional_fields_default_to_an_unflagged_record(self):
+        stats = LatencyStats(mean_ms=3.25, std_ms=0.5, reps=100, warmup=10)
+        assert (stats.environment, stats.resolution_warning, stats.blas_stall) == ("", False, False)
+        assert format_stats_row("vdcnn", 29, stats) == "vdcnn       29      3.25ms ±0.50  reps=100"
+
+    def test_records_are_frozen(self):
+        stats = LatencyStats(mean_ms=3.25, std_ms=0.5, reps=100, warmup=10)
+        with pytest.raises(FrozenInstanceError):
+            stats.mean_ms = 1.0
+
+    @pytest.mark.parametrize("environment,coarse,stall", FLAGS, ids=FLAG_IDS)
+    def test_row_matches_the_reference_bytes(self, environment, coarse, stall):
+        stats = LatencyStats(23.108, 4.099, 1000, 10, environment, coarse, stall)
+        expected = "svdcnn       9     23.11ms ±4.10  reps=1000"
+        if environment:
+            expected += "  [2 vCPU x86_64, numpy 2.4.6]"
+        if coarse:
+            expected += "  (timer resolution coarse relative to mean)"
+        if stall:
+            expected += "  (BLAS stall: the tap GEMM probe took over 5 ms; rerun)"
+        assert format_stats_row("svdcnn", 9, stats) == expected
+
+    @pytest.mark.parametrize("environment,coarse,stall", FLAGS, ids=FLAG_IDS)
+    def test_written_record_matches_the_reference_bytes(self, tmp_path, environment, coarse, stall):
+        path = tmp_path / "run.json"
+        save_stats(LatencyStats(23.108, 4.099, 1000, 10, environment, coarse, stall), path)
+        assert path.read_bytes() == (
+            "{\n"
+            '  "mean_ms": 23.108,\n'
+            '  "std_ms": 4.099,\n'
+            '  "reps": 1000,\n'
+            '  "warmup": 10,\n'
+            f'  "environment": "{environment}",\n'
+            f'  "resolution_warning": {"true" if coarse else "false"},\n'
+            f'  "blas_stall": {"true" if stall else "false"}\n'
+            "}\n"
+        ).encode()

@@ -479,6 +479,29 @@ class TestBench:
         assert code == 2
         assert "at least 2" in err
 
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_reps_below_two_is_usage_error_before_measuring(self, capsys, monkeypatch, reps):
+        monkeypatch.setattr(svdcnn.bench, "measure_latency", lambda *a, **k: pytest.fail("timed before the check"))
+        code, out, err = run(capsys, "bench", "--reps", reps)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: --reps must be at least 2\n")
+
+    MEASUREMENT_FLAGS = ["--family", "--depth", "--classes", "--seq-len", "--s", "--embed-dim", "--pooled-len",
+                         "--fc-hidden", "--checkpoint", "--reps", "--warmup", "--seed", "--json"]
+
+    @pytest.mark.parametrize("flag", MEASUREMENT_FLAGS)
+    def test_help_lists_the_flag(self, capsys, flag):
+        code, out, _err = run(capsys, "bench", "--help")
+        assert code == 0
+        assert f" {flag} " in out.replace(",", " ").replace("\n", " ")
+
+    def test_compare_is_not_an_option(self, capsys, tmp_path):
+        code, out, err = run(capsys, "bench", "--compare", str(tmp_path / "a.json"), str(tmp_path / "b.json"))
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --compare" in err
+        assert "--compare" not in run(capsys, "bench", "--help")[1]
+        assert list(tmp_path.iterdir()) == []
+
     def test_json_record_written(self, capsys, tmp_path):
         record = tmp_path / "run.json"
         code, _out, _err = run(
@@ -489,6 +512,19 @@ class TestBench:
         assert code == 0
         payload = json.loads(record.read_text())
         assert payload["reps"] == 3
+
+    def test_json_record_is_the_printed_row_s_measurement(self, capsys, tmp_path):
+        record = tmp_path / "run.json"
+        code, out, err = run(capsys, "bench", "--s", "16", "--pooled-len", "2", "--classes", "2", "--fc-hidden", "8",
+                             "--reps", "2", "--warmup", "1", "--json", str(record))
+        assert (code, err) == (0, "")
+        row, wrote = out.splitlines()
+        assert wrote == f"wrote {record}"
+        payload = json.loads(record.read_text(encoding="utf-8"))
+        assert list(payload) == ["mean_ms", "std_ms", "reps", "warmup", "environment", "resolution_warning",
+                                 "blas_stall"]
+        assert row.startswith(f"svdcnn       9  {payload['mean_ms']:8.2f}ms ±{payload['std_ms']:.2f}  reps=2  ")
+        assert (payload["reps"], payload["warmup"]) == (2, 1)
 
     def test_json_record_names_the_environment(self, capsys, tmp_path):
         flags = ["bench", "--family", "svdcnn", "--depth", "9", "--s", "16", "--pooled-len", "2",

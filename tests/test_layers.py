@@ -40,6 +40,24 @@ class TestEmbedding:
         with pytest.raises(IndexError, match=r"index 9 at position 1"):
             table.forward(np.array([0, 9, 1])[None])
 
+    @pytest.mark.parametrize("family", ["vdcnn", "svdcnn"])
+    def test_row_zero_starts_at_zero_and_is_a_trained_parameter(self, family):
+        model = Model(ArchitectureSpec(family, depth=9, seq_len=16, pooled_len=2, n_classes=2, fc_hidden=8), seed=0)
+        table = model.embedding.table
+        np.testing.assert_array_equal(table.data[0], np.zeros(table.shape[1]))
+        assert np.abs(table.data[1:]).sum(axis=1).all()  # every other row starts random
+        assert table.requires_grad and any(p is table for p in model.parameters())
+
+    @pytest.mark.parametrize("indices", [[2, 0, 1, 0, 3], [2, 1, 1, 3, 3]], ids=["padded", "full"])
+    def test_row_zero_gradient_sums_the_positions_that_index_it(self, indices):
+        table = EmbeddingTable(4, 2, RNG(0))
+        weights = np.arange(1, 11, dtype=np.float32).reshape(1, 2, 5)  # distinct per channel and position
+        with Tape() as tape:
+            loss = tensor_sum(mul(table.forward(np.array(indices)[None]), Tensor(weights)))
+        backward(loss, tape)
+        at_zero = [p for p, index in enumerate(indices) if index == 0]
+        np.testing.assert_array_equal(table.table.grad[0], weights[0][:, at_zero].sum(axis=1))
+
 
 class TestTdscLayer:
     def test_weight_counts(self):
