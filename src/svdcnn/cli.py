@@ -159,6 +159,8 @@ def cmd_train(args) -> int:
     if not 0.0 < val_fraction < 1.0:
         raise ValueError(f"--val-fraction must be in (0, 1), got {val_fraction}")
     history_path = args.history or f"{args.out}.history.jsonl"
+    if os.path.normcase(os.path.realpath(history_path)) == os.path.normcase(os.path.realpath(args.out)):
+        raise ValueError(f"--history {history_path} names the same file as --out {args.out}")
     for path in (args.out, history_path):  # checked now, so a bad path does not cost a whole training run
         _check_writable(path)
     if args.synthetic:

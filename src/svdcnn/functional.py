@@ -19,7 +19,9 @@ needs only the shape of, or an output) is freed when the forward drops it.
 
 from __future__ import annotations
 
+import ctypes
 import math
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -144,6 +146,91 @@ def _shifted_sum(shape: tuple, dtype, k: int, product) -> np.ndarray:
     return out
 
 
+def _bind_gemms() -> dict:
+    """``{dtype: gemm}`` for float32 and float64 from numpy's bundled OpenBLAS, or ``{}`` without that library.
+
+    ``gemm(a, b, c)`` adds ``a @ b`` into ``c`` with one level-3 BLAS call,
+    ``C <- A B + 1 C``, which ``np.matmul(out=)`` cannot do: it always
+    overwrites. ``a`` and ``c`` are C-contiguous; ``b`` is C- or
+    F-contiguous. The library is bound only where numpy's wheel bundles it
+    (``numpy.libs`` on Linux and Windows, ``numpy/.dylibs`` on macOS) under
+    the name ``libscipy_openblas64_`` and exports the ILP64 CBLAS symbols
+    ``scipy_cblas_[sd]gemm64_``, and each GEMM only once it reproduces a tiny
+    product of ``np.matmul``.
+    """
+    home = Path(np.__file__).parent
+    found = [*home.parent.glob("numpy.libs/libscipy_openblas64_*"), *home.glob(".dylibs/libscipy_openblas64_*")]
+    try:
+        lib = ctypes.CDLL(str(found[0])) if len(found) == 1 else None
+    except OSError:
+        lib = None
+    gemms = {}
+    for dtype, scalar, symbol in ((np.float32, ctypes.c_float, "scipy_cblas_sgemm64_"),
+                                  (np.float64, ctypes.c_double, "scipy_cblas_dgemm64_")):
+        fn = getattr(lib, symbol, None)
+        if fn is None:
+            continue
+        # (order, trans_a, trans_b) as C enums, then M, N, K and leading dimensions as 64-bit integers
+        fn.argtypes = [ctypes.c_int] * 3 + [ctypes.c_int64] * 3 + [
+            scalar, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, scalar, ctypes.c_void_p,
+            ctypes.c_int64]
+        fn.restype = None
+
+        def gemm(a, b, c, fn=fn, dtype=np.dtype(dtype)):
+            (m, inner), n = a.shape, c.shape[1]
+            if not (a.dtype == b.dtype == c.dtype == dtype and b.shape == (inner, n) and len(c) == m and
+                    a.flags.c_contiguous and c.flags.c_contiguous and (b.flags.c_contiguous or b.flags.f_contiguous)):
+                raise ValueError("gemm operands must match the bound dtype and shapes, a and c C-contiguous")
+            trans_b = not b.flags.c_contiguous  # row-major enums: 101 row-major, 111 no transpose, 112 transpose
+            fn(101, 111, 112 if trans_b else 111, m, n, inner, 1.0, a.ctypes.data, max(1, inner),
+               b.ctypes.data, max(1, inner if trans_b else n), 1.0, c.ctypes.data, max(1, n))
+
+        a = np.arange(1, 7, dtype=dtype).reshape(2, 3)
+        b = np.arange(1, 13, dtype=dtype).reshape(4, 3)
+        c = np.ones((2, 4), dtype)
+        gemm(a, b.T, c)
+        gemm(a, b.T.copy(), c)
+        if np.array_equal(c, 1 + 2 * np.matmul(a, b.T)):
+            gemms[np.dtype(dtype)] = gemm
+    return gemms
+
+
+_GEMMS = _bind_gemms()
+
+
+def _tap_products(rows: np.ndarray, mats: np.ndarray, shape: tuple) -> np.ndarray:
+    """``_shifted_sum`` of the GEMM products ``rows @ mats[kk]`` of a ``conv1d``'s K taps, into a new ``[B, C, L]`` map.
+
+    ``rows`` is the C-contiguous ``[B*L, C_in]`` rows of the input, and each
+    ``mats[kk]`` a C- or F-contiguous ``[C_in, C]`` matrix. The centre tap's
+    product is the output. Where ``_GEMMS`` binds a GEMM for the dtype of
+    both, each other tap adds into the output with one GEMM over all rows at
+    the tap's shift, and no temporary or add pass: tap kk adds ``rows[r + s]``
+    into output row r, for ``s = kk - K//2``. Each sequence's last s (or first
+    -s) output rows would read the neighbouring sequence, so they are copied
+    out before the GEMM and written back after it: no value (NaN included)
+    crosses a sequence. Elsewhere ``_shifted_sum`` runs the taps, one
+    ``np.matmul`` each.
+    """
+    k = len(mats)
+    dtype = np.result_type(rows, mats)
+    gemm = _GEMMS.get(dtype) if rows.dtype == mats.dtype else None
+    if gemm is None:
+        return _shifted_sum(shape, dtype, k, lambda kk, o: np.matmul(rows, mats[kk], out=_rows(o)))
+    out = _empty(shape, dtype)
+    out_rows, steps, length = _rows(out), out.transpose(0, 2, 1), shape[2]
+    np.matmul(rows, mats[k // 2], out=out_rows)
+    for kk, (dst, src) in enumerate(_tap_slices(len(rows), k)):
+        shift = kk - k // 2
+        if shift == 0 or abs(shift) >= length:
+            continue
+        edge = steps[:-1, length - shift:] if shift > 0 else steps[1:, :-shift]
+        kept = edge.copy()
+        gemm(rows[src], mats[kk], out_rows[dst])
+        edge[...] = kept
+    return out
+
+
 def _channel_sum(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-channel sum of ``a [B, C, L]`` (or of ``a * b``) over batch and time: an ``einsum`` over time, then a sum over batch.
 
@@ -172,12 +259,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
 
     Output is ``[B, C_out, L]``: K must be odd and ``padding`` must be K // 2.
     Each tap's product is one GEMM over the ``[B*L, C_in]`` rows,
-    ``rows @ W_kk.T``, and ``_shifted_sum`` adds the taps at their shifts.
-    The weight gradient is one GEMM per tap, ``g_rows.T @ rows``, over the
-    time steps the tap connects, and the input gradient one GEMM per tap,
-    ``g_rows @ W_kk``; at K = 1 all three are single GEMMs over views, with
-    no copy. A recorded call keeps ``x`` and the weight itself, not its
-    tap-order copy: the backward copies the weight into tap order again.
+    ``rows @ W_kk.T``, added at its shift by ``_tap_products``. The weight
+    gradient is one GEMM per tap, ``g_rows.T @ rows``, over the time steps
+    the tap connects, and the input gradient one GEMM per tap,
+    ``g_rows @ W_kk``, the taps reversed, again by ``_tap_products``; at
+    K = 1 all three are single GEMMs over views, with no copy. A recorded
+    call keeps ``x`` and the weight itself, not its tap-order copy: the
+    backward copies the weight into tap order again.
     """
     xa = _checked(x, "[B, C, L]", "conv1d")
     w = weight.data
@@ -192,9 +280,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
 
     # contiguous [K, C_out, C_in]: a strided w[:, :, kk] view would keep matmul off BLAS
     taps = np.ascontiguousarray(w.transpose(2, 0, 1))
-    x_rows = _rows(xa)
-    od = _shifted_sum((len(xa), out_ch, xa.shape[2]), np.result_type(xa, w), k,
-                      lambda kk, o: np.matmul(x_rows, taps[kk].T, out=_rows(o)))
+    od = _tap_products(_rows(xa), taps.transpose(0, 2, 1), (len(xa), out_ch, xa.shape[2]))
     if bias is not None:
         _by_channel(np.add, od, bias.data, out=od)
     sx, sw, sb = _slot(x), _slot(weight), _slot(bias)
@@ -210,12 +296,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
         if sb is not None:
             sb.accumulate_grad(_channel_sum(g))
         if sx is not None:
-            g_rows = _rows(g)
             # the taps reversed, from a tap-order copy made afresh: the weight is unchanged since the forward
             taps = np.ascontiguousarray(w.transpose(2, 0, 1))
-            gx = _shifted_sum(xa.shape, np.result_type(g, w), k,
-                              lambda kk, o: np.matmul(g_rows, taps[k - 1 - kk], out=_rows(o)))
-            sx.accumulate_grad(gx)
+            sx.accumulate_grad(_tap_products(_rows(g), taps[::-1], xa.shape))
 
     return _output("conv1d", od, (x, weight, bias), pull)
 

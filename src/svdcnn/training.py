@@ -279,25 +279,34 @@ def load_checkpoint(path) -> Model:
     # where each array lives: a parameter's Tensor.data, or a buffer attribute of its module
     homes = [(name, t, "data") for name, t, _c in model.named_params()]
     homes += [(name, owner, name.rpartition(".")[2]) for name, v, owner in model._walk() if isinstance(v, np.ndarray)]
-    offset = header_end
-    for name, owner, attr in homes:
+    # every length prefix and extent is checked before the first view, so a failed load closes the map (and,
+    # before Python 3.13, its descriptor) at once, not when its traceback goes
+    starts, offset = [], header_end
+    try:
+        for name, owner, attr in homes:
+            n = getattr(owner, attr).size
+            if offset + 8 > size:
+                raise CheckpointTruncatedError(f"{path}: truncated before length of {name}")
+            (stored,) = struct.unpack_from("<Q", mapped, offset)
+            if stored != n:
+                raise CheckpointLengthError(f"{path}: {name} has {stored} values, expected {n}")
+            offset += 8
+            offset += -offset % _ALIGNMENT[version]
+            if offset + 4 * n > size:
+                raise CheckpointTruncatedError(f"{path}: truncated inside {name}")
+            starts.append(offset)
+            offset += 4 * n
+        if offset != size:
+            raise CheckpointLengthError(f"{path}: {size - offset} trailing bytes")
+    except CheckpointError:
+        mapped.close()
+        raise
+    for (_name, owner, attr), start in zip(homes, starts):
         built = getattr(owner, attr)
-        if offset + 8 > size:
-            raise CheckpointTruncatedError(f"{path}: truncated before length of {name}")
-        (n,) = struct.unpack_from("<Q", mapped, offset)
-        if n != built.size:
-            raise CheckpointLengthError(f"{path}: {name} has {n} values, expected {built.size}")
-        offset += 8
-        offset += -offset % _ALIGNMENT[version]
-        if offset + 4 * n > size:
-            raise CheckpointTruncatedError(f"{path}: truncated inside {name}")
-        arr = np.frombuffer(mapped, "<f4", n, offset)
+        arr = np.frombuffer(mapped, "<f4", built.size, start)
         if not (arr.dtype.isnative and arr.flags.aligned):
             arr = arr.astype(np.float32)
         setattr(owner, attr, arr.reshape(built.shape))
-        offset += 4 * n
-    if offset != size:
-        raise CheckpointLengthError(f"{path}: {size - offset} trailing bytes")
     model.checkpoint_epoch = epoch
     model.eval()
     return model

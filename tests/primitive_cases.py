@@ -5,7 +5,8 @@ tape-entry name the function records, a call of the function on the input tensor
 input, and the positions of the inputs whose arrays the recorded backward reads (and so keeps alive) when every
 input needs a gradient. A case of an op whose backward keeps masks also holds the bytes the recorded call makes
 and keeps, from its input's shape. A case whose first input is 3-D is a ``[B, C, L]`` op. A new public function
-needs one case here: ``test_numeric.py::test_cases_cover_every_primitive`` fails without it.
+needs one case here: ``test_numeric.py::test_cases_cover_every_primitive`` fails without it. ``ERROR_CASES``
+holds, keyed the same way, calls on operands of a wrong shape or count and the error each raises.
 """
 
 import math
@@ -15,7 +16,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from svdcnn import functional as F
-from svdcnn.autograd import Tensor, grad_check
+from svdcnn.autograd import ShapeError, Tensor, grad_check
 
 from taped_ops import mul, tensor_sum
 
@@ -102,6 +103,38 @@ CASES = {
         x, g, b, np.zeros(5, x.data.dtype), np.ones(5, x.data.dtype), 1e-5), (normal(3, 5, 7), scale(5), normal(5)),
         (0, 1), batch_norm_kept),
     "cross_entropy": Case("cross_entropy", lambda z: F.cross_entropy(z, np.array([1, 0, 2])), (normal(3, 4),), ()),
+}
+
+
+class ErrorCase(NamedTuple):
+    call: Callable  # the primitive on the input tensors, which raises
+    shapes: tuple  # per input tensor, its shape (zeros)
+    error: type
+    message: str  # the whole message
+
+
+# A primitive's checks of its operands' shapes and counts, keyed like CASES. The rank errors of the temporal inputs
+# and the per-channel shape errors of the batch norms have suites of their own.
+ERROR_CASES = {
+    "conv1d-weight-rank": ErrorCase(lambda x, w: F.conv1d(x, w, padding=1), ((2, 3, 6), (4, 3)), ShapeError,
+                                    "conv1d weight must be [C_out, C_in, K], got shape (4, 3)"),
+    "conv1d-bias-shape": ErrorCase(lambda x, w, b: F.conv1d(x, w, b, padding=1), ((2, 3, 6), (4, 3, 3), (3,)),
+                                   ShapeError, "bias shape (3,) does not match 4 output channels"),
+    "depthwise_conv1d-weight-rank": ErrorCase(lambda x, w: F.depthwise_conv1d(x, w, padding=1),
+                                              ((2, 3, 5), (3, 3, 1)), ShapeError,
+                                              "depthwise weight must be [C, K], got shape (3, 3, 1)"),
+    "affine-weight-rank": ErrorCase(F.affine, ((4, 5), (3, 5, 1), (3,)), ShapeError,
+                                    "affine weight must be [M, N], got shape (3, 5, 1)"),
+    "affine-bias-shape": ErrorCase(F.affine, ((4, 5), (3, 5), (4,)), ShapeError,
+                                   "bias shape (4,) does not match 3 outputs"),
+    "add-shapes": ErrorCase(F.add, ((3, 4), (4, 3)), ShapeError, "cannot add shapes (3, 4) and (4, 3)"),
+    "kmax_pool-k": ErrorCase(lambda x: F.kmax_pool(x, 0), ((2, 3, 8),), ValueError, "k must be positive, got 0"),
+    "adaptive_avg_pool-length": ErrorCase(lambda x: F.adaptive_avg_pool(x, 0), ((2, 3, 8),), ValueError,
+                                          "output length must be positive, got 0"),
+    "cross_entropy-rank": ErrorCase(lambda z: F.cross_entropy(z, np.array([1, 0, 2])), ((3, 4, 1),), ShapeError,
+                                    "logits must be [batch, classes], got shape (3, 4, 1)"),
+    "cross_entropy-labels": ErrorCase(lambda z: F.cross_entropy(z, np.array([1, 0])), ((3, 4),), ShapeError,
+                                      "labels shape (2,) does not match batch size 3"),
 }
 
 

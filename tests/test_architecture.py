@@ -124,6 +124,12 @@ class TestBuildAndForward:
         with pytest.raises(DegenerateStatisticsError):
             model.forward(np.zeros((1, 64), dtype=np.int64))
 
+    @pytest.mark.parametrize("shape", [(64,), (1, 1, 64)])
+    def test_index_array_of_another_rank_rejected(self, shape):
+        model = Model(ArchitectureSpec("svdcnn", seq_len=64), seed=None).eval()
+        with pytest.raises(ShapeError, match=rf"^expected a \[batch, seq_len\] index array, got shape {re.escape(str(shape))}$"):
+            model.forward(np.zeros(shape, dtype=np.int64))
+
     def test_wrong_sequence_length_rejected(self):
         model = Model(ArchitectureSpec("svdcnn", seq_len=64), seed=0).eval()
         with pytest.raises(ShapeError, match="length 64"):

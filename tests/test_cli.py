@@ -18,8 +18,8 @@ import svdcnn
 from svdcnn.architecture import ArchitectureSpec, Model
 from svdcnn.bench import measure_latency
 from svdcnn.cli import _from_args, build_parser, main
-from svdcnn.data import IngestionWarning, load_csv
-from svdcnn.training import TrainConfig, load_checkpoint, predict_logits, save_checkpoint
+from svdcnn.data import IngestionWarning, load_csv, split_dataset
+from svdcnn.training import TrainConfig, evaluate, load_checkpoint, predict_logits, save_checkpoint
 
 from test_architecture import MALFORMED_GOLDEN_TABLES
 
@@ -243,6 +243,25 @@ class TestTrain:
                                                                fc_hidden=8)
         rows = (tmp_path / "m.ckpt.history.jsonl").read_text().splitlines()
         assert [json.loads(row)["epoch"] for row in rows] == [1, 2]
+
+    def test_csv_without_val_csv_holds_out_a_seeded_fraction_of_its_rows(self, capsys, tmp_path):
+        (tmp_path / "train.csv").write_text("".join(f'{1 + i % 2},"text {i}"\n' for i in range(20)))
+        ckpt = tmp_path / "m.ckpt"
+        code, out, _err = run(capsys, "train", "--csv", str(tmp_path / "train.csv"), *self.SMALL,
+                              "--val-fraction", "0.2", "--out", str(ckpt))
+        assert code == 0 and f"wrote {ckpt}" in out
+        model = load_checkpoint(ckpt)
+        _train, val = split_dataset(load_csv(tmp_path / "train.csv", 2, seq_len=16), 0.2, seed=0)
+        assert len(val) == 4
+        assert f"checkpoint val accuracy {evaluate(model, val):.4f}" in out
+
+    def test_history_naming_the_checkpoint_file_fails_before_loading(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "train", "--csv", "absent.csv", *self.SMALL, "--out", "m.ckpt",
+                             "--history", str(tmp_path / "sub" / ".." / "m.ckpt"))
+        assert (code, out) == (1, "")
+        assert err == f"error: --history {tmp_path / 'sub' / '..' / 'm.ckpt'} names the same file as --out m.ckpt\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--out", "--history"])
     def test_missing_output_directory_fails_before_training(self, capsys, tmp_path, flag):

@@ -103,6 +103,16 @@ class TestLoadCsv:
         expected = quantize('a, b say "hi"', Vocabulary(), 20)
         np.testing.assert_array_equal(ds.indices[0], expected)
 
+    def test_blank_rows_are_skipped_and_line_numbers_still_count_them(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text('"2","first"\n\n"1","second"\r\n\r\n\n"x","third"\n')
+        with pytest.raises(IngestionError, match=r"line 6: class field 'x' is not an integer$"):
+            load_csv(path, n_classes=2, seq_len=8)
+        path.write_text('"2","first"\n\n"1","second"\r\n\r\n')
+        ds = load_csv(path, n_classes=2, seq_len=8)
+        assert ds.labels.tolist() == [1, 0]
+        np.testing.assert_array_equal(ds.indices[1], quantize("second", Vocabulary(), 8))
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

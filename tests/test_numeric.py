@@ -2,8 +2,11 @@
 finite-difference checks and determinism."""
 
 import inspect
+import platform
+import re
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from oracles import (
     in_memory_order,
     matvec_direct,
 )
-from primitive_cases import CASES, draw_inputs, gradient_error, is_temporal, primitive
+from primitive_cases import CASES, ERROR_CASES, draw_inputs, gradient_error, is_temporal, primitive
 from taped_ops import mul, tensor_sum
 
 
@@ -225,6 +228,90 @@ class TestTapEngine:
         _, grad_p = run(x, upstream)
         assert out_p.take(1, axis).tobytes() == out.take(1, axis).tobytes()
         assert grad_p.take(1, axis).tobytes() == grad.take(1, axis).tobytes()
+
+    @pytest.mark.parametrize("op", CONVOLUTIONS)
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_float32_output_and_gradients_match_float64(self, op, k):
+        # float64 is checked against the oracle and grad_check above
+        make_weight, conv, _oracle = CONVOLUTIONS[op]
+        rng = np.random.default_rng(200 + k)
+        x, w = rng.normal(size=(3, 3, 9)), make_weight(rng, k)
+        upstream = rng.normal(size=conv(Tensor(x), Tensor(w), padding=k // 2).shape)
+        results = []
+        for dtype in (np.float32, np.float64):
+            xt, wt = Tensor(x, requires_grad=True, dtype=dtype), Tensor(w, requires_grad=True, dtype=dtype)
+            with Tape() as tape:
+                out = conv(xt, wt, padding=k // 2)
+                loss = tensor_sum(mul(out, Tensor(upstream, dtype=dtype)))
+            backward(loss, tape)
+            results.append((out.data, xt.grad, wt.grad))
+        for single, double in zip(*results):
+            assert single.dtype == np.float32
+            np.testing.assert_allclose(single, double, rtol=1e-5, atol=1e-5)
+
+
+@pytest.fixture
+def without_blas(monkeypatch):
+    """No GEMM bound, as where numpy's bundled OpenBLAS is not found: ``conv1d`` adds its taps with
+    ``_shifted_sum``."""
+    monkeypatch.setattr(F, "_GEMMS", {})
+
+
+@pytest.mark.usefixtures("without_blas")
+class TestConv1dWithoutBlas(TestConv1d):
+    pass
+
+
+@pytest.mark.usefixtures("without_blas")
+class TestTapEngineWithoutBlas(TestTapEngine):
+    @pytest.mark.parametrize("case", [case for case in CASES if primitive(case) == "conv1d"])
+    def test_conv1d_cases_pass_grad_check(self, case):  # TestGradCheck's check, on this route
+        assert gradient_error(case) <= 1e-3
+
+
+def numpy_wheel_with_bundled_openblas64() -> bool:
+    """Whether numpy is a Linux x86-64 wheel (its libraries in ``numpy.libs``) built with ILP64 scipy-openblas."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26 takes no mode
+        return False
+    return (platform.system(), platform.machine()) == ("Linux", "x86_64") \
+        and blas.get("name") == "scipy-openblas" and "USE64BITINT" in blas.get("openblas configuration", "") \
+        and (Path(np.__file__).parent.parent / "numpy.libs").is_dir()
+
+
+@pytest.mark.skipif(not numpy_wheel_with_bundled_openblas64(),
+                    reason="conv1d binds a GEMM only from the OpenBLAS that numpy's wheels bundle")
+def test_bundled_openblas_gives_conv1d_its_beta_one_gemms(monkeypatch):
+    assert set(F._GEMMS) == {np.dtype(np.float32), np.dtype(np.float64)}
+    calls = []
+
+    def counted(gemm):
+        def call(a, b, c):
+            calls.append(c.dtype)
+            gemm(a, b, c)
+        return call
+
+    monkeypatch.setattr(F, "_GEMMS", {dtype: counted(gemm) for dtype, gemm in F._GEMMS.items()})
+    for dtype in (np.float32, np.float64):
+        x = Tensor(np.ones((2, 3, 5)), requires_grad=True, dtype=dtype)
+        with Tape() as tape:
+            loss = tensor_sum(F.conv1d(x, Tensor(np.ones((4, 3, 3)), dtype=dtype), padding=1))
+        backward(loss, tape)
+    # two side taps in the forward and two in the input gradient, per dtype
+    assert calls == [np.float32] * 4 + [np.float64] * 4
+
+
+@pytest.mark.skipif(not F._GEMMS, reason="no GEMM bound")
+@pytest.mark.parametrize("bad", ["dtype", "shape", "strided a", "strided b", "strided c"])
+def test_bound_gemm_rejects_operands_it_cannot_pass_as_pointers(bad):
+    dtype, gemm = next(iter(F._GEMMS.items()))
+    a, b, c = np.ones((4, 3), dtype), np.ones((3, 2), dtype), np.zeros((4, 2), dtype)
+    args = {"dtype": (a.astype(np.float16), b, c), "shape": (a, b, np.zeros((4, 3), dtype)),
+            "strided a": (np.ones((4, 6), dtype)[:, ::2], b, c), "strided b": (a, np.ones((3, 4), dtype)[:, ::2], c),
+            "strided c": (a, b, np.zeros((4, 4), dtype)[:, ::2])}[bad]
+    with pytest.raises(ValueError, match="^gemm operands"):
+        gemm(*args)
 
 
 class TestAffine:
@@ -525,6 +612,13 @@ class TestGradCheck:
         x = Tensor([1.0], requires_grad=True)
         with pytest.raises(ValueError, match="eps"):
             grad_check(tensor_sum, [x], eps=0.5)
+
+
+@pytest.mark.parametrize("case", ERROR_CASES)
+def test_wrong_operand_shape_or_count_is_named(case):
+    call, shapes, error, message = ERROR_CASES[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(*(Tensor(np.zeros(shape)) for shape in shapes))
 
 
 def test_cases_cover_every_primitive():

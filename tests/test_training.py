@@ -8,6 +8,7 @@ import os
 import re
 import struct
 import sys
+import traceback
 import tracemalloc
 from dataclasses import astuple, fields
 
@@ -163,6 +164,8 @@ class TestSgd:
         ("weight_decay", -0.1, "weight decay must be non-negative and finite, got -0.1"),
         ("weight_decay", math.nan, "weight decay must be non-negative and finite, got nan"),
         ("weight_decay", math.inf, "weight decay must be non-negative and finite, got inf"),
+        ("max_epochs", 0, "epoch budget must be positive, got 0"),
+        ("eval_every", 0, "eval_every must be positive, got 0"),
     ])
     def test_config_validation(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -517,6 +520,23 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
         with pytest.raises(CheckpointLengthError):
             load_checkpoint(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors in /proc/self/fd")
+    @pytest.mark.parametrize("error", [CheckpointLengthError, CheckpointTruncatedError])
+    def test_failed_load_closes_its_map_before_raising(self, tmp_path, error):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Model(tiny_spec(), seed=0), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob + b"\x00\x00\x00\x00" if error is CheckpointLengthError else blob[:-10])
+        gc.collect()  # an earlier test's map, kept in a traceback cycle, must not close during the count
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(error) as caught:
+            load_checkpoint(path)
+        # the kept traceback holds load_checkpoint's frame and its map: closed, with no garbage collection
+        maps = [frame.f_locals["mapped"] for frame, _line in traceback.walk_tb(caught.value.__traceback__)
+                if "mapped" in frame.f_locals]
+        assert len(maps) == 1 and maps[0].closed
+        assert len(os.listdir("/proc/self/fd")) == before
 
     # vdcnn-9 with a 256-unit head: 11.5 MB of arrays, the largest 4.2 MB; tracemalloc counts numpy's buffers to the byte
     MEMORY_SPEC = ArchitectureSpec("vdcnn", depth=9, fc_hidden=256)
