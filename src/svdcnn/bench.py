@@ -84,8 +84,8 @@ def measure_latency(
     coarser than 1% of the measured mean, ``resolution_warning`` is set.
     Every module of ``model`` must be in eval mode, or ``StateError`` names
     the first that is not.
-    :func:`probe_gemm_ms` runs after the warmup and again after the timed
-    passes; ``blas_stall`` is set when either median exceeds ``STALL_MS``.
+    :func:`probe_gemm_ms` runs before the warmup, after it and after the
+    timed passes; ``blas_stall`` is set when any median exceeds ``STALL_MS``.
     """
     if reps < 2:
         raise ValueError(f"need at least 2 repetitions, got {reps}")
@@ -106,15 +106,16 @@ def measure_latency(
     elif resolution_s is None:
         resolution_s = 0.0
 
+    probes_ms = [probe_gemm_ms()]
     for _ in range(warmup):
         model.forward(idx)
-    probe_ms = probe_gemm_ms()
+    probes_ms.append(probe_gemm_ms())
     elapsed_ms = np.empty(reps, dtype=np.float64)
     for i in range(reps):
         start = clock()
         model.forward(idx)
         elapsed_ms[i] = (clock() - start) * 1000.0
-    stalled = max(probe_ms, probe_gemm_ms()) > STALL_MS
+    stalled = max(*probes_ms, probe_gemm_ms()) > STALL_MS
     mean = float(np.mean(elapsed_ms))
     std = float(np.std(elapsed_ms, ddof=1))
     warning = mean > 0 and (resolution_s * 1000.0) > 0.01 * mean

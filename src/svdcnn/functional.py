@@ -122,30 +122,6 @@ def _tap_slices(n: int, k: int) -> list[tuple[slice, slice]]:
     return slices
 
 
-def _shifted_sum(shape: tuple, dtype, k: int, product) -> np.ndarray:
-    """``out[:, :, t] = sum_kk P_kk[:, :, t + kk - k//2]`` over sequences of length ``shape[2]``, zero outside a sequence.
-
-    ``product(kk, dst)`` writes tap kk's product ``P_kk`` over the whole input
-    into the channels-last ``dst``. The centre tap's product is the result.
-    Every other tap's goes into one reused temporary and is added at its
-    shift along time. In channels-last order the time steps a tap connects
-    are one contiguous run of whole C-chunks per sequence, so each add is
-    one long inner loop per sequence and never reads a neighbouring
-    sequence: no value (NaN included) crosses one. The result is
-    channels-last and owns its data.
-    """
-    out = _empty(shape, dtype)
-    product(k // 2, out)
-    if k == 1:
-        return out
-    tmp = np.empty_like(out)
-    for kk, (dst, src) in enumerate(_tap_slices(shape[2], k)):
-        if kk != k // 2:
-            product(kk, tmp)
-            out[:, :, dst] += tmp[:, :, src]
-    return out
-
-
 def _bind_gemms() -> dict:
     """``{dtype: gemm}`` for float32 and float64 from numpy's bundled OpenBLAS, or ``{}`` without that library.
 
@@ -198,25 +174,27 @@ def _bind_gemms() -> dict:
 _GEMMS = _bind_gemms()
 
 
+def _matmul_add(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+    """``c += a @ b`` in numpy: a product into a temporary, then an add pass. The GEMM of a dtype ``_GEMMS`` lacks."""
+    c += a @ b
+
+
 def _tap_products(rows: np.ndarray, mats: np.ndarray, shape: tuple) -> np.ndarray:
-    """``_shifted_sum`` of the GEMM products ``rows @ mats[kk]`` of a ``conv1d``'s K taps, into a new ``[B, C, L]`` map.
+    """The sum of the products ``rows @ mats[kk]`` of a ``conv1d``'s K taps, each at its shift, as a new ``[B, C, L]`` map.
 
     ``rows`` is the C-contiguous ``[B*L, C_in]`` rows of the input, and each
     ``mats[kk]`` a C- or F-contiguous ``[C_in, C]`` matrix. The centre tap's
-    product is the output. Where ``_GEMMS`` binds a GEMM for the dtype of
-    both, each other tap adds into the output with one GEMM over all rows at
-    the tap's shift, and no temporary or add pass: tap kk adds ``rows[r + s]``
-    into output row r, for ``s = kk - K//2``. Each sequence's last s (or first
-    -s) output rows would read the neighbouring sequence, so they are copied
-    out before the GEMM and written back after it: no value (NaN included)
-    crosses a sequence. Elsewhere ``_shifted_sum`` runs the taps, one
-    ``np.matmul`` each.
+    product is the output. Each other tap adds into it with one GEMM over all
+    rows at the tap's shift: tap kk adds ``rows[r + s]`` into output row r,
+    for ``s = kk - K//2``. Each sequence's last s (or first -s) output rows
+    would read the neighbouring sequence, so they are copied out before the
+    GEMM and written back after it: no value (NaN included) crosses a
+    sequence. The GEMM is the beta = 1 one ``_GEMMS`` binds for the dtype
+    of both, which needs no temporary or add pass, else ``_matmul_add``.
     """
     k = len(mats)
     dtype = np.result_type(rows, mats)
-    gemm = _GEMMS.get(dtype) if rows.dtype == mats.dtype else None
-    if gemm is None:
-        return _shifted_sum(shape, dtype, k, lambda kk, o: np.matmul(rows, mats[kk], out=_rows(o)))
+    gemm = _GEMMS.get(dtype, _matmul_add) if rows.dtype == mats.dtype else _matmul_add
     out = _empty(shape, dtype)
     out_rows, steps, length = _rows(out), out.transpose(0, 2, 1), shape[2]
     np.matmul(rows, mats[k // 2], out=out_rows)
@@ -306,10 +284,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
 def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
     """Per-channel temporal convolution of ``x [B, C, L]``: ``weight [C, K]`` filters channel c alone.
 
-    The same tap engine, kernel and padding rule as ``conv1d``: each tap's
-    product is one multiply of ``x`` by that tap's per-channel weights
-    (``_by_channel``), and ``_shifted_sum`` adds the taps at their shifts.
-    The weight gradient is one per-channel contraction per tap.
+    The same kernel and padding rule as ``conv1d``: the centre tap's product,
+    one multiply of ``x`` by that tap's per-channel weights (``_by_channel``),
+    is the output, and each other tap adds its product over the time steps
+    it connects straight into the output's. In channels-last order those are
+    one contiguous run of whole C-chunks per sequence, so no tap reads a
+    neighbouring sequence and no value (NaN included) crosses one. The
+    weight gradient is one per-channel contraction per tap.
     """
     xa = _checked(x, "[B, C, L]", "depthwise_conv1d")
     w = weight.data
@@ -324,7 +305,11 @@ def depthwise_conv1d(x: Tensor, weight: Tensor, padding: int = 0) -> Tensor:
     taps = w.T  # taps[kk, c] = w[c, kk]
 
     def shifted(a, taps):
-        return _shifted_sum(a.shape, np.result_type(a, taps), k, lambda kk, o: _by_channel(np.multiply, a, taps[kk], out=o))
+        out = _by_channel(np.multiply, a, taps[k // 2])
+        for kk, (dst, src) in enumerate(_tap_slices(length, k)):
+            if kk != k // 2:
+                out[:, :, dst] += _by_channel(np.multiply, a[:, :, src], taps[kk])
+        return out
 
     sx, sw = _slot(x), _slot(weight)
 
@@ -452,8 +437,9 @@ def kmax_pool(x: Tensor, k: int) -> Tensor:
 
     The ranking runs on one row-major copy with NaN mapped to -inf, so NaN
     ranks with -inf below every number and each row still keeps k; each
-    row's L values are contiguous there. ``np.partition`` finds each row's
-    k-th largest value, and every value at or above it is kept. Only the
+    row's L values are contiguous there. ``np.sort`` finds each row's k-th
+    largest value, the same exact order statistic as ``np.partition`` at
+    less cost here, and every value at or above it is kept. Only the
     rows that then hold more than k, because values equal to it tie, run the
     tie rule: values above it are kept, and values equal to it earliest
     position first until the row holds k, so ties go to the earlier
@@ -467,7 +453,7 @@ def kmax_pool(x: Tensor, k: int) -> Tensor:
     if k > length:
         raise ValueError(f"k={k} exceeds temporal length {length}")
     ranked = np.fmax(xa, -np.inf, order="C").reshape(batch * channels, length)
-    kth = np.partition(ranked, length - k, axis=1)[:, length - k:length - k + 1]
+    kth = np.sort(ranked, axis=1)[:, length - k:length - k + 1]
     keep = ranked >= kth
     if np.count_nonzero(keep) > batch * channels * k:
         over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
@@ -490,7 +476,7 @@ def kmax_pool(x: Tensor, k: int) -> Tensor:
 
 
 def adaptive_avg_pool(x: Tensor, out_len: int) -> Tensor:
-    """Mean over contiguous equal bins per channel of ``x [B, C, L]``; L must divide evenly.
+    """Mean over contiguous equal bins per channel of ``x [B, C, L]``; L must be positive and divide evenly.
 
     Forward and backward are one matmul each of the ``[B, L, C]`` view with
     the ``[L, out_len]`` bin matrix, which holds ``1 / (L // out_len)`` where
@@ -500,6 +486,8 @@ def adaptive_avg_pool(x: Tensor, out_len: int) -> Tensor:
     length = xa.shape[2]
     if out_len < 1:
         raise ValueError(f"output length must be positive, got {out_len}")
+    if length == 0:
+        raise ValueError(f"temporal length must be positive to pool, got {length}")
     if length % out_len != 0:
         raise ValueError(f"temporal length {length} is not divisible by output length {out_len}")
     binsize = length // out_len
@@ -647,6 +635,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     if la.ndim != 2:
         raise ShapeError(f"logits must be [batch, classes], got shape {logits.shape}")
     batch, classes = la.shape
+    if batch == 0:
+        raise ShapeError(f"logits must hold at least one row, got shape {logits.shape}")
     lab = np.asarray(labels)
     if lab.shape != (batch,):
         raise ShapeError(f"labels shape {lab.shape} does not match batch size {batch}")

@@ -131,10 +131,14 @@ ERROR_CASES = {
     "kmax_pool-k": ErrorCase(lambda x: F.kmax_pool(x, 0), ((2, 3, 8),), ValueError, "k must be positive, got 0"),
     "adaptive_avg_pool-length": ErrorCase(lambda x: F.adaptive_avg_pool(x, 0), ((2, 3, 8),), ValueError,
                                           "output length must be positive, got 0"),
+    "adaptive_avg_pool-empty": ErrorCase(lambda x: F.adaptive_avg_pool(x, 2), ((2, 3, 0),), ValueError,
+                                         "temporal length must be positive to pool, got 0"),
     "cross_entropy-rank": ErrorCase(lambda z: F.cross_entropy(z, np.array([1, 0, 2])), ((3, 4, 1),), ShapeError,
                                     "logits must be [batch, classes], got shape (3, 4, 1)"),
     "cross_entropy-labels": ErrorCase(lambda z: F.cross_entropy(z, np.array([1, 0])), ((3, 4),), ShapeError,
                                       "labels shape (2,) does not match batch size 3"),
+    "cross_entropy-empty": ErrorCase(lambda z: F.cross_entropy(z, np.array([], dtype=np.int64)), ((0, 4),),
+                                     ShapeError, "logits must hold at least one row, got shape (0, 4)"),
 }
 
 

@@ -116,17 +116,29 @@ class TestMeasure:
         )
         assert not fine.resolution_warning
 
-    @pytest.mark.parametrize("probes,stalled", [((8.0, 0.7), True), ((0.7, 8.0), True), ((0.7, 0.7), False)],
-                             ids=["stalled-after-warmup", "stalled-after-timing", "unstalled"])
+    @pytest.mark.parametrize("probes,stalled", [((8.0, 0.7, 0.7), True), ((0.7, 8.0, 0.7), True),
+                                                ((0.7, 0.7, 8.0), True), ((0.7, 0.7, 0.7), False)],
+                             ids=["stalled-before-warmup", "stalled-after-warmup", "stalled-after-timing",
+                                  "unstalled"])
     def test_probe_over_stall_ms_flags_record_and_row(self, monkeypatch, probes, stalled):
         medians = list(probes)
         monkeypatch.setattr(bench, "probe_gemm_ms", lambda: medians.pop(0))
         clock = FakeClock([0.0, 0.001, 0.0, 0.002, 0.0, 0.003])
         stats = measure_latency(tiny_model(), np.zeros(8, dtype=np.int64), reps=3, warmup=0, clock=clock)
-        assert medians == []  # probed once after the warmup and once after the timed passes
+        assert medians == []  # probed before the warmup, after it and after the timed passes
         assert (stats.mean_ms, stats.std_ms, stats.blas_stall) == (2.0, 1.0, stalled)
         row = format_stats_row("svdcnn", 9, stats)
         assert ("  (BLAS stall: the tap GEMM probe took over 5 ms; rerun)" in row) == stalled
+
+    def test_probes_bracket_the_warmup_and_the_timed_passes(self, monkeypatch):
+        # a stall that ends inside the warmup is seen only by a probe before the first forward
+        events = []
+        forward = Model.forward
+        monkeypatch.setattr(bench, "probe_gemm_ms", lambda: events.append("probe") or 0.7)
+        monkeypatch.setattr(Model, "forward", lambda self, idx: events.append("forward") or forward(self, idx))
+        measure_latency(tiny_model(), np.zeros(8, dtype=np.int64), reps=2, warmup=1,
+                        clock=FakeClock([0.0, 0.001, 0.0, 0.003]))
+        assert events == ["probe", "forward", "probe", "forward", "forward", "probe"]
 
     def test_real_clock_smoke(self):
         stats = measure_latency(tiny_model(), np.zeros(8, dtype=np.int64), reps=3, warmup=1)

@@ -252,8 +252,8 @@ class TestTapEngine:
 
 @pytest.fixture
 def without_blas(monkeypatch):
-    """No GEMM bound, as where numpy's bundled OpenBLAS is not found: ``conv1d`` adds its taps with
-    ``_shifted_sum``."""
+    """No GEMM bound, as where numpy's bundled OpenBLAS is not found: ``conv1d`` adds its side taps with
+    ``_matmul_add``."""
     monkeypatch.setattr(F, "_GEMMS", {})
 
 
