@@ -26,7 +26,6 @@ class LatencyStats:
     reps: int
     warmup: int
     environment: str = ""
-    resolution_warning: bool = False
     blas_stall: bool = False
 
 
@@ -59,31 +58,18 @@ def probe_gemm_ms() -> float:
     return 1000.0 * float(np.median(elapsed))
 
 
-def _not_in_eval(module: Module, name: str = "model") -> str | None:
-    """The dotted name of the first module at or below ``module``, depth first, that is not in eval mode, or None."""
-    if module.mode != "eval":
-        return name
-    for child_name, child in module._members():
-        if isinstance(child, Module) and (found := _not_in_eval(child, f"{name}.{child_name}")):
-            return found
-    return None
-
-
 def measure_latency(
     model: Model,
     indices,
     reps: int = 1000,
     warmup: int = 10,
-    clock=None,
-    resolution_s: float | None = None,
+    clock=time.perf_counter,
 ) -> LatencyStats:
     """Mean and sample standard deviation (n-1) of single-instance forwards.
 
     Warmup passes are untimed. ``clock`` must return seconds on a monotonic
-    scale; it defaults to ``time.perf_counter``. When the clock resolution is
-    coarser than 1% of the measured mean, ``resolution_warning`` is set.
-    Every module of ``model`` must be in eval mode, or ``StateError`` names
-    the first that is not.
+    scale. Every module of ``model`` must be in eval mode, or ``StateError``
+    names the first that is not.
     :func:`probe_gemm_ms` runs before the warmup, after it and after the
     timed passes; ``blas_stall`` is set when any median exceeds ``STALL_MS``.
     """
@@ -91,7 +77,8 @@ def measure_latency(
         raise ValueError(f"need at least 2 repetitions, got {reps}")
     if warmup < 0:
         raise ValueError(f"warmup cannot be negative, got {warmup}")
-    stray = _not_in_eval(model)
+    named = [("model", model)] + [(f"model.{n}", v) for n, v, _owner, _attr in model._walk() if isinstance(v, Module)]
+    stray = next((name for name, module in named if module.mode != "eval"), None)
     if stray is not None:
         raise StateError(f"model must be in eval mode for latency measurement, but {stray} is in train mode")
     idx = np.asarray(indices)
@@ -99,12 +86,6 @@ def measure_latency(
         idx = idx[None]
     if idx.shape[0] != 1:
         raise ValueError(f"latency is measured one instance at a time, got batch {idx.shape[0]}")
-    if clock is None:
-        clock = time.perf_counter
-        if resolution_s is None:
-            resolution_s = time.get_clock_info("perf_counter").resolution
-    elif resolution_s is None:
-        resolution_s = 0.0
 
     probes_ms = [probe_gemm_ms()]
     for _ in range(warmup):
@@ -118,16 +99,13 @@ def measure_latency(
     stalled = max(*probes_ms, probe_gemm_ms()) > STALL_MS
     mean = float(np.mean(elapsed_ms))
     std = float(np.std(elapsed_ms, ddof=1))
-    warning = mean > 0 and (resolution_s * 1000.0) > 0.01 * mean
-    return LatencyStats(mean, std, reps, warmup, environment_summary(), warning, stalled)
+    return LatencyStats(mean, std, reps, warmup, environment_summary(), stalled)
 
 
 def format_stats_row(label: str, depth: int, stats: LatencyStats) -> str:
     row = f"{label:<10} {depth:>3}  {stats.mean_ms:8.2f}ms ±{stats.std_ms:.2f}  reps={stats.reps}"
     if stats.environment:
         row += f"  [{stats.environment}]"
-    if stats.resolution_warning:
-        row += "  (timer resolution coarse relative to mean)"
     if stats.blas_stall:
         row += f"  (BLAS stall: the tap GEMM probe took over {STALL_MS:g} ms; rerun)"
     return row

@@ -58,7 +58,10 @@ def _from_args(cls, args):
 
 
 def _check_writable(path) -> None:
-    """Raise now, before a command does its work, if ``path`` cannot be written: no such directory, or a directory."""
+    """Raise now, before a command does its work, if ``path`` cannot be written: empty, no such directory, or a
+    directory."""
+    if not path:
+        raise ValueError("cannot write an empty path")
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(f"cannot write {path}: its directory does not exist")
     if os.path.isdir(path):
@@ -220,9 +223,11 @@ def cmd_bench(args) -> int:
     spec_flags = [flags[0] for name, (flags, _keywords) in _SPEC_FLAGS.items() if name in given]
     if args.checkpoint is not None and spec_flags:
         raise ValueError(f"--checkpoint sets the architecture; drop {', '.join(spec_flags)}")
+    seed = given.get("seed", 0)
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
     if args.json is not None:
         _check_writable(args.json)  # checked before measuring
-    seed = given.get("seed", 0)
     if args.checkpoint is not None:
         model = load_checkpoint(args.checkpoint)
     else:
@@ -272,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-every", type=int, default=unset)
     p.add_argument("--seed", type=int, default=unset)
     p.add_argument("--out", default="model.ckpt")
-    p.add_argument("--history", default=None, help="history JSONL path (defaults to OUT.history.jsonl)")
+    p.add_argument("--history", default=None, help="history JSONL path (OUT.history.jsonl if absent or empty)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="classify texts with a trained checkpoint")

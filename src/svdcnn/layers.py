@@ -79,24 +79,27 @@ class Module:
         return vars(self).items()
 
     def _walk(self, prefix: str = ""):
+        """``(dotted name, value, owner, attribute)`` for every module, parameter and buffer below this one.
+
+        Depth first in ``_members`` order, each module before what it holds;
+        ``owner._members()`` lists ``value`` under ``attribute``.
+        """
         for name, value in self._members():
+            if isinstance(value, (Module, Tensor, np.ndarray)):
+                yield f"{prefix}{name}", value, self, name
             if isinstance(value, Module):
                 yield from value._walk(f"{prefix}{name}.")
-            elif isinstance(value, (Tensor, np.ndarray)):
-                yield f"{prefix}{name}", value, self
 
     def modules(self):
         """This module and every module below it, depth first."""
         yield self
-        for _name, value in self._members():
-            if isinstance(value, Module):
-                yield from value.modules()
+        yield from (v for _n, v, _owner, _attr in self._walk() if isinstance(v, Module))
 
     def named_params(self) -> list[tuple[str, Tensor, str]]:
-        return [(n, v, owner.category) for n, v, owner in self._walk() if isinstance(v, Tensor)]
+        return [(n, v, owner.category) for n, v, owner, _attr in self._walk() if isinstance(v, Tensor)]
 
     def named_buffers(self) -> list[tuple[str, np.ndarray]]:
-        return [(n, v) for n, v, _owner in self._walk() if isinstance(v, np.ndarray)]
+        return [(n, v) for n, v, _owner, _attr in self._walk() if isinstance(v, np.ndarray)]
 
 
 def _tapeless_eval(module: Module) -> bool:

@@ -43,6 +43,8 @@ class TrainConfig:
             raise ValueError(f"epoch budget must be positive, got {self.max_epochs}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be positive, got {self.eval_every}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 class MissingGradientError(StateError):
@@ -69,9 +71,12 @@ class SGD:
             p.grad = None
 
     def step(self) -> None:
-        for p, v in zip(self.params, self.velocity):
+        """One update of every parameter; if any lacks a gradient, raises before the first update."""
+        for i, p in enumerate(self.params):
             if p.grad is None:
-                raise MissingGradientError("parameter has no gradient; run backward before step")
+                raise MissingGradientError(
+                    f"parameter {i} (shape {p.shape}) has no gradient; run backward before step")
+        for p, v in zip(self.params, self.velocity):
             g = p.grad + self.weight_decay * p.data
             v *= self.momentum
             v += g
@@ -210,10 +215,16 @@ class CheckpointLengthError(CheckpointError):
     pass
 
 
+def _array_homes(model: Model) -> list[tuple[str, object, str]]:
+    """``(name, owner, attribute)`` of each array in checkpoint order: each parameter's ``Tensor.data``, then each
+    buffer as an attribute of its module."""
+    walk = list(model._walk())
+    return ([(name, value, "data") for name, value, _owner, _attr in walk if isinstance(value, Tensor)]
+            + [(name, owner, attr) for name, value, owner, attr in walk if isinstance(value, np.ndarray)])
+
+
 def _model_arrays(model: Model) -> list[tuple[str, np.ndarray]]:
-    out = [(name, t.data) for name, t, _c in model.named_params()]
-    out += model.named_buffers()
-    return out
+    return [(name, getattr(owner, attr)) for name, owner, attr in _array_homes(model)]
 
 
 def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
@@ -276,9 +287,7 @@ def load_checkpoint(path) -> Model:
             raise CheckpointTruncatedError(f"{path}: its header needs at least {needed:,} bytes, the file has {size:,}")
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY, **_MAP_KEYWORDS)
     model = Model(spec, seed=None)
-    # where each array lives: a parameter's Tensor.data, or a buffer attribute of its module
-    homes = [(name, t, "data") for name, t, _c in model.named_params()]
-    homes += [(name, owner, name.rpartition(".")[2]) for name, v, owner in model._walk() if isinstance(v, np.ndarray)]
+    homes = _array_homes(model)
     # every length prefix and extent is checked before the first view, so a failed load closes the map (and,
     # before Python 3.13, its descriptor) at once, not when its traceback goes
     starts, offset = [], header_end

@@ -281,6 +281,25 @@ class TestTrain:
         assert (code, out, err) == (1, "", f"error: cannot write {taken}: it is a directory\n")
         assert list(tmp_path.iterdir()) == [taken] and list(taken.iterdir()) == []
 
+    def test_empty_out_fails_before_training(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(svdcnn.cli, "synth_dataset", lambda *a, **k: pytest.fail("data read before the check"))
+        code, out, err = run(capsys, "train", "--synthetic", *self.TINY, "--out", "")
+        assert (code, out, err) == (1, "", "error: cannot write an empty path\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_history_means_the_default_path(self, capsys, tmp_path):
+        ckpt = tmp_path / "m.ckpt"
+        code, _out, err = run(capsys, "train", "--synthetic", *self.TINY, "--out", str(ckpt), "--history", "")
+        assert (code, err) == (0, "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "m.ckpt.history.jsonl"]
+
+    def test_negative_seed_names_the_field_before_training(self, capsys, tmp_path):
+        code, out, err = run(capsys, "train", "--synthetic", *self.TINY, "--out", str(tmp_path / "m.ckpt"),
+                             "--seed", "-1")
+        assert (code, out, err) == (1, "", "error: seed must be non-negative, got -1\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPredict:
     def test_probabilities_sum_to_one(self, trained, capsys):
@@ -493,6 +512,18 @@ class TestBench:
                              "--reps", "2", "--warmup", "0", "--json", str(tmp_path))
         assert (code, out, err) == (1, "", f"error: cannot write {tmp_path}: it is a directory\n")
 
+    def test_empty_json_path_fails_before_measuring(self, capsys, monkeypatch):
+        monkeypatch.setattr(svdcnn.bench, "measure_latency", lambda *a, **k: pytest.fail("timed before the check"))
+        code, out, err = run(capsys, "bench", "--s", "16", "--pooled-len", "2", "--classes", "2", "--fc-hidden", "8",
+                             "--reps", "2", "--warmup", "0", "--json", "")
+        assert (code, out, err) == (1, "", "error: cannot write an empty path\n")
+
+    @pytest.mark.parametrize("source", [[], ["--checkpoint", "absent.ckpt"]], ids=["built", "loaded"])
+    def test_negative_seed_is_rejected_before_a_model_is_built_or_loaded(self, capsys, monkeypatch, source):
+        monkeypatch.setattr(svdcnn.cli, "Model", lambda *a, **k: pytest.fail("built before the check"))
+        code, out, err = run(capsys, "bench", *source, "--seed", "-1")
+        assert (code, out, err) == (1, "", "error: --seed must be non-negative, got -1\n")
+
     def test_reps_of_one_is_usage_error(self, capsys):
         code, _out, err = run(capsys, "bench", "--reps", "1")
         assert code == 2
@@ -540,8 +571,7 @@ class TestBench:
         row, wrote = out.splitlines()
         assert wrote == f"wrote {record}"
         payload = json.loads(record.read_text(encoding="utf-8"))
-        assert list(payload) == ["mean_ms", "std_ms", "reps", "warmup", "environment", "resolution_warning",
-                                 "blas_stall"]
+        assert list(payload) == ["mean_ms", "std_ms", "reps", "warmup", "environment", "blas_stall"]
         assert row.startswith(f"svdcnn       9  {payload['mean_ms']:8.2f}ms ±{payload['std_ms']:.2f}  reps=2  ")
         assert (payload["reps"], payload["warmup"]) == (2, 1)
 

@@ -129,6 +129,18 @@ class TestSgd:
         with pytest.raises(MissingGradientError):
             opt.step()
 
+    def test_a_failed_step_updates_nothing_and_names_the_parameter(self):
+        params = [Tensor([1.0], requires_grad=True), Tensor(np.ones((2, 3)), requires_grad=True),
+                  Tensor([3.0], requires_grad=True)]
+        opt = SGD(params, lr=0.5, momentum=0.9, weight_decay=0.0)
+        params[0].grad = np.array([1.0], dtype=np.float32)
+        params[2].grad = np.array([1.0], dtype=np.float32)
+        with pytest.raises(MissingGradientError, match=r"^parameter 1 \(shape \(2, 3\)\) has no gradient; "
+                                                       r"run backward before step$"):
+            opt.step()
+        assert [p.data.tolist() for p in params] == [[1.0], np.ones((2, 3)).tolist(), [3.0]]
+        assert all(not v.any() for v in opt.velocity)
+
     def test_running_stats_untouched_by_optimizer(self):
         model = Model(tiny_spec(), seed=0)
         before = [buf.copy() for _n, buf in model.named_buffers()]
@@ -166,6 +178,7 @@ class TestSgd:
         ("weight_decay", math.inf, "weight decay must be non-negative and finite, got inf"),
         ("max_epochs", 0, "epoch budget must be positive, got 0"),
         ("eval_every", 0, "eval_every must be positive, got 0"),
+        ("seed", -5, "seed must be non-negative, got -5"),
     ])
     def test_config_validation(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
