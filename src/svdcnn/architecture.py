@@ -8,9 +8,9 @@ channels x length stays constant across levels. They differ in each layer's
 convolution (standard vs depthwise-separable) and in the classifier head
 (k-max pooling + three dense layers vs average pooling + one dense layer).
 
-Parameter counts are produced by two independent routes: direct enumeration
-of every weight array in a built model, and a closed-form summation over the
-layer layout. Reported storage assumes 4 bytes per parameter.
+Parameter counts come by two independent routes over the same layout constants:
+reading a built model's arrays, and one formula per level over ``LEVEL_CHANNELS``
+and ``depth_layout``. Reported storage assumes 4 bytes per parameter.
 """
 
 from __future__ import annotations
@@ -243,38 +243,31 @@ def tdsc_block_weights(in_ch: int, out_ch: int) -> int:
     return tdsc_layer_weights(in_ch, out_ch) + tdsc_layer_weights(out_ch, out_ch)
 
 
+def _dense_widths(spec: ArchitectureSpec) -> tuple[int, ...]:
+    """Widths of the classifier's dense layers, from the flattened features to the class scores."""
+    if spec.family == "vdcnn":
+        return spec.flat_features, spec.fc_hidden, spec.fc_hidden, spec.n_classes
+    return spec.flat_features, spec.n_classes
+
+
 def head_weight_params(spec: ArchitectureSpec) -> int:
     """Classifier weight count, biases excluded."""
-    flat = spec.flat_features
-    if spec.family == "vdcnn":
-        return flat * spec.fc_hidden + spec.fc_hidden * spec.fc_hidden + spec.fc_hidden * spec.n_classes
-    return flat * spec.n_classes
+    widths = _dense_widths(spec)
+    return sum(a * b for a, b in zip(widths, widths[1:]))
 
 
 def closed_form_params(spec: ArchitectureSpec) -> ParamReport:
-    """Parameter counts from the layer-layout formulas, without building."""
+    """Parameter counts from one formula per level, without building."""
     block_weights = standard_block_weights if spec.family == "vdcnn" else tdsc_block_weights
     conv = standard_layer_weights(spec.embed_dim, FIRST_CONV_CHANNELS)
     batchnorm = 2 * FIRST_CONV_CHANNELS
-    in_ch = FIRST_CONV_CHANNELS
-    for channels, n_layers in zip(LEVEL_CHANNELS, depth_layout(spec.depth)):
-        for b in range(n_layers // 2):
-            src = in_ch if b == 0 else channels
-            conv += block_weights(src, channels)
-            if src != channels:
-                conv += src * channels  # 1x1 projection shortcut
-            batchnorm += 4 * channels  # gamma+beta for the block's two layers
-        in_ch = channels
-    if spec.family == "vdcnn":
-        fc_bias = spec.fc_hidden + spec.fc_hidden + spec.n_classes
-    else:
-        fc_bias = spec.n_classes
-    return ParamReport(
-        embedding=spec.vocab_size * spec.embed_dim,
-        conv=conv,
-        batchnorm=batchnorm,
-        fc=head_weight_params(spec) + fc_bias,
-    )
+    for src, dst, n in zip((FIRST_CONV_CHANNELS,) + LEVEL_CHANNELS, LEVEL_CHANNELS, depth_layout(spec.depth)):
+        conv += block_weights(src, dst) + (n // 2 - 1) * block_weights(dst, dst)
+        if src != dst:
+            conv += src * dst  # 1x1 projection shortcut
+        batchnorm += 2 * n * dst  # gamma+beta for each of the level's layers
+    return ParamReport(embedding=spec.vocab_size * spec.embed_dim, conv=conv, batchnorm=batchnorm,
+                       fc=head_weight_params(spec) + sum(_dense_widths(spec)[1:]))  # weights + one bias per unit
 
 
 @dataclass(frozen=True)

@@ -310,6 +310,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "bench" and "reps" in args and args.reps < 2:
             parser.error("--reps must be at least 2")
+        if args.command == "bench" and "warmup" in args and args.warmup < 0:
+            parser.error("--warmup cannot be negative")
     except SystemExit as exc:
         return int(exc.code or 0)
     formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line

@@ -519,6 +519,8 @@ def embedding(indices, table: Tensor) -> Tensor:
     idx = np.asarray(indices)
     if idx.ndim != 2:
         raise ShapeError(f"embedding indices must be [B, s], got shape {idx.shape}")
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise TypeError(f"embedding indices must be integers, got dtype {idx.dtype}")
     vocab, dim = table.data.shape
     bad = (idx < 0) | (idx >= vocab)
     if bad.any():

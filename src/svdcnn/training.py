@@ -119,6 +119,8 @@ def predict_logits(model: Model, indices) -> np.ndarray:
 
 def evaluate(model: Model, dataset: Dataset) -> float:
     """Eval-mode accuracy; argmax ties resolve to the lowest class index."""
+    if dataset.n_classes != model.spec.n_classes:
+        raise ValueError(f"dataset has {dataset.n_classes} classes but the model has {model.spec.n_classes}")
     logits = predict_logits(model, dataset.indices)
     return int((logits.argmax(axis=1) == dataset.labels).sum()) / len(dataset)
 

@@ -6,7 +6,7 @@ input, and the positions of the inputs whose arrays the recorded backward reads 
 input needs a gradient. A case of an op whose backward keeps masks also holds the bytes the recorded call makes
 and keeps, from its input's shape. A case whose first input is 3-D is a ``[B, C, L]`` op. A new public function
 needs one case here: ``test_numeric.py::test_cases_cover_every_primitive`` fails without it. ``ERROR_CASES``
-holds, keyed the same way, calls on operands of a wrong shape or count and the error each raises.
+holds, keyed the same way, calls on operands of a wrong shape, count or index type and the error each raises.
 """
 
 import math
@@ -113,8 +113,8 @@ class ErrorCase(NamedTuple):
     message: str  # the whole message
 
 
-# A primitive's checks of its operands' shapes and counts, keyed like CASES. The rank errors of the temporal inputs
-# and the per-channel shape errors of the batch norms have suites of their own.
+# A primitive's checks of its operands' shapes, counts and index types, keyed like CASES. The rank errors of the
+# temporal inputs and the per-channel shape errors of the batch norms have suites of their own.
 ERROR_CASES = {
     "conv1d-weight-rank": ErrorCase(lambda x, w: F.conv1d(x, w, padding=1), ((2, 3, 6), (4, 3)), ShapeError,
                                     "conv1d weight must be [C_out, C_in, K], got shape (4, 3)"),
@@ -139,6 +139,10 @@ ERROR_CASES = {
                                       "labels shape (2,) does not match batch size 3"),
     "cross_entropy-empty": ErrorCase(lambda z: F.cross_entropy(z, np.array([], dtype=np.int64)), ((0, 4),),
                                      ShapeError, "logits must hold at least one row, got shape (0, 4)"),
+    "embedding-dtype": ErrorCase(lambda table: F.embedding(np.zeros((2, 4)), table), ((4, 3),), TypeError,
+                                 "embedding indices must be integers, got dtype float64"),
+    "embedding-bool": ErrorCase(lambda table: F.embedding(np.ones((2, 4), bool), table), ((4, 3),), TypeError,
+                                "embedding indices must be integers, got dtype bool"),
 }
 
 

@@ -135,6 +135,14 @@ class TestBuildAndForward:
         with pytest.raises(ShapeError, match="length 64"):
             model.forward(np.zeros((2, 32), dtype=np.int64))
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_non_integer_indices_rejected_by_name(self, mode, dtype):
+        model = Model(ArchitectureSpec("svdcnn", seq_len=64), seed=None)
+        getattr(model, mode)()
+        with pytest.raises(TypeError, match=rf"^embedding indices must be integers, got dtype {np.dtype(dtype)}$"):
+            model.forward(np.zeros((2, 64), dtype=dtype))
+
     @pytest.mark.parametrize("family,depth", ALL_CONFIGS)
     def test_depth_accounting(self, family, depth):
         model = Model(ArchitectureSpec(family, depth=depth, seq_len=64), seed=None)
@@ -561,6 +569,12 @@ class TestParamAccounting:
     @pytest.mark.parametrize("family,depth", ALL_CONFIGS)
     def test_enumeration_equals_closed_form(self, family, depth):
         spec = ArchitectureSpec(family, depth=depth, seq_len=64)
+        assert count_params(Model(spec, seed=None)) == closed_form_params(spec)
+
+    @pytest.mark.parametrize("family,depth", ALL_CONFIGS)
+    def test_enumeration_equals_closed_form_off_the_default_fields(self, family, depth):
+        spec = ArchitectureSpec(family, depth=depth, seq_len=128, embed_dim=8, n_classes=7, fc_hidden=32,
+                                pooled_len=4)
         assert count_params(Model(spec, seed=None)) == closed_form_params(spec)
 
     def test_worked_block_examples(self):

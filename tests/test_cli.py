@@ -536,6 +536,14 @@ class TestBench:
         assert (code, out) == (2, "")
         assert err.endswith("error: --reps must be at least 2\n")
 
+    @pytest.mark.parametrize("source", [[], ["--checkpoint", "absent.ckpt"]], ids=["built", "loaded"])
+    def test_negative_warmup_is_usage_error_before_a_model_is_built_or_loaded(self, capsys, monkeypatch, source):
+        monkeypatch.setattr(svdcnn.cli, "Model", lambda *a, **k: pytest.fail("built before the check"))
+        monkeypatch.setattr(svdcnn.cli, "load_checkpoint", lambda *a, **k: pytest.fail("loaded before the check"))
+        code, out, err = run(capsys, "bench", *source, "--warmup", "-1")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: --warmup cannot be negative\n")
+
     MEASUREMENT_FLAGS = ["--family", "--depth", "--classes", "--seq-len", "--s", "--embed-dim", "--pooled-len",
                          "--fc-hidden", "--checkpoint", "--reps", "--warmup", "--seed", "--json"]
 

@@ -316,6 +316,11 @@ class TestEvaluate:
         model = Model(tiny_spec(), seed=0)
         assert 0.0 <= evaluate(model, ds) <= 1.0
 
+    def test_dataset_of_another_class_count_rejected(self):
+        model = Model(ArchitectureSpec("svdcnn", seq_len=64), seed=None)
+        with pytest.raises(ValueError, match=r"^dataset has 6 classes but the model has 4$"):
+            evaluate(model, synth_dataset(12, 6, 64, seed=0))
+
 
 # SHA-256 of the ordered (name, category, shape) rows of every parameter and
 # buffer of Model(spec, seed=0), of its version-1 file (write_v1_checkpoint)
