@@ -119,8 +119,9 @@ class ArchitectureSpec:
 class Model(Module):
     """A built network: embedding, trunk of blocks with pools, classifier.
 
-    Parameters and buffers are named by the module walk; the blocks of
-    ``levels`` are named ``level{i}.block{b}``. With ``seed=None`` the
+    Parameters and buffers are named by the module walk. Each block is
+    stored under its walk name ``level{i}.block{b}`` and, in order, in
+    ``levels``, which ``forward`` reads. With ``seed=None`` the
     weights start at zero with no random draw, for a caller that loads
     every value next (see ``load_checkpoint``).
     """
@@ -133,25 +134,17 @@ class Model(Module):
         layer_cls = TemporalConvLayer if spec.family == "vdcnn" else TdscLayer
         self.levels: list[list[ConvBlock]] = []
         in_ch = FIRST_CONV_CHANNELS
-        for channels, n_layers in zip(LEVEL_CHANNELS, depth_layout(spec.depth)):
+        for i, (channels, n_layers) in enumerate(zip(LEVEL_CHANNELS, depth_layout(spec.depth))):
             blocks = []
             for b in range(n_layers // 2):
                 blocks.append(ConvBlock(layer_cls, in_ch if b == 0 else channels, channels, rng))
+                setattr(self, f"level{i}.block{b}", blocks[-1])
             self.levels.append(blocks)
             in_ch = channels
         if spec.family == "vdcnn":
             self.head = KmaxLinearHead(LEVEL_CHANNELS[-1], spec.pooled_len, spec.fc_hidden, spec.n_classes, rng)
         else:
             self.head = AvgPoolLinearHead(LEVEL_CHANNELS[-1], spec.pooled_len, spec.n_classes, rng)
-
-    def _members(self):
-        for name, value in vars(self).items():
-            if name == "levels":
-                for i, blocks in enumerate(value):
-                    for b, block in enumerate(blocks):
-                        yield f"level{i}.block{b}", block
-            else:
-                yield name, value
 
     def forward(self, indices) -> Tensor:
         """Logits for a batch of index sequences ``[B, seq_len]``."""

@@ -74,17 +74,13 @@ class Module:
             module._prepared = None
         return self
 
-    def _members(self):
-        """``(name, value)`` pairs to walk; subclasses may rename or flatten."""
-        return vars(self).items()
-
     def _walk(self, prefix: str = ""):
         """``(dotted name, value, owner, attribute)`` for every module, parameter and buffer below this one.
 
-        Depth first in ``_members`` order, each module before what it holds;
-        ``owner._members()`` lists ``value`` under ``attribute``.
+        Depth first in attribute order, each module before what it holds;
+        ``getattr(owner, attribute) is value``.
         """
-        for name, value in self._members():
+        for name, value in vars(self).items():
             if isinstance(value, (Module, Tensor, np.ndarray)):
                 yield f"{prefix}{name}", value, self, name
             if isinstance(value, Module):

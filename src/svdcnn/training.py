@@ -233,6 +233,9 @@ def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
     """Write ``model`` to a synced temporary file renamed onto ``path``: a failed write leaves the old file intact."""
     spec = model.spec
     header = (FAMILIES.index(spec.family), *astuple(spec)[1:], int(epoch))
+    for name, value in zip([f.name for f in fields(ArchitectureSpec)] + ["epoch"], header):
+        if not 0 <= value < 2**32:
+            raise ValueError(f"checkpoint {name} must fit an unsigned 32-bit header field, got {value}")
     tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
     try:
         with open(tmp, "xb") as fh:

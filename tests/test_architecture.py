@@ -31,7 +31,7 @@ from svdcnn.architecture import (
 from svdcnn import functional as F, layers
 from svdcnn.autograd import GradSlot, ShapeError, Tape, Tensor, backward
 from svdcnn.functional import DegenerateStatisticsError, cross_entropy
-from svdcnn.layers import ConvLayer, TdscLayer
+from svdcnn.layers import ConvBlock, ConvLayer, TdscLayer
 from svdcnn.training import predict_logits, save_checkpoint
 
 from oracles import level_shapes
@@ -147,6 +147,17 @@ class TestBuildAndForward:
     def test_depth_accounting(self, family, depth):
         model = Model(ArchitectureSpec(family, depth=depth, seq_len=64), seed=None)
         assert model.conv_depth() == depth
+
+    @pytest.mark.parametrize("family,depth", ALL_CONFIGS)
+    def test_walk_names_the_attributes_that_hold_each_value(self, family, depth):
+        model = Model(ArchitectureSpec(family, depth=depth, seq_len=64), seed=None)
+        walk = list(model._walk())
+        assert walk and all(getattr(owner, attribute) is value for _name, value, owner, attribute in walk)
+        blocks = [name for name, value in vars(model).items() if isinstance(value, ConvBlock)]
+        assert blocks == [f"level{i}.block{b}" for i, n in enumerate(depth_layout(depth)) for b in range(n // 2)]
+        in_levels = [block for level in model.levels for block in level]
+        assert len(in_levels) == len(blocks)
+        assert all(getattr(model, name) is block for name, block in zip(blocks, in_levels))
 
     def test_only_pools_change_length(self):
         model = Model(ArchitectureSpec("svdcnn", seq_len=64), seed=None).eval()

@@ -11,7 +11,8 @@ from svdcnn.data import Vocabulary
 from svdcnn.functional import DegenerateStatisticsError
 from svdcnn.layers import BatchNorm, ConvBlock, ConvLayer, EmbeddingTable, TdscLayer, TemporalConvLayer
 
-from oracles import MEMORY_ORDERS, as_float64, in_memory_order, kmax_direct, maxpool_direct
+from oracles import (MEMORY_ORDERS, as_float64, conv1d_direct, depthwise_conv1d_direct, in_memory_order, kmax_direct,
+                     maxpool_direct)
 from taped_ops import mul, tensor_sum
 
 RNG = np.random.default_rng
@@ -202,6 +203,22 @@ class TestBatchNormFold:
         unfolded = F.batch_norm_eval(layer.conv(x, layer.last_weight), bn.gamma, bn.beta,
                                      bn.running_mean, bn.running_var, bn.eps)
         np.testing.assert_allclose(layer.forward(x).data, np.maximum(unfolded.data, 0), rtol=1e-12, atol=1e-12)
+
+    def test_tapeless_eval_matches_the_direct_oracles(self, layer_cls, order):
+        # float64 relu(batch_norm(conv)) from the loop convolutions and the running-statistics formula, within 1e-12
+        layer = _randomized_eval_layer(layer_cls)
+        x = RNG(35).normal(size=(3, 4, 10))
+        out = layer.forward(Tensor(in_memory_order(x, order))).data
+        assert (out > 0).any() and (out == 0).any()
+        bn = layer.bn
+        scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+        for b in range(x.shape[0]):
+            if layer_cls is TdscLayer:
+                conv = conv1d_direct(depthwise_conv1d_direct(x[b], layer.depthwise.data, 1), layer.pointwise.data, None, 0)
+            else:
+                conv = conv1d_direct(x[b], layer.weight.data, None, 1)
+            expected = np.maximum((conv - bn.running_mean[:, None]) * scale[:, None] + bn.beta.data[:, None], 0.0)
+            np.testing.assert_allclose(out[b], expected, rtol=1e-12, atol=1e-12)
 
     def test_tapeless_eval_is_one_biased_conv1d_and_no_batch_norm(self, layer_cls, order, monkeypatch):
         layer = _randomized_eval_layer(layer_cls)

@@ -10,7 +10,7 @@ import struct
 import sys
 import traceback
 import tracemalloc
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -438,6 +438,17 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
         load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,value", [("epoch", -1), ("epoch", 2**32), ("fc_hidden", 2**32)])
+    def test_header_value_outside_u32_is_named_before_a_file_is_opened(self, tmp_path, field, value):
+        model = Model(tiny_spec(), seed=None)
+        epoch = value if field == "epoch" else 0
+        if field != "epoch":
+            model.spec = replace(model.spec, **{field: value})  # the header reads only the spec
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match=rf"^checkpoint {field} must fit an unsigned 32-bit header field, got {value}$"):
+            save_checkpoint(model, path, epoch=epoch)
+        assert list(tmp_path.iterdir()) == []
 
     def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
         model = Model(tiny_spec(), seed=8)
