@@ -18,7 +18,8 @@ from __future__ import annotations
 import codecs
 import importlib.resources
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -61,6 +62,14 @@ _LAYER_LAYOUT = {
 }
 
 
+def _check_int_fields(instance) -> None:
+    """Raise ``ValueError`` naming the first field annotated ``int`` whose value is not an integer (a bool is not)."""
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        if f.type in ("int", int) and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+
+
 def depth_layout(depth: int) -> tuple[int, int, int, int]:
     """Convolutional layers per level for a supported depth."""
     try:
@@ -76,7 +85,7 @@ class ArchitectureSpec:
     A checkpoint header stores the fields in declaration order; a CLI flag not given keeps its field's default.
     """
 
-    family: str
+    family: str = "svdcnn"
     depth: int = 9
     seq_len: int = 1024
     embed_dim: int = 16
@@ -86,6 +95,7 @@ class ArchitectureSpec:
     pooled_len: int = 8
 
     def __post_init__(self):
+        _check_int_fields(self)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose one of {FAMILIES}")
         depth_layout(self.depth)
@@ -144,7 +154,7 @@ class Model(Module):
         if spec.family == "vdcnn":
             self.head = KmaxLinearHead(LEVEL_CHANNELS[-1], spec.pooled_len, spec.fc_hidden, spec.n_classes, rng)
         else:
-            self.head = AvgPoolLinearHead(LEVEL_CHANNELS[-1], spec.pooled_len, spec.n_classes, rng)
+            self.head = AvgPoolLinearHead(LEVEL_CHANNELS[-1], spec.pooled_len, spec.n_classes)
 
     def forward(self, indices) -> Tensor:
         """Logits for a batch of index sequences ``[B, seq_len]``."""
@@ -279,6 +289,11 @@ class GoldenRow:
         if not all(math.isfinite(v) and v >= 0 for v in values):
             raise ValueError(f"counts must be finite and non-negative, got {' '.join(map(str, values))}")
 
+    @property
+    def self_consistent(self) -> bool:
+        """Whether 4 bytes/param on the row's own total reproduces its storage column within 0.02 MB."""
+        return abs(storage_size(int(round(self.total_m * 1e6))) - self.storage_mb) <= 0.02
+
 
 def load_golden_table(path=None) -> dict[tuple[str, int], GoldenRow]:
     """Parse the shipped (or a given) reference table.
@@ -329,10 +344,6 @@ TOLERANCE = 0.05
 # enumeration; differences there are reported as flags, not failures.
 FLAGGED_CATEGORIES = {"vdcnn": frozenset({"conv"}), "svdcnn": frozenset()}
 
-# A reference row is internally consistent when 4 bytes/param applied to its
-# own total reproduces its storage column within this many MB.
-_SELF_CONSISTENCY_MB = 0.02
-
 
 @dataclass(frozen=True)
 class CategoryDiff:
@@ -345,10 +356,7 @@ class CategoryDiff:
 
 @dataclass(frozen=True)
 class RowDiff:
-    family: str
-    depth: int
     categories: tuple[CategoryDiff, ...]
-    reference_self_consistent: bool
 
     @property
     def failed(self) -> bool:
@@ -387,6 +395,4 @@ def reconcile(report: ParamReport, reference: GoldenRow) -> RowDiff:
         else:
             verdict = "fail"
         diffs.append(CategoryDiff(name, ours, ref, rel, verdict))
-    ref_total = int(round(reference.total_m * 1e6))
-    consistent = abs(storage_size(ref_total) - reference.storage_mb) <= _SELF_CONSISTENCY_MB
-    return RowDiff(reference.family, reference.depth, tuple(diffs), consistent)
+    return RowDiff(tuple(diffs))

@@ -41,9 +41,6 @@ _SPEC_FLAGS = {
     "fc_hidden": (["--fc-hidden"], {"type": int}),
 }
 
-# The value a flag not given takes when its field has no default in its class.
-_FLAG_DEFAULTS = {"family": "svdcnn"}
-
 
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     for dest, (flags, keywords) in _SPEC_FLAGS.items():
@@ -51,10 +48,9 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _from_args(cls, args):
-    """``cls`` built from the flags named after its fields; a flag not given leaves its field at ``cls``'s default,
-    or at its ``_FLAG_DEFAULTS`` value where ``cls`` has none."""
-    values = {**_FLAG_DEFAULTS, **vars(args)}
-    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
+    """``cls`` built from the flags named after its fields; a flag not given leaves its field at ``cls``'s default."""
+    given = vars(args)
+    return cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
 
 
 def _check_writable(path) -> None:
@@ -137,7 +133,7 @@ def cmd_verify(args) -> int:
                 f"{tag:<5} {family}-{depth} {cat.category}: ours={cat.ours:.2f} "
                 f"reference={cat.reference:.2f} rel_diff={cat.rel_diff * 100:.1f}%"
             )
-        if not diff.reference_self_consistent:
+        if not row.self_consistent:
             print(f"FLAG  {family}-{depth}: reference storage differs from 4 bytes/param on its own total")
         failed |= diff.failed
 

@@ -71,12 +71,15 @@ class Dataset:
     n_classes: int
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        if self.indices.dtype != np.uint8 or self.indices.ndim != 2 or self.labels.shape != self.indices.shape[:1]:
+        labels = np.asarray(self.labels)
+        if self.indices.dtype != np.uint8 or self.indices.ndim != 2 or labels.shape != self.indices.shape[:1]:
             raise ValueError(f"expected uint8 indices [N, s] and labels [N], got {self.indices.dtype} "
-                             f"indices {self.indices.shape} and labels {self.labels.shape}")
-        if not len(self.labels):
+                             f"indices {self.indices.shape} and labels {labels.shape}")
+        if not len(labels):
             raise ValueError("dataset must be non-empty")
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+        object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
         bad = self.labels[(self.labels < 0) | (self.labels >= self.n_classes)]
         if bad.size:
             raise ValueError(f"label {bad[0]} outside [0, {self.n_classes})")

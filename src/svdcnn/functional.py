@@ -642,6 +642,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     lab = np.asarray(labels)
     if lab.shape != (batch,):
         raise ShapeError(f"labels shape {lab.shape} does not match batch size {batch}")
+    if not np.issubdtype(lab.dtype, np.integer):
+        raise TypeError(f"cross_entropy labels must be integers, got dtype {lab.dtype}")
     if ((lab < 0) | (lab >= classes)).any():
         bad = lab[(lab < 0) | (lab >= classes)][0]
         raise ValueError(f"label {bad} outside [0, {classes})")

@@ -40,8 +40,9 @@ def _normal(rng, std: float, shape) -> np.ndarray:
     return rng.normal(0.0, std, shape).astype(DEFAULT_DTYPE)
 
 
-def _fan_in_normal(rng, shape, fan_in, gain: float = 2.0):
-    return Tensor(_normal(rng, math.sqrt(gain / fan_in), shape), requires_grad=True)
+def _fan_in_normal(rng, shape, gain: float = 2.0):
+    """He initialization: std ``sqrt(gain / fan_in)``, the fan-in being the product of the trailing dimensions."""
+    return Tensor(_normal(rng, math.sqrt(gain / math.prod(shape[1:])), shape), requires_grad=True)
 
 
 class Module:
@@ -202,7 +203,7 @@ class TemporalConvLayer(ConvLayer):
     def __init__(self, in_channels: int, out_channels: int, rng, bn_scale_init: float = 1.0):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.weight = _fan_in_normal(rng, (out_channels, in_channels, KERNEL_SIZE), in_channels * KERNEL_SIZE)
+        self.weight = _fan_in_normal(rng, (out_channels, in_channels, KERNEL_SIZE))
         self.bn = BatchNorm(out_channels, scale_init=bn_scale_init)
 
     @property
@@ -223,8 +224,8 @@ class TdscLayer(ConvLayer):
     def __init__(self, in_channels: int, out_channels: int, rng, bn_scale_init: float = 1.0):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.depthwise = _fan_in_normal(rng, (in_channels, KERNEL_SIZE), KERNEL_SIZE)
-        self.pointwise = _fan_in_normal(rng, (out_channels, in_channels, 1), in_channels)
+        self.depthwise = _fan_in_normal(rng, (in_channels, KERNEL_SIZE))
+        self.pointwise = _fan_in_normal(rng, (out_channels, in_channels, 1))
         self.bn = BatchNorm(out_channels, scale_init=bn_scale_init)
 
     @property
@@ -255,7 +256,7 @@ class ConvBlock(Module):
         if in_channels != out_channels:
             # The projection is linear (no activation follows), so gain 1
             # keeps the shortcut variance-preserving.
-            self.projection = _fan_in_normal(rng, (out_channels, in_channels, 1), in_channels, gain=1.0)
+            self.projection = _fan_in_normal(rng, (out_channels, in_channels, 1), gain=1.0)
         else:
             self.projection = None
 
@@ -291,8 +292,8 @@ class KmaxLinearHead(Module):
     def __init__(self, channels: int, k: int, hidden: int, n_classes: int, rng):
         self.k = k
         flat = channels * k
-        self.fc1 = Linear(_fan_in_normal(rng, (hidden, flat), flat))
-        self.fc2 = Linear(_fan_in_normal(rng, (hidden, hidden), hidden))
+        self.fc1 = Linear(_fan_in_normal(rng, (hidden, flat)))
+        self.fc2 = Linear(_fan_in_normal(rng, (hidden, hidden)))
         self.fc3 = Linear(Tensor(np.zeros((n_classes, hidden), dtype=DEFAULT_DTYPE), requires_grad=True))
 
     def forward(self, x: Tensor) -> Tensor:
@@ -308,7 +309,7 @@ class AvgPoolLinearHead(Module):
     The logit layer starts at zero so untrained logits are exactly zero.
     """
 
-    def __init__(self, channels: int, pooled_len: int, n_classes: int, rng):
+    def __init__(self, channels: int, pooled_len: int, n_classes: int):
         self.pooled_len = pooled_len
         flat = channels * pooled_len
         self.fc = Linear(Tensor(np.zeros((n_classes, flat), dtype=DEFAULT_DTYPE), requires_grad=True))

@@ -12,7 +12,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .architecture import FAMILIES, ArchitectureSpec, Model, closed_form_params
+from .architecture import FAMILIES, ArchitectureSpec, Model, _check_int_fields, closed_form_params
 from .autograd import StateError, Tape, Tensor, backward
 from .data import Dataset, make_batches
 from .functional import cross_entropy
@@ -31,6 +31,7 @@ class TrainConfig:
     eval_every: int = 1
 
     def __post_init__(self):
+        _check_int_fields(self)
         if not 0 < self.lr < math.inf:  # NaN fails every comparison
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
@@ -258,14 +259,13 @@ def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
 def load_checkpoint(path) -> Model:
     """Rebuild a model from a checkpoint, validating the format strictly.
 
-    The file is mapped once, copy-on-write (``mmap.ACCESS_COPY``), and every
-    parameter's ``Tensor.data`` and every buffer becomes a view of its values
-    in the map, so a load copies nothing, processes that load one file share
-    its pages, and writes into the model (an SGD step) stay private to the
-    process. A view that is not aligned or not native-endian (every array of
-    a version-1 file, every array on a big-endian host) is copied instead.
-    The caller must not truncate or rewrite the file in place while the model
-    lives; ``save_checkpoint`` replaces a file by rename, which is safe.
+    The header, every length prefix and extent and the file size are checked on the open file before it is mapped,
+    once and copy-on-write (``mmap.ACCESS_COPY``), so a failed load holds no map. Every parameter's ``Tensor.data``
+    and every buffer becomes a view of its values in the map, so a load copies nothing, processes that load one file
+    share its pages, and writes into the model (an SGD step) stay private to the process. A view that is not aligned
+    or not native-endian (every array of a version-1 file, every array on a big-endian host) is copied instead. The
+    caller must not truncate or rewrite the file in place while the model lives; ``save_checkpoint`` replaces a file
+    by rename, which is safe.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -290,18 +290,15 @@ def load_checkpoint(path) -> Model:
         needed = header_end + 4 * closed_form_params(spec).total  # checked before the model is allocated
         if needed > size:
             raise CheckpointTruncatedError(f"{path}: its header needs at least {needed:,} bytes, the file has {size:,}")
-        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY, **_MAP_KEYWORDS)
-    model = Model(spec, seed=None)
-    homes = _array_homes(model)
-    # every length prefix and extent is checked before the first view, so a failed load closes the map (and,
-    # before Python 3.13, its descriptor) at once, not when its traceback goes
-    starts, offset = [], header_end
-    try:
+        model = Model(spec, seed=None)
+        homes = _array_homes(model)
+        starts, offset = [], header_end
         for name, owner, attr in homes:
             n = getattr(owner, attr).size
             if offset + 8 > size:
                 raise CheckpointTruncatedError(f"{path}: truncated before length of {name}")
-            (stored,) = struct.unpack_from("<Q", mapped, offset)
+            fh.seek(offset)
+            (stored,) = struct.unpack("<Q", fh.read(8))
             if stored != n:
                 raise CheckpointLengthError(f"{path}: {name} has {stored} values, expected {n}")
             offset += 8
@@ -312,9 +309,7 @@ def load_checkpoint(path) -> Model:
             offset += 4 * n
         if offset != size:
             raise CheckpointLengthError(f"{path}: {size - offset} trailing bytes")
-    except CheckpointError:
-        mapped.close()
-        raise
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY, **_MAP_KEYWORDS)
     for (_name, owner, attr), start in zip(homes, starts):
         built = getattr(owner, attr)
         arr = np.frombuffer(mapped, "<f4", built.size, start)

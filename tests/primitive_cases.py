@@ -139,6 +139,8 @@ ERROR_CASES = {
                                       "labels shape (2,) does not match batch size 3"),
     "cross_entropy-empty": ErrorCase(lambda z: F.cross_entropy(z, np.array([], dtype=np.int64)), ((0, 4),),
                                      ShapeError, "logits must hold at least one row, got shape (0, 4)"),
+    "cross_entropy-dtype": ErrorCase(lambda z: F.cross_entropy(z, np.array([1.0, 0.0, 2.0])), ((3, 4),), TypeError,
+                                     "cross_entropy labels must be integers, got dtype float64"),
     "embedding-dtype": ErrorCase(lambda table: F.embedding(np.zeros((2, 4)), table), ((4, 3),), TypeError,
                                  "embedding indices must be integers, got dtype float64"),
     "embedding-bool": ErrorCase(lambda table: F.embedding(np.ones((2, 4), bool), table), ((4, 3),), TypeError,

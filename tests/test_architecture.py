@@ -64,6 +64,13 @@ class TestSpecValidation:
         spec = ArchitectureSpec("svdcnn")
         assert (spec.seq_len, spec.embed_dim, spec.pooled_len, spec.fc_hidden) == (1024, 16, 8, 2048)
 
+    def test_family_defaults_to_svdcnn(self):
+        assert ArchitectureSpec() == ArchitectureSpec("svdcnn")
+
+    def test_integer_fields_accept_numpy_integers(self):
+        spec = ArchitectureSpec("svdcnn", depth=np.int64(17), seq_len=np.int32(64), embed_dim=np.uint8(8))
+        assert spec == ArchitectureSpec("svdcnn", depth=17, seq_len=64, embed_dim=8)
+
     def test_bad_family(self):
         with pytest.raises(ValueError, match="family"):
             ArchitectureSpec("charcnn")
@@ -78,9 +85,16 @@ class TestSpecValidation:
         ("n_classes", 1, "need at least 2 classes, got 1"),
         ("fc_hidden", 0, "hidden width must be positive, got 0"),
         ("pooled_len", 0, "pooled length must be positive, got 0"),
-    ], ids=["embed_dim", "vocab_size", "n_classes", "fc_hidden", "pooled_len"])
+        ("depth", 9.0, "depth must be an integer, got 9.0"),
+        ("seq_len", 64.0, "seq_len must be an integer, got 64.0"),
+        ("embed_dim", 16.0, "embed_dim must be an integer, got 16.0"),
+        ("vocab_size", True, "vocab_size must be an integer, got True"),
+        ("n_classes", "4", "n_classes must be an integer, got '4'"),
+        ("fc_hidden", 8.5, "fc_hidden must be an integer, got 8.5"),
+    ], ids=["embed_dim", "vocab_size", "n_classes", "fc_hidden", "pooled_len", "depth-float", "seq_len-float",
+            "embed_dim-float", "vocab_size-bool", "n_classes-str", "fc_hidden-float"])
     def test_each_field_check_names_its_field_and_value(self, field, value, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ArchitectureSpec("svdcnn", **{field: value})
 
     def test_seq_len_must_be_multiple_of_eight(self):
@@ -632,12 +646,11 @@ class TestStorage:
 
     def test_reported_total_mismatch_for_largest_standard_model(self):
         # 14.79M params at 4 bytes each is 56.42 MB, not the 54.75 the
-        # reference table carries for that row; reconcile flags it.
+        # reference table carries for that row; verify flags it.
         assert round2(storage_size(14_790_000)) == 56.42
         table = load_golden_table()
-        report = closed_form_params(ArchitectureSpec("vdcnn", depth=9))
-        diff = reconcile(report, table[("vdcnn", 9)])
-        assert not diff.reference_self_consistent
+        assert not table[("vdcnn", 9)].self_consistent
+        assert table[("svdcnn", 29)].self_consistent  # 1.58M params, 6.03 MB
 
     def test_accepts_report_or_count(self):
         report = ParamReport(embedding=0, conv=1_048_576, batchnorm=0, fc=0)

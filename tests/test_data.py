@@ -186,6 +186,14 @@ class TestDataset:
             Dataset(np.zeros((3, 4), dtype=np.uint8), [0, 1], n_classes=2)
         with pytest.raises(ValueError, match="non-empty"):
             Dataset(np.zeros((0, 4), dtype=np.uint8), [], n_classes=2)
+        with pytest.raises(ValueError, match="^labels must be integers, got dtype float64$"):
+            Dataset(np.zeros((3, 4), dtype=np.uint8), np.array([0.7, 1.2, 1.9]), n_classes=2)
+        with pytest.raises(ValueError, match="^labels must be integers, got dtype bool$"):
+            Dataset(np.zeros((3, 4), dtype=np.uint8), [True, False, True], n_classes=2)
+
+    def test_integer_labels_of_any_width_become_int64(self):
+        ds = Dataset(np.zeros((3, 4), dtype=np.uint8), np.array([1, 0, 1], dtype=np.uint8), n_classes=2)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0, 1]
 
 
 class TestBatches:

@@ -22,6 +22,8 @@ from svdcnn.autograd import (
     grad_check,
 )
 from svdcnn import functional as F
+from svdcnn.architecture import standard_layer_weights, tdsc_layer_weights
+from svdcnn.layers import TdscLayer, TemporalConvLayer
 
 from oracles import (
     MEMORY_ORDERS,
@@ -47,8 +49,8 @@ class TestConv1d:
         np.testing.assert_allclose(out.data[0], x, atol=1e-6)
 
     def test_weight_count_128_256(self):
-        w = Tensor(np.zeros((256, 128, 3)))
-        assert w.data.size == 98_304
+        layer = TemporalConvLayer(128, 256, np.random.default_rng(0))
+        assert layer.weight.size == standard_layer_weights(128, 256) == 98_304
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(3)
@@ -102,7 +104,8 @@ class TestDepthwise:
         np.testing.assert_array_equal(out.data[0], [[2, 3, 2]])
 
     def test_weight_count(self):
-        assert Tensor(np.zeros((128, 3))).data.size == 384
+        layer = TdscLayer(128, 256, np.random.default_rng(0))
+        assert layer.depthwise.size + layer.pointwise.size == tdsc_layer_weights(128, 256) == 33_152
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(6)

@@ -8,7 +8,6 @@ import os
 import re
 import struct
 import sys
-import traceback
 import tracemalloc
 from dataclasses import astuple, fields, replace
 
@@ -179,6 +178,10 @@ class TestSgd:
         ("max_epochs", 0, "epoch budget must be positive, got 0"),
         ("eval_every", 0, "eval_every must be positive, got 0"),
         ("seed", -5, "seed must be non-negative, got -5"),
+        ("batch_size", 64.5, "batch_size must be an integer, got 64.5"),
+        ("max_epochs", 2.5, "max_epochs must be an integer, got 2.5"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("eval_every", "1", "eval_every must be an integer, got '1'"),
     ])
     def test_config_validation(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -188,6 +191,9 @@ class TestSgd:
         with pytest.raises(ValueError, match="batch size must be at least 2.*got 1"):
             TrainConfig(batch_size=1)
         assert TrainConfig(batch_size=2).batch_size == 2
+
+    def test_integer_fields_accept_numpy_integers(self):
+        assert TrainConfig(batch_size=np.int64(8), max_epochs=np.int32(3)) == TrainConfig(batch_size=8, max_epochs=3)
 
 
 class TestTrainLoop:
@@ -552,19 +558,18 @@ class TestCheckpoint:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors in /proc/self/fd")
     @pytest.mark.parametrize("error", [CheckpointLengthError, CheckpointTruncatedError])
-    def test_failed_load_closes_its_map_before_raising(self, tmp_path, error):
+    def test_failed_load_closes_its_map_before_raising(self, tmp_path, monkeypatch, error):
         path = tmp_path / "model.ckpt"
         save_checkpoint(Model(tiny_spec(), seed=0), path)
         blob = path.read_bytes()
         path.write_bytes(blob + b"\x00\x00\x00\x00" if error is CheckpointLengthError else blob[:-10])
+        maps = []
+        monkeypatch.setattr(mmap, "mmap", lambda *args, **kwargs: maps.append(args))
         gc.collect()  # an earlier test's map, kept in a traceback cycle, must not close during the count
         before = len(os.listdir("/proc/self/fd"))
-        with pytest.raises(error) as caught:
+        with pytest.raises(error):
             load_checkpoint(path)
-        # the kept traceback holds load_checkpoint's frame and its map: closed, with no garbage collection
-        maps = [frame.f_locals["mapped"] for frame, _line in traceback.walk_tb(caught.value.__traceback__)
-                if "mapped" in frame.f_locals]
-        assert len(maps) == 1 and maps[0].closed
+        assert maps == []  # every check reads the open file, so a failed load makes no map
         assert len(os.listdir("/proc/self/fd")) == before
 
     # vdcnn-9 with a 256-unit head: 11.5 MB of arrays, the largest 4.2 MB; tracemalloc counts numpy's buffers to the byte
