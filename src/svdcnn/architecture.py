@@ -18,14 +18,13 @@ from __future__ import annotations
 import codecs
 import importlib.resources
 import math
-import numbers
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 import numpy as np
 
-from .autograd import ShapeError, Tensor
+from .autograd import ShapeError, Tensor, _check_int
 from .data import Vocabulary
 from .functional import DegenerateStatisticsError, maxpool_halve
 from .layers import (
@@ -65,9 +64,8 @@ _LAYER_LAYOUT = {
 def _check_int_fields(instance) -> None:
     """Raise ``ValueError`` naming the first field annotated ``int`` whose value is not an integer (a bool is not)."""
     for f in fields(instance):
-        value = getattr(instance, f.name)
-        if f.type in ("int", int) and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if f.type in ("int", int):
+            _check_int(f.name, getattr(instance, f.name))
 
 
 def depth_layout(depth: int) -> tuple[int, int, int, int]:
@@ -135,6 +133,8 @@ class Model(Module):
     weights start at zero with no random draw, for a caller that loads
     every value next (see ``load_checkpoint``).
     """
+
+    checkpoint_epoch = 0  # the epoch its weights come from: set by train and load_checkpoint, saved by save_checkpoint
 
     def __init__(self, spec: ArchitectureSpec, seed: int | None = 0):
         rng = None if seed is None else np.random.default_rng(seed)

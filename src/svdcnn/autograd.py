@@ -6,6 +6,7 @@ run at full precision.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -33,6 +34,12 @@ class NonFiniteError(RuntimeError):
         super().__init__(f"operation {op_index} ({op_name}) produced non-finite values")
         self.op_index = op_index
         self.op_name = op_name
+
+
+def _check_int(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer (numpy's included; a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class GradSlot:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .architecture import Model
-from .autograd import StateError
+from .autograd import StateError, _check_int
 from .layers import Module
 
 
@@ -73,6 +73,8 @@ def measure_latency(
     :func:`probe_gemm_ms` runs before the warmup, after it and after the
     timed passes; ``blas_stall`` is set when any median exceeds ``STALL_MS``.
     """
+    _check_int("reps", reps)
+    _check_int("warmup", warmup)
     if reps < 2:
         raise ValueError(f"need at least 2 repetitions, got {reps}")
     if warmup < 0:

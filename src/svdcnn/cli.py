@@ -181,7 +181,7 @@ def cmd_train(args) -> int:
     with open(history_path, "w", encoding="utf-8") as fh:
         for stats in history:
             fh.write(json.dumps(asdict(stats)) + "\n")
-    save_checkpoint(model, args.out, epoch=model.checkpoint_epoch)
+    save_checkpoint(model, args.out)
     final_acc = evaluate(model, val_set)
     print(f"best epoch {model.checkpoint_epoch}; checkpoint val accuracy {final_acc:.4f}")
     print(f"wrote {args.out} and {history_path}")
@@ -264,14 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-fraction", type=float, default=unset)
     p.add_argument("--train-size", type=int, default=unset)
     p.add_argument("--val-size", type=int, default=unset)
-    # TrainConfig fields; a flag not given leaves its field at the config's default
-    p.add_argument("--lr", type=float, default=unset)
-    p.add_argument("--momentum", type=float, default=unset)
-    p.add_argument("--weight-decay", type=float, default=unset)
-    p.add_argument("--batch-size", type=int, default=unset)
-    p.add_argument("--epochs", dest="max_epochs", metavar="EPOCHS", type=int, default=unset)
-    p.add_argument("--eval-every", type=int, default=unset)
-    p.add_argument("--seed", type=int, default=unset)
+    for f in fields(TrainConfig):  # one flag per field; a flag not given leaves its field at the config's default
+        name = "epochs" if f.name == "max_epochs" else f.name
+        p.add_argument(f"--{name.replace('_', '-')}", dest=f.name, metavar=name.upper(), type=type(f.default),
+                       default=unset)
     p.add_argument("--out", default="model.ckpt")
     p.add_argument("--history", default=None, help="history JSONL path (OUT.history.jsonl if absent or empty)")
     p.set_defaults(func=cmd_train)

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autograd import _check_int
+
 # 69 printable symbols: lowercase letters, digits, ASCII punctuation and the
 # space character. Index 0 is reserved for padding/unknown, so the table has
 # one more row than there are symbols.
@@ -54,6 +56,7 @@ def quantize(text: str, vocab: Vocabulary, seq_len: int) -> np.ndarray:
     surrogates are looked up like any other code point outside the
     dictionary.
     """
+    _check_int("seq_len", seq_len)
     if seq_len < 1:
         raise ValueError(f"sequence length must be positive, got {seq_len}")
     codes = np.frombuffer(text.lower()[:seq_len].encode("utf-32-le", "surrogatepass"), dtype="<u4")
@@ -71,6 +74,7 @@ class Dataset:
     n_classes: int
 
     def __post_init__(self):
+        _check_int("n_classes", self.n_classes)
         labels = np.asarray(self.labels)
         if self.indices.dtype != np.uint8 or self.indices.ndim != 2 or labels.shape != self.indices.shape[:1]:
             raise ValueError(f"expected uint8 indices [N, s] and labels [N], got {self.indices.dtype} "
@@ -115,6 +119,7 @@ def load_csv(path, n_classes: int, seq_len: int) -> Dataset:
     UTF-8 BOM is dropped, and each undecodable sequence becomes U+FFFD,
     counted in an ``IngestionWarning``.
     """
+    _check_int("n_classes", n_classes)
     with open(path, "rb") as fh:
         content = _decode(fh.read(), path)
     texts, labels = [], []
@@ -141,6 +146,8 @@ def make_batches(dataset: Dataset, batch_size: int, seed: int) -> list[tuple[np.
 
     Every sample appears exactly once; the final partial batch is kept.
     """
+    _check_int("batch_size", batch_size)
+    _check_int("seed", seed)
     if batch_size < 1:
         raise ValueError(f"batch size must be positive, got {batch_size}")
     order = np.random.default_rng(seed).permutation(len(dataset))
@@ -150,6 +157,7 @@ def make_batches(dataset: Dataset, batch_size: int, seed: int) -> list[tuple[np.
 
 def split_dataset(dataset: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded train/validation split keeping at least one sample per side."""
+    _check_int("seed", seed)
     if not 0.0 < val_fraction < 1.0:
         raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
     if len(dataset) < 2:
@@ -167,6 +175,9 @@ def synth_dataset(n: int, n_classes: int, seq_len: int, seed: int) -> Dataset:
     probability ``SYNTH_SIGNAL`` per position; the rest is uniform over the
     alphabet. Labels are assigned round-robin, so class counts are exact.
     """
+    _check_int("n", n)
+    _check_int("seq_len", seq_len)
+    _check_int("seed", seed)
     if n_classes < 1 or n_classes > 26:
         raise ValueError(f"n_classes must be in [1, 26], got {n_classes}")
     if n < n_classes:

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autograd import ShapeError, Tensor, active_tape
+from .autograd import ShapeError, Tensor, _check_int, active_tape
 
 
 class DegenerateStatisticsError(ValueError):
@@ -123,16 +123,17 @@ def _tap_slices(n: int, k: int) -> list[tuple[slice, slice]]:
 
 
 def _bind_gemms() -> dict:
-    """``{dtype: gemm}`` for float32 and float64 from numpy's bundled OpenBLAS, or ``{}`` without that library.
+    """``{float32: gemm}`` from numpy's bundled OpenBLAS, or ``{}`` without that library.
 
     ``gemm(a, b, c)`` adds ``a @ b`` into ``c`` with one level-3 BLAS call,
     ``C <- A B + 1 C``, which ``np.matmul(out=)`` cannot do: it always
     overwrites. ``a`` and ``c`` are C-contiguous; ``b`` is C- or
     F-contiguous. The library is bound only where numpy's wheel bundles it
     (``numpy.libs`` on Linux and Windows, ``numpy/.dylibs`` on macOS) under
-    the name ``libscipy_openblas64_`` and exports the ILP64 CBLAS symbols
-    ``scipy_cblas_[sd]gemm64_``, and each GEMM only once it reproduces a tiny
-    product of ``np.matmul``.
+    the name ``libscipy_openblas64_`` and exports the ILP64 CBLAS symbol
+    ``scipy_cblas_sgemm64_``, and only once the GEMM reproduces a tiny
+    product of ``np.matmul``. The network is float32; float64, which only
+    gradient checks run, takes ``_matmul_add``.
     """
     home = Path(np.__file__).parent
     found = [*home.parent.glob("numpy.libs/libscipy_openblas64_*"), *home.glob(".dylibs/libscipy_openblas64_*")]
@@ -140,35 +141,29 @@ def _bind_gemms() -> dict:
         lib = ctypes.CDLL(str(found[0])) if len(found) == 1 else None
     except OSError:
         lib = None
-    gemms = {}
-    for dtype, scalar, symbol in ((np.float32, ctypes.c_float, "scipy_cblas_sgemm64_"),
-                                  (np.float64, ctypes.c_double, "scipy_cblas_dgemm64_")):
-        fn = getattr(lib, symbol, None)
-        if fn is None:
-            continue
-        # (order, trans_a, trans_b) as C enums, then M, N, K and leading dimensions as 64-bit integers
-        fn.argtypes = [ctypes.c_int] * 3 + [ctypes.c_int64] * 3 + [
-            scalar, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, scalar, ctypes.c_void_p,
-            ctypes.c_int64]
-        fn.restype = None
+    fn = getattr(lib, "scipy_cblas_sgemm64_", None)
+    if fn is None:
+        return {}
+    # (order, trans_a, trans_b) as C enums, then M, N, K and leading dimensions as 64-bit integers
+    fn.argtypes = [ctypes.c_int] * 3 + [ctypes.c_int64] * 3 + [ctypes.c_float, ctypes.c_void_p, ctypes.c_int64,
+                   ctypes.c_void_p, ctypes.c_int64, ctypes.c_float, ctypes.c_void_p, ctypes.c_int64]
+    fn.restype = None
 
-        def gemm(a, b, c, fn=fn, dtype=np.dtype(dtype)):
-            (m, inner), n = a.shape, c.shape[1]
-            if not (a.dtype == b.dtype == c.dtype == dtype and b.shape == (inner, n) and len(c) == m and
-                    a.flags.c_contiguous and c.flags.c_contiguous and (b.flags.c_contiguous or b.flags.f_contiguous)):
-                raise ValueError("gemm operands must match the bound dtype and shapes, a and c C-contiguous")
-            trans_b = not b.flags.c_contiguous  # row-major enums: 101 row-major, 111 no transpose, 112 transpose
-            fn(101, 111, 112 if trans_b else 111, m, n, inner, 1.0, a.ctypes.data, max(1, inner),
-               b.ctypes.data, max(1, inner if trans_b else n), 1.0, c.ctypes.data, max(1, n))
+    def gemm(a, b, c):
+        (m, inner), n = a.shape, c.shape[1]
+        if not (a.dtype == b.dtype == c.dtype == np.float32 and b.shape == (inner, n) and len(c) == m and
+                a.flags.c_contiguous and c.flags.c_contiguous and (b.flags.c_contiguous or b.flags.f_contiguous)):
+            raise ValueError("gemm operands must match the bound dtype and shapes, a and c C-contiguous")
+        trans_b = not b.flags.c_contiguous  # row-major enums: 101 row-major, 111 no transpose, 112 transpose
+        fn(101, 111, 112 if trans_b else 111, m, n, inner, 1.0, a.ctypes.data, max(1, inner),
+           b.ctypes.data, max(1, inner if trans_b else n), 1.0, c.ctypes.data, max(1, n))
 
-        a = np.arange(1, 7, dtype=dtype).reshape(2, 3)
-        b = np.arange(1, 13, dtype=dtype).reshape(4, 3)
-        c = np.ones((2, 4), dtype)
-        gemm(a, b.T, c)
-        gemm(a, b.T.copy(), c)
-        if np.array_equal(c, 1 + 2 * np.matmul(a, b.T)):
-            gemms[np.dtype(dtype)] = gemm
-    return gemms
+    a = np.arange(1, 7, dtype=np.float32).reshape(2, 3)
+    b = np.arange(1, 13, dtype=np.float32).reshape(4, 3)
+    c = np.ones((2, 4), np.float32)
+    gemm(a, b.T, c)
+    gemm(a, b.T.copy(), c)
+    return {np.dtype(np.float32): gemm} if np.array_equal(c, 1 + 2 * np.matmul(a, b.T)) else {}
 
 
 _GEMMS = _bind_gemms()
@@ -189,12 +184,12 @@ def _tap_products(rows: np.ndarray, mats: np.ndarray, shape: tuple) -> np.ndarra
     for ``s = kk - K//2``. Each sequence's last s (or first -s) output rows
     would read the neighbouring sequence, so they are copied out before the
     GEMM and written back after it: no value (NaN included) crosses a
-    sequence. The GEMM is the beta = 1 one ``_GEMMS`` binds for the dtype
-    of both, which needs no temporary or add pass, else ``_matmul_add``.
+    sequence. The GEMM is the beta = 1 one ``_GEMMS`` binds for float32,
+    which needs no temporary or add pass, else ``_matmul_add``.
     """
     k = len(mats)
     dtype = np.result_type(rows, mats)
-    gemm = _GEMMS.get(dtype, _matmul_add) if rows.dtype == mats.dtype else _matmul_add
+    gemm = _GEMMS.get(dtype, _matmul_add)
     out = _empty(shape, dtype)
     out_rows, steps, length = _rows(out), out.transpose(0, 2, 1), shape[2]
     np.matmul(rows, mats[k // 2], out=out_rows)
@@ -448,6 +443,7 @@ def kmax_pool(x: Tensor, k: int) -> Tensor:
     """
     xa = _checked(x, "[B, C, L]", "kmax_pool")
     batch, channels, length = xa.shape
+    _check_int("k", k)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if k > length:
@@ -484,6 +480,7 @@ def adaptive_avg_pool(x: Tensor, out_len: int) -> Tensor:
     """
     xa = _checked(x, "[B, C, L]", "adaptive_avg_pool")
     length = xa.shape[2]
+    _check_int("out_len", out_len)
     if out_len < 1:
         raise ValueError(f"output length must be positive, got {out_len}")
     if length == 0:

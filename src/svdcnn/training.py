@@ -13,7 +13,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .architecture import FAMILIES, ArchitectureSpec, Model, _check_int_fields, closed_form_params
-from .autograd import StateError, Tape, Tensor, backward
+from .autograd import StateError, Tape, Tensor, _check_int, backward
 from .data import Dataset, make_batches
 from .functional import cross_entropy
 
@@ -230,11 +230,12 @@ def _model_arrays(model: Model) -> list[tuple[str, np.ndarray]]:
     return [(name, getattr(owner, attr)) for name, owner, attr in _array_homes(model)]
 
 
-def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
+def save_checkpoint(model: Model, path) -> None:
     """Write ``model`` to a synced temporary file renamed onto ``path``: a failed write leaves the old file intact."""
     spec = model.spec
-    header = (FAMILIES.index(spec.family), *astuple(spec)[1:], int(epoch))
+    header = (FAMILIES.index(spec.family), *astuple(spec)[1:], model.checkpoint_epoch)
     for name, value in zip([f.name for f in fields(ArchitectureSpec)] + ["epoch"], header):
+        _check_int(f"checkpoint {name}", value)
         if not 0 <= value < 2**32:
             raise ValueError(f"checkpoint {name} must fit an unsigned 32-bit header field, got {value}")
     tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"

@@ -129,8 +129,12 @@ ERROR_CASES = {
                                    "bias shape (4,) does not match 3 outputs"),
     "add-shapes": ErrorCase(F.add, ((3, 4), (4, 3)), ShapeError, "cannot add shapes (3, 4) and (4, 3)"),
     "kmax_pool-k": ErrorCase(lambda x: F.kmax_pool(x, 0), ((2, 3, 8),), ValueError, "k must be positive, got 0"),
+    "kmax_pool-k-integer": ErrorCase(lambda x: F.kmax_pool(x, 2.5), ((2, 3, 8),), ValueError,
+                                     "k must be an integer, got 2.5"),
     "adaptive_avg_pool-length": ErrorCase(lambda x: F.adaptive_avg_pool(x, 0), ((2, 3, 8),), ValueError,
                                           "output length must be positive, got 0"),
+    "adaptive_avg_pool-length-integer": ErrorCase(lambda x: F.adaptive_avg_pool(x, 2.0), ((2, 3, 8),), ValueError,
+                                                  "out_len must be an integer, got 2.0"),
     "adaptive_avg_pool-empty": ErrorCase(lambda x: F.adaptive_avg_pool(x, 2), ((2, 3, 0),), ValueError,
                                          "temporal length must be positive to pool, got 0"),
     "cross_entropy-rank": ErrorCase(lambda z: F.cross_entropy(z, np.array([1, 0, 2])), ((3, 4, 1),), ShapeError,

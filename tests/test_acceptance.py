@@ -215,7 +215,7 @@ def test_criterion_11_checkpoint_roundtrip(tmp_path):
     inputs = rng.integers(0, spec.vocab_size, size=(10, spec.seq_len))
     before = model.forward(inputs).data
     path = tmp_path / "roundtrip.ckpt"
-    sv.save_checkpoint(model, path, epoch=1)
+    sv.save_checkpoint(model, path)
     restored = sv.load_checkpoint(path)
     after = restored.forward(inputs).data
     assert before.tobytes() == after.tobytes()

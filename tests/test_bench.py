@@ -68,7 +68,10 @@ class TestMeasure:
         ({"reps": -1}, "need at least 2 repetitions, got -1"),
         ({"reps": 2, "warmup": -1}, "warmup cannot be negative, got -1"),
         ({"reps": 2, "warmup": -10}, "warmup cannot be negative, got -10"),
-    ], ids=["reps-1", "reps-0", "reps-negative", "warmup-1", "warmup-10"])
+        ({"reps": 2.5}, "reps must be an integer, got 2.5"),
+        ({"reps": True}, "reps must be an integer, got True"),
+        ({"reps": 2, "warmup": 1.5}, "warmup must be an integer, got 1.5"),
+    ], ids=["reps-1", "reps-0", "reps-negative", "warmup-1", "warmup-10", "reps-float", "reps-bool", "warmup-float"])
     def test_bad_counts_are_rejected_before_anything_runs(self, monkeypatch, counts, message):
         # the counts are checked here only: a LatencyStats is not validated when it is built
         monkeypatch.setattr(bench, "probe_gemm_ms", lambda: pytest.fail("probed before the check"))

@@ -1,6 +1,7 @@
 """Vocabulary, quantization, CSV ingestion, batching and the synthetic set."""
 
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -290,3 +291,29 @@ class TestSynthetic:
             synth_dataset(2, 4, 32, seed=0)
         with pytest.raises(ValueError):
             synth_dataset(40, 30, 32, seed=0)
+
+
+def _two_rows(tmp_path):
+    path = tmp_path / "two.csv"
+    path.write_text("1,a\n2,b\n", encoding="utf-8")
+    return path
+
+
+_FOUR = Dataset(np.zeros((4, 4), dtype=np.uint8), [0, 1, 0, 1], n_classes=2)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda tmp: Dataset(np.zeros((3, 4), dtype=np.uint8), [0, 1, 0], 3.5), "n_classes must be an integer, got 3.5"),
+    (lambda tmp: load_csv(_two_rows(tmp), 2.0, 16), "n_classes must be an integer, got 2.0"),
+    (lambda tmp: make_batches(_FOUR, True, 0), "batch_size must be an integer, got True"),
+    (lambda tmp: make_batches(_FOUR, 2, 0.5), "seed must be an integer, got 0.5"),
+    (lambda tmp: split_dataset(_FOUR, 0.5, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda tmp: synth_dataset(8.0, 2, 16, seed=0), "n must be an integer, got 8.0"),
+    (lambda tmp: synth_dataset(8, 2, 16.0, seed=0), "seq_len must be an integer, got 16.0"),
+    (lambda tmp: synth_dataset(8, 2, 16, seed="1"), "seed must be an integer, got '1'"),
+    (lambda tmp: quantize("abc", Vocabulary(), 4.0), "seq_len must be an integer, got 4.0"),
+], ids=["Dataset-n_classes", "load_csv-n_classes", "make_batches-batch_size", "make_batches-seed",
+        "split_dataset-seed", "synth_dataset-n", "synth_dataset-seq_len", "synth_dataset-seed", "quantize-seq_len"])
+def test_non_integer_count_is_named(tmp_path, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)

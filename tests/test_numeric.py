@@ -22,8 +22,8 @@ from svdcnn.autograd import (
     grad_check,
 )
 from svdcnn import functional as F
-from svdcnn.architecture import standard_layer_weights, tdsc_layer_weights
-from svdcnn.layers import TdscLayer, TemporalConvLayer
+from svdcnn.architecture import ArchitectureSpec, head_weight_params, standard_layer_weights, tdsc_layer_weights
+from svdcnn.layers import AvgPoolLinearHead, TdscLayer, TemporalConvLayer
 
 from oracles import (
     MEMORY_ORDERS,
@@ -286,7 +286,7 @@ def numpy_wheel_with_bundled_openblas64() -> bool:
 @pytest.mark.skipif(not numpy_wheel_with_bundled_openblas64(),
                     reason="conv1d binds a GEMM only from the OpenBLAS that numpy's wheels bundle")
 def test_bundled_openblas_gives_conv1d_its_beta_one_gemms(monkeypatch):
-    assert set(F._GEMMS) == {np.dtype(np.float32), np.dtype(np.float64)}
+    assert set(F._GEMMS) == {np.dtype(np.float32)}
     calls = []
 
     def counted(gemm):
@@ -301,8 +301,8 @@ def test_bundled_openblas_gives_conv1d_its_beta_one_gemms(monkeypatch):
         with Tape() as tape:
             loss = tensor_sum(F.conv1d(x, Tensor(np.ones((4, 3, 3)), dtype=dtype), padding=1))
         backward(loss, tape)
-    # two side taps in the forward and two in the input gradient, per dtype
-    assert calls == [np.float32] * 4 + [np.float64] * 4
+    # two side taps in the forward and two in the input gradient, float32 only: float64 takes _matmul_add
+    assert calls == [np.float32] * 4
 
 
 @pytest.mark.skipif(not F._GEMMS, reason="no GEMM bound")
@@ -327,7 +327,7 @@ class TestAffine:
         np.testing.assert_array_equal(out.data[0], [6, -1])
 
     def test_weight_count_4096_to_4(self):
-        assert Tensor(np.zeros((4, 4096))).data.size == 16_384
+        assert AvgPoolLinearHead(512, 8, 4).fc.weight.size == head_weight_params(ArchitectureSpec("svdcnn")) == 16_384
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(8)

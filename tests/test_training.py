@@ -245,7 +245,7 @@ class TestTrainLoop:
             train(model, train_set, val_set, TrainConfig(batch_size=8, max_epochs=epochs, seed=0))
             assert model.checkpoint_epoch == 2
             paths.append(tmp_path / f"{epochs}.ckpt")
-            save_checkpoint(model, paths[-1], epoch=model.checkpoint_epoch)
+            save_checkpoint(model, paths[-1])
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_tapeless_logits_are_those_of_the_restored_weights(self):
@@ -351,13 +351,13 @@ HEADER_END = 6 + 4 * (len(fields(ArchitectureSpec)) + 1)  # magic, version, spec
 ALIGNMENT = 64  # a version-2 file starts each array's values at a multiple of this file offset
 
 
-def write_v1_checkpoint(model, path, epoch=0):
+def write_v1_checkpoint(model, path):
     """The version-1 layout, written apart from ``save_checkpoint``: the v2 header with version 1, and
     each array as its u64 length followed at once by its little-endian float32 values."""
     spec = model.spec
     with open(path, "wb") as fh:
         fh.write(struct.pack(f"<4sH{len(fields(ArchitectureSpec)) + 1}I", b"SVDC", 1,
-                             FAMILIES.index(spec.family), *astuple(spec)[1:], epoch))
+                             FAMILIES.index(spec.family), *astuple(spec)[1:], model.checkpoint_epoch))
         for _name, arr in training._model_arrays(model):
             fh.write(struct.pack("<Q", arr.size))
             fh.write(arr.astype("<f4").tobytes())
@@ -400,7 +400,8 @@ class TestCheckpoint:
         inputs = rng.integers(0, spec.vocab_size, size=(10, spec.seq_len))
         before = model.forward(inputs).data
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path, epoch=3)
+        model.checkpoint_epoch = 3
+        save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         assert loaded.checkpoint_epoch == 3
         after = loaded.forward(inputs).data
@@ -410,7 +411,9 @@ class TestCheckpoint:
         spec = ArchitectureSpec("svdcnn", depth=17, seq_len=64, embed_dim=3, vocab_size=5, n_classes=6,
                                 fc_hidden=7, pooled_len=2)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(Model(spec, seed=None), path, epoch=11)
+        model = Model(spec, seed=None)
+        model.checkpoint_epoch = 11
+        save_checkpoint(model, path)
         assert struct.unpack_from("<4sH9I", path.read_bytes()) == (b"SVDC", 2, 1, 17, 64, 3, 5, 6, 7, 2, 11)
         loaded = load_checkpoint(path)
         assert (loaded.spec, loaded.checkpoint_epoch) == (spec, 11)
@@ -418,7 +421,9 @@ class TestCheckpoint:
     def test_header_is_magic_version_then_one_u32_per_spec_field_and_the_epoch(self, tmp_path):
         spec = ArchitectureSpec("svdcnn", depth=9, seq_len=16, pooled_len=2, n_classes=2, fc_hidden=8)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(Model(spec, seed=0), path, epoch=4)
+        model = Model(spec, seed=0)
+        model.checkpoint_epoch = 4
+        save_checkpoint(model, path)
         blob = path.read_bytes()
         n = len(fields(ArchitectureSpec)) + 1
         assert blob[:4] == b"SVDC"
@@ -448,13 +453,33 @@ class TestCheckpoint:
     @pytest.mark.parametrize("field,value", [("epoch", -1), ("epoch", 2**32), ("fc_hidden", 2**32)])
     def test_header_value_outside_u32_is_named_before_a_file_is_opened(self, tmp_path, field, value):
         model = Model(tiny_spec(), seed=None)
-        epoch = value if field == "epoch" else 0
-        if field != "epoch":
+        if field == "epoch":
+            model.checkpoint_epoch = value
+        else:
             model.spec = replace(model.spec, **{field: value})  # the header reads only the spec
         path = tmp_path / "model.ckpt"
         with pytest.raises(ValueError, match=rf"^checkpoint {field} must fit an unsigned 32-bit header field, got {value}$"):
-            save_checkpoint(model, path, epoch=epoch)
+            save_checkpoint(model, path)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("epoch", [2.7, True, "3"])
+    def test_non_integer_epoch_is_named_before_a_file_is_opened(self, tmp_path, epoch):
+        model = Model(tiny_spec(), seed=None)
+        model.checkpoint_epoch = epoch
+        with pytest.raises(ValueError, match=f"^{re.escape(f'checkpoint epoch must be an integer, got {epoch!r}')}$"):
+            save_checkpoint(model, tmp_path / "model.ckpt")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("depth", [9, 17, 29, 49])
+    def test_save_load_save_gives_the_same_bytes(self, tmp_path, family, depth):
+        model = Model(tiny_spec(family=family, depth=depth), seed=depth)
+        model.checkpoint_epoch = 7
+        save_checkpoint(model, tmp_path / "first.ckpt")
+        loaded = load_checkpoint(tmp_path / "first.ckpt")
+        assert loaded.checkpoint_epoch == 7
+        save_checkpoint(loaded, tmp_path / "second.ckpt")
+        assert (tmp_path / "first.ckpt").read_bytes() == (tmp_path / "second.ckpt").read_bytes()
 
     def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
         model = Model(tiny_spec(), seed=8)
@@ -634,8 +659,9 @@ class TestCheckpoint:
         rng = np.random.default_rng(9)
         for _name, buf in model.named_buffers():  # running statistics away from their initial 0 and 1
             buf[...] = rng.uniform(0.5, 1.5, buf.shape)
-        write_v1_checkpoint(model, tmp_path / "v1.ckpt", epoch=3)
-        save_checkpoint(model, tmp_path / "v2.ckpt", epoch=3)
+        model.checkpoint_epoch = 3
+        write_v1_checkpoint(model, tmp_path / "v1.ckpt")
+        save_checkpoint(model, tmp_path / "v2.ckpt")
         v1, v2 = load_checkpoint(tmp_path / "v1.ckpt"), load_checkpoint(tmp_path / "v2.ckpt")
         assert (v1.spec, v1.checkpoint_epoch) == (v2.spec, v2.checkpoint_epoch) == (spec, 3)
         for (name, a), (_n, b), (_m, c) in zip(*(training._model_arrays(m) for m in (model, v1, v2))):
