@@ -15,12 +15,9 @@ and ``depth_layout``. Reported storage assumes 4 bytes per parameter.
 
 from __future__ import annotations
 
-import codecs
-import importlib.resources
 import math
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
-from pathlib import Path
 
 import numpy as np
 
@@ -137,7 +134,12 @@ class Model(Module):
     checkpoint_epoch = 0  # the epoch its weights come from: set by train and load_checkpoint, saved by save_checkpoint
 
     def __init__(self, spec: ArchitectureSpec, seed: int | None = 0):
-        rng = None if seed is None else np.random.default_rng(seed)
+        rng = None
+        if seed is not None:
+            _check_int("seed", seed)
+            if seed < 0:
+                raise ValueError(f"seed must be non-negative, got {seed}")
+            rng = np.random.default_rng(seed)
         self.spec = spec
         self.embedding = EmbeddingTable(spec.vocab_size, spec.embed_dim, rng)
         self.first_conv = TemporalConvLayer(spec.embed_dim, FIRST_CONV_CHANNELS, rng, bn_scale_init=STEM_BN_SCALE)
@@ -295,54 +297,28 @@ class GoldenRow:
         return abs(storage_size(int(round(self.total_m * 1e6))) - self.storage_mb) <= 0.02
 
 
-def load_golden_table(path=None) -> dict[tuple[str, int], GoldenRow]:
-    """Parse the shipped (or a given) reference table.
-
-    A leading UTF-8 BOM is dropped. A byte that is not UTF-8, a malformed or negative cell, an unsupported
-    ``(family, depth)`` or a repeated row raises ``ValueError`` naming the line.
-    """
-    if path is None:
-        raw = importlib.resources.files("svdcnn").joinpath("golden_params.tsv").read_bytes()
-        label = "packaged golden table"
-    else:
-        p = Path(path)
-        if not p.exists():
-            raise FileNotFoundError(f"golden table not found: {p}")
-        raw = p.read_bytes()
-        label = str(p)
-    raw = raw.removeprefix(codecs.BOM_UTF8)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = len((raw[:exc.start].decode("utf-8") + "?").splitlines())  # the line the bad byte is on
-        raise ValueError(f"{label}, line {lineno}: byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
-    rows = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise ValueError(f"{label}, line {lineno}: expected 6 columns, got {len(parts)}")
-        try:
-            row = GoldenRow(parts[0], int(parts[1]), *(float(v) for v in parts[2:]))
-            ArchitectureSpec(row.family, depth=row.depth)
-        except ValueError as exc:
-            raise ValueError(f"{label}, line {lineno}: {exc}") from None
-        if (row.family, row.depth) in rows:
-            raise ValueError(f"{label}, line {lineno}: repeats the row for ({row.family}, {row.depth})")
-        rows[(row.family, row.depth)] = row
-    if not rows:
-        raise ValueError(f"{label}: no rows found")
-    return rows
-
-
-# A category passes when it is within this relative difference of the reference (±5%).
-TOLERANCE = 0.05
+# The paper's reference rows: parameter counts in millions and storage in MB by family and depth.
+GOLDEN_ROWS = (
+    GoldenRow("svdcnn", 9, 0.71, 0.02, 0.73, 2.80),
+    GoldenRow("svdcnn", 17, 1.43, 0.02, 1.45, 5.52),
+    GoldenRow("svdcnn", 29, 1.56, 0.02, 1.58, 6.03),
+    GoldenRow("vdcnn", 9, 2.20, 12.59, 14.79, 54.75),
+    GoldenRow("vdcnn", 17, 4.40, 12.59, 16.99, 62.74),
+    GoldenRow("vdcnn", 29, 4.60, 12.59, 17.19, 64.16),
+)
 
 # Categories whose reference values are known not to match direct
 # enumeration; differences there are reported as flags, not failures.
 FLAGGED_CATEGORIES = {"vdcnn": frozenset({"conv"}), "svdcnn": frozenset()}
+
+
+def load_golden_table() -> dict[tuple[str, int], GoldenRow]:
+    """The reference rows of :data:`GOLDEN_ROWS`, keyed by ``(family, depth)``."""
+    return {(row.family, row.depth): row for row in GOLDEN_ROWS}
+
+
+# A category passes when it is within this relative difference of the reference (±5%).
+TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)

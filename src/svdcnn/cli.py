@@ -118,14 +118,12 @@ def cmd_verify(args) -> int:
             same = count_params(Model(spec, seed=None)) == closed_form_params(spec)
             check(f"enumeration == closed form {family}-{depth}", same, "")
 
-    table = arch.load_golden_table(args.golden)  # read before any output; main reports its errors
-
     failed = False
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}  {detail}")
         failed |= not ok
 
-    for (family, depth), row in sorted(table.items()):
+    for (family, depth), row in sorted(arch.load_golden_table().items()):
         diff = arch.reconcile(closed_form_params(ArchitectureSpec(family, depth=depth)), row)
         for cat in diff.categories:
             tag = cat.verdict.upper()
@@ -250,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_describe)
 
     p = sub.add_parser("verify", help="run the arithmetic checks and reference-table reconciliation")
-    p.add_argument("--golden", default=None, help="path to a reference table (defaults to the packaged one)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("train", help="train a model on a CSV corpus or the synthetic set")

@@ -1,6 +1,5 @@
 """Builders, shape traces, parameter accounting and table reconciliation."""
 
-import codecs
 import re
 import sys
 import threading
@@ -10,6 +9,7 @@ import numpy as np
 import pytest
 
 from svdcnn.architecture import (
+    GOLDEN_ROWS,
     ArchitectureSpec,
     GoldenRow,
     Model,
@@ -131,6 +131,22 @@ class TestBuildAndForward:
         a, b = Model(spec, seed=9), Model(spec, seed=9)
         for (na, ta, _), (nb, tb, _) in zip(a.named_params(), b.named_params()):
             assert na == nb
+            assert ta.data.tobytes() == tb.data.tobytes()
+
+    @pytest.mark.parametrize("seed,message", [
+        (True, "seed must be an integer, got True"),
+        (2.0, "seed must be an integer, got 2.0"),
+        ("3", "seed must be an integer, got '3'"),
+        (-1, "seed must be non-negative, got -1"),
+    ], ids=["bool", "float", "str", "negative"])
+    def test_seed_must_be_a_non_negative_integer(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Model(ArchitectureSpec("svdcnn", seq_len=64), seed=seed)
+
+    def test_numpy_integer_seed_builds_the_same_model(self):
+        spec = ArchitectureSpec("svdcnn", seq_len=64)
+        a, b = Model(spec, seed=np.int64(3)), Model(spec, seed=3)
+        for (_, ta, _), (_, tb, _) in zip(a.named_params(), b.named_params()):
             assert ta.data.tobytes() == tb.data.tobytes()
 
     def test_train_mode_requires_batch_of_two(self):
@@ -661,26 +677,6 @@ class TestStorage:
         assert report.storage_mb <= 6.1
 
 
-_GOLDEN_ROW = b"svdcnn\t9\t0.71\t0.02\t0.73\t2.80\n"
-
-# Reference tables load_golden_table rejects: (file bytes, line number, message pattern).
-MALFORMED_GOLDEN_TABLES = {
-    "int-cell": (_GOLDEN_ROW + b"svdcnn\tnine\t1.43\t0.02\t1.45\t5.52\n", 2,
-                 r"invalid literal for int\(\) with base 10: 'nine'"),
-    "float-cell": (b"svdcnn\t9\t0.71\tx\t0.73\t2.80\n", 1, "could not convert string to float: 'x'"),
-    "family": (b"cnn\t9\t0.71\t0.02\t0.73\t2.80\n", 1, "unknown family 'cnn'"),
-    "depth": (b"svdcnn\t11\t0.71\t0.02\t0.73\t2.80\n", 1, "unsupported depth 11"),
-    "negative": (b"svdcnn\t9\t0.71\t0.02\t-0.73\t2.80\n", 1, "counts must be finite and non-negative"),
-    "nan": (b"svdcnn\t9\tnan\t0.02\t0.73\t2.80\n", 1, "counts must be finite and non-negative"),
-    "not-utf8": (_GOLDEN_ROW + b"# caf\xe9 (Latin-1)\n", 2, r"byte 0xe9 is not UTF-8 \(invalid continuation byte\)"),
-    "duplicate": (_GOLDEN_ROW + b"# again\n" + _GOLDEN_ROW, 3, r"repeats the row for \(svdcnn, 9\)"),
-    # a leading BOM is dropped, so the first line stays a comment and offsets stay on the bad byte
-    "bom": (codecs.BOM_UTF8 + b"# reference\n" + b"svdcnn\t11\t0.71\t0.02\t0.73\t2.80\n", 2, "unsupported depth 11"),
-    "bom-not-utf8": (codecs.BOM_UTF8 + b"# reference\n" + _GOLDEN_ROW + b"# caf\xe9\n", 3,
-                     r"byte 0xe9 is not UTF-8 \(invalid continuation byte\)"),
-}
-
-
 class TestReconcile:
     def test_squeezed_rows_pass(self):
         table = load_golden_table()
@@ -726,16 +722,22 @@ class TestReconcile:
         row = GoldenRow("svdcnn", 9, millions(report.conv), 9.99, millions(report.total), round2(report.storage_mb))
         assert reconcile(report, row).failed
 
-    def test_golden_file_missing(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_golden_table(tmp_path / "nope.tsv")
+    @pytest.mark.parametrize("bad", [-0.73, float("nan"), float("inf")], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("field", ["conv_m", "fc_m", "total_m", "storage_mb"])
+    def test_row_counts_must_be_finite_and_non_negative(self, field, bad):
+        counts = {"conv_m": 0.71, "fc_m": 0.02, "total_m": 0.73, "storage_mb": 2.80, field: bad}
+        with pytest.raises(ValueError, match="^counts must be finite and non-negative, got "):
+            GoldenRow("svdcnn", 9, **counts)
 
-    @pytest.mark.parametrize("content,line,message", MALFORMED_GOLDEN_TABLES.values(), ids=MALFORMED_GOLDEN_TABLES)
-    def test_malformed_golden_table_names_the_file_and_line(self, tmp_path, content, line, message):
-        path = tmp_path / "golden.tsv"
-        path.write_bytes(content)
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}, line {line}: {message}"):
-            load_golden_table(path)
+    @pytest.mark.parametrize("row", GOLDEN_ROWS, ids=[f"{row.family}-{row.depth}" for row in GOLDEN_ROWS])
+    def test_each_reference_row_names_a_supported_spec(self, row):
+        spec = ArchitectureSpec(row.family, depth=row.depth)
+        assert load_golden_table()[(spec.family, spec.depth)] is row
+
+    def test_reference_rows_cover_each_family_at_the_papers_depths_once(self):
+        keys = [(row.family, row.depth) for row in GOLDEN_ROWS]
+        assert sorted(keys) == sorted(load_golden_table()) == [
+            (family, depth) for family in ("svdcnn", "vdcnn") for depth in (9, 17, 29)]
 
 
 class TestConstantProduct:

@@ -15,13 +15,11 @@ import numpy as np
 import pytest
 
 import svdcnn
-from svdcnn.architecture import ArchitectureSpec, Model
+from svdcnn.architecture import ArchitectureSpec, GoldenRow, Model
 from svdcnn.bench import measure_latency
 from svdcnn.cli import _from_args, build_parser, main
 from svdcnn.data import IngestionWarning, load_csv, split_dataset
 from svdcnn.training import TrainConfig, evaluate, load_checkpoint, predict_logits, save_checkpoint
-
-from test_architecture import MALFORMED_GOLDEN_TABLES
 
 
 def run(capsys, *argv):
@@ -41,6 +39,13 @@ class TestDescribe:
         code, out, _err = run(capsys, "describe", "--family", "vdcnn", "--depth", "9")
         assert code == 0
         assert "12,591,104" in out
+
+    def test_counts_that_disagree_exit_1_with_one_warning(self, capsys, monkeypatch):
+        closed_form_params = svdcnn.cli.closed_form_params
+        monkeypatch.setattr(svdcnn.cli, "closed_form_params", lambda spec: replace(closed_form_params(spec), conv=0))
+        code, _out, err = run(capsys, "describe", "--family", "svdcnn", "--depth", "9")
+        assert code == 1
+        assert err == "warning: enumerated and closed-form counts disagree\n"
 
     def test_unsupported_depth_is_usage_error(self, capsys):
         code, _out, err = run(capsys, "describe", "--depth", "13")
@@ -103,28 +108,12 @@ class TestVerify:
         assert "FAIL" not in out
         assert "FLAG" in out  # the standard-family conv rows stay visible
 
-    def test_tampered_golden_value_fails(self, capsys, tmp_path):
-        bad = tmp_path / "golden.tsv"
-        bad.write_text("svdcnn\t9\t0.71\t0.02\t9.99\t2.80\n")
-        code, out, _err = run(capsys, "verify", "--golden", str(bad))
+    def test_tampered_golden_value_fails(self, capsys, monkeypatch):
+        tampered = GoldenRow("svdcnn", 9, 0.71, 0.02, 9.99, 2.80)
+        monkeypatch.setattr(svdcnn.architecture, "load_golden_table", lambda: {("svdcnn", 9): tampered})
+        code, out, _err = run(capsys, "verify")
         assert code == 1
-        assert "FAIL" in out
-
-    @pytest.mark.parametrize("content,line", [v[:2] for v in MALFORMED_GOLDEN_TABLES.values()],
-                             ids=MALFORMED_GOLDEN_TABLES)
-    def test_malformed_golden_table_is_one_error_line(self, capsys, tmp_path, content, line):
-        bad = tmp_path / "golden.tsv"
-        bad.write_bytes(content)
-        code, out, err = run(capsys, "verify", "--golden", str(bad))
-        assert code == 1
-        assert "PASS" not in out
-        assert len(err.splitlines()) == 1
-        assert err.startswith(f"error: {bad}, line {line}: ")
-
-    def test_missing_golden_file(self, capsys, tmp_path):
-        code, _out, err = run(capsys, "verify", "--golden", str(tmp_path / "none.tsv"))
-        assert code == 1
-        assert "none.tsv" in err
+        assert "FAIL  svdcnn-9 total" in out
 
 
 @pytest.fixture(scope="module")
